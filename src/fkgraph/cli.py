@@ -40,10 +40,6 @@ def _names(g: Graph, mask: int) -> list[str]:
     return [g.vertices[i] for i in iter_bits(mask)]
 
 
-def _points(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
-
-
 def _load(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
         return parse_graph_auto(fh.read())
@@ -81,7 +77,7 @@ def _run_spectrum(cfg) -> int:
                "s": _names(g, sp.pair(k).s)} for k in range(sp.npoints)]
     spec = [[i, j] for i in range(sp.npoints) for j in range(sp.npoints)
             if i != j and sp.specializes(i, j)]
-    opens = [_points(u) for u in sp.opens]
+    opens = [list(iter_bits(u)) for u in sp.opens]
     payload = {"points": points, "specialization": spec, "opens": opens}
 
     lines = [f"points: {sp.npoints}"]
@@ -154,7 +150,7 @@ def _k_entry(fk, y) -> dict:
     kd = fk.kmap[y.pointset]
     basis = kernel_basis(kd.matrix)
     return {
-        "pointset": _points(y.pointset),
+        "pointset": list(iter_bits(y.pointset)),
         "vertices": list(kd.vertices),
         "k0": {
             "invariant_factors": list(kd.k0.invariant_factors),

@@ -80,6 +80,11 @@ class Graph:
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.vertices)}
 
+    @cached_property
+    def carrier_cache(self) -> dict:
+        """Memo for data fixed by a subquotient carrier; filled by `ktheory`."""
+        return {}
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -271,10 +276,6 @@ def reaches(g: Graph, v: str, w: str) -> bool:
     return bool(g._reach[g.index(v)] >> g.index(w) & 1)
 
 
-def reachable_set(g: Graph, i: int) -> int:
-    return g._reach[i]
-
-
 # ------------------------------------------- hereditary / saturated sets
 
 
@@ -384,25 +385,7 @@ def satisfies_condition_K(g: Graph) -> bool:
     return all(return_path_count(g, i) != 1 for i in range(g.n))
 
 
-# --------------------------------------------------- quotients and pieces
-
-
-def quotient(g: Graph, h: int, s: int = 0) -> Graph:
-    """Quotient by the ideal at (h, {}): delete h, keep everything else.
-
-    Only for row-finite graphs, where every admissible pair has empty S.
-    """
-    if not g.row_finite:
-        raise ValueError("quotient requires a row-finite graph")
-    if s:
-        raise ValueError("quotient requires an empty breaking-vertex set")
-    if not is_hereditary(g, h) or not is_saturated(g, h):
-        raise ValueError("h must be hereditary and saturated")
-    keep = [i for i in range(g.n) if not (h >> i & 1)]
-    return Graph(
-        tuple(g.vertices[i] for i in keep),
-        tuple(tuple(g.mult[i][j] for j in keep) for i in keep),
-    )
+# ------------------------------------------------------------ subquotients
 
 
 def subquotient_graph(g: Graph, d: int, v_ideal: int) -> Graph:

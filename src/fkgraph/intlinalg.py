@@ -170,6 +170,24 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """One integer solution x of M x = b, or None if there is none."""
+        if len(b) != self.P.cols:
+            raise ValueError("vector length mismatch")
+        y = self.P.apply(b)
+        z = [0] * self.Q.rows
+        diag = self.diagonal
+        for i in range(self.P.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if y[i] != 0:
+                    return None
+            else:
+                if y[i] % d != 0:
+                    return None
+                z[i] = y[i] // d
+        return self.Q.apply(z)
+
 
 def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
     """Diagonalize M over the integers, tracking both transforms and their inverses."""
@@ -312,22 +330,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def solve_exact(A: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of A x = b, or None if there is none."""
-    if len(b) != A.rows:
-        raise ValueError("vector length mismatch")
-    dec = smith_decomposition(A)
-    y = dec.P.apply(b)
-    z = [0] * A.cols
-    diag = dec.diagonal
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            z[i] = y[i] // d
-    return dec.Q.apply(z)
+    return smith_decomposition(A).solve(b)
 
 
 @dataclass(frozen=True)
@@ -368,10 +371,6 @@ class FgAbGroup:
         return len(self.invariant_factors)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.project.cols
-
-    @property
     def rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d == 0)
 
@@ -407,12 +406,6 @@ class FgAbGroup:
 
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self.reduce(vec))
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements of a finite group, lexicographic."""
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        yield from product(*(range(d) for d in self.invariant_factors))
 
 
 def _sign_normalize(rows: list[list[int]], cosign: list[list[int]], free_idx: Iterable[int]) -> None:
@@ -602,11 +595,11 @@ def group_iso_inverse(G: FgAbGroup, A: IntMatrix) -> IntMatrix | None:
     slack = IntMatrix(k, len(relcols),
                       tuple(tuple(G.invariant_factors[j] if i == j else 0 for j in relcols)
                             for i in range(k)))
-    aug = A.hstack(slack)
+    aug = smith_decomposition(A.hstack(slack))
     cols = []
     for i in range(k):
         e = [1 if j == i else 0 for j in range(k)]
-        sol = solve_exact(aug, e)
+        sol = aug.solve(e)
         if sol is None:
             return None
         cols.append(sol[:k])
@@ -664,7 +657,10 @@ def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
     """Whether every column of B is an integer combination of columns of A."""
     if A.rows != B.rows:
         raise ValueError("ambient dimension mismatch")
-    return all(solve_exact(A, B.col(j)) is not None for j in range(B.cols))
+    if B.cols == 0:
+        return True
+    dec = smith_decomposition(A)
+    return all(dec.solve(B.col(j)) is not None for j in range(B.cols))
 
 
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CapExceeded, InternalInvariantError
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .intlinalg import (
     IntMatrix,
     group_iso_inverse,
@@ -57,11 +57,6 @@ class FilteredK:
     kmap: Mapping[int, KData]
     triples: Mapping[tuple[int, int, int], SixTerm]
     k_complete: bool
-
-    @property
-    def unital(self) -> bool:
-        # finitely many vertices: the vertex projections sum to a unit
-        return True
 
     @property
     def unit_class(self):
@@ -126,10 +121,6 @@ def _map_mask(mask: int, perm) -> int:
         mask >>= 1
         k += 1
     return out
-
-
-def _points(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 _EDGE_SLOTS = (
@@ -280,7 +271,7 @@ def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
             return {
                 "kind": "pointwise",
                 "homeomorphism": list(sigma),
-                "pointset": _points(y),
+                "pointset": list(iter_bits(y)),
                 "a_factors": [list(f) for f in a.kmap[y].factor_summary()],
                 "b_factors": ([list(f) for f in kb.factor_summary()]
                               if kb is not None else None),
@@ -292,7 +283,7 @@ def _family_witness(a: FilteredK, sigma, family, unital: bool) -> dict:
     slots = []
     for lc, (m0, m1) in zip(a.lcs, family):
         slots.append({
-            "pointset": _points(lc.pointset),
+            "pointset": list(iter_bits(lc.pointset)),
             "alpha0": [list(r) for r in m0.entries],
             "alpha1": [list(r) for r in m1.entries],
         })
@@ -387,7 +378,7 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             fails.append("spectrum_only witness for two complete invariants")
         return Report("witness", checks, tuple(fails))
 
-    slot_sets = [sorted(_points(lc.pointset)) for lc in a.lcs]
+    slot_sets = [list(iter_bits(lc.pointset)) for lc in a.lcs]
     checks += 1
     if [s["pointset"] for s in witness["slots"]] != slot_sets:
         return Report("witness", checks, ("slots do not cover the locally closed sets",))
@@ -401,22 +392,22 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
         alpha[y] = (m0, m1)
         checks += 1
         if ka.factor_summary() != kb.factor_summary():
-            fails.append(f"factor mismatch at {_points(y)}")
+            fails.append(f"factor mismatch at {list(iter_bits(y))}")
             continue
         inv0 = group_iso_inverse(ka.k0, m0)
         inv1 = group_iso_inverse(ka.k1, m1)
         checks += 1
         if inv0 is None or inv1 is None:
-            fails.append(f"slot matrix not invertible at {_points(y)}")
+            fails.append(f"slot matrix not invertible at {list(iter_bits(y))}")
             continue
         for gen in ka.cone_generators:
             checks += 1
             if cone_contains(kb, m0.apply(gen)) != (True, True):
-                fails.append(f"cone image escapes at {_points(y)}")
+                fails.append(f"cone image escapes at {list(iter_bits(y))}")
         for gen in kb.cone_generators:
             checks += 1
             if cone_contains(ka, inv0.apply(gen)) != (True, True):
-                fails.append(f"reverse cone image escapes at {_points(y)}")
+                fails.append(f"reverse cone image escapes at {list(iter_bits(y))}")
         if witness.get("unital") and y == a.space.full:
             checks += 1
             if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:

@@ -9,12 +9,15 @@ For a chain of opens U1 <= U2 <= U3 the matrix over D = H3 \\ H1 is block
 triangular; the connecting map feeds the off-diagonal block into the ideal's
 cokernel, and the exponential direction vanishes because vertex classes lift.
 Exactness of the resulting cyclic sequence is recomputed on every call.
+K-data and presentation changes are cached per graph by carrier, in
+`Graph.carrier_cache`, so each is computed once however many triples use it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ExactnessError, InternalInvariantError
 from .graphs import Graph, iter_bits, subquotient_graph
@@ -63,17 +66,38 @@ def k_matrix(gq: Graph) -> tuple[IntMatrix, list[int]]:
     return IntMatrix.from_rows(rows, cols=len(regs)), regs
 
 
-def k_data(g: Graph, y: LocallyClosedSet) -> KData:
+def _memo(g: Graph, key: tuple, build):
+    cache = g.carrier_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _k_data(g: Graph, y: LocallyClosedSet) -> tuple[KData, tuple[int, ...]]:
+    """Uncached K-data of y, with the vertices of g indexing its matrix columns."""
     if not g.row_finite:
         raise ValueError("K-data requires a row-finite graph")
     gq = subquotient_graph(g, y.d, y.h_v)
-    b, _ = k_matrix(gq)
+    b, regs = k_matrix(gq)
     k0 = cokernel(b)
     gens = tuple(
         k0.project_vec([1 if i == v else 0 for i in range(gq.n)]) for v in range(gq.n)
     )
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
-    return KData(gq.vertices, b, k0, gens, unit, kernel_group(b))
+    verts = list(iter_bits(y.d))
+    return (KData(gq.vertices, b, k0, gens, unit, kernel_group(b)),
+            tuple(verts[p] for p in regs))
+
+
+def _carrier(g: Graph, y: LocallyClosedSet) -> tuple[KData, tuple[int, ...]]:
+    # keyed on h_v as well, so presentations differing only there stay
+    # independent computations for verify_well_definedness
+    return _memo(g, (y.d, y.h_v), lambda: _k_data(g, y))
+
+
+def k_data(g: Graph, y: LocallyClosedSet) -> KData:
+    """K-data of the subquotient y, built once per carrier (d, h_v) of g."""
+    return _carrier(g, y)[0]
 
 
 @dataclass(frozen=True)
@@ -125,16 +149,10 @@ def canonical_presentation(sp: SpectrumSpace, pointset: int) -> LocallyClosedSet
     return _presentation(sp, umin, vc)
 
 
-def _indicator(rows: list[int], cols: list[int]) -> IntMatrix:
+def _indicator(rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(
         [[1 if r == c else 0 for c in cols] for r in rows], cols=len(cols)
     )
-
-
-def _regular_globals(g: Graph, y: LocallyClosedSet) -> list[int]:
-    verts = list(iter_bits(y.d))
-    _, regs = k_matrix(subquotient_graph(g, y.d, y.h_v))
-    return [verts[p] for p in regs]
 
 
 def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
@@ -146,6 +164,12 @@ def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
     kernel vectors induces isomorphisms on both K-groups.  Returns the pair
     of matrices with their inverses; identity when the carriers agree.
     """
+    key = (canon_y.d, canon_y.h_v, raw_y.d, raw_y.h_v)
+    return _memo(g, key, lambda: _build_transition(g, canon_y, canon_k, raw_y, raw_k))
+
+
+def _build_transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
+                      raw_y: LocallyClosedSet, raw_k: KData):
     if canon_y.d == raw_y.d:
         n0 = IntMatrix.identity(canon_k.k0.ncoords)
         n1 = IntMatrix.identity(canon_k.k1.ncoords)
@@ -153,7 +177,7 @@ def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
     if canon_y.d & ~raw_y.d:
         raise InternalInvariantError("canonical carrier escapes the presentation")
     e_vert = _indicator(list(iter_bits(raw_y.d)), list(iter_bits(canon_y.d)))
-    e_reg = _indicator(_regular_globals(g, raw_y), _regular_globals(g, canon_y))
+    e_reg = _indicator(_carrier(g, raw_y)[1], _carrier(g, canon_y)[1])
     n0 = reduce_map(raw_k.k0, raw_k.k0.project @ e_vert @ canon_k.k0.lift)
     n1 = reduce_map(raw_k.k1, raw_k.k1.project @ e_reg @ canon_k.k1.lift)
     inv0 = group_iso_inverse(raw_k.k0, n0)
@@ -179,8 +203,7 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
 
     verts_s, verts_q, verts_a = (list(iter_bits(y.d)) for y in (y_s, y_q, y_a))
-    b_a, regs_a = k_matrix(subquotient_graph(g, y_a.d, y_a.h_v))
-    regs_a_global = [verts_a[p] for p in regs_a]
+    b_a, regs_a_global = ka.matrix, _carrier(g, y_a)[1]
     regs_s_global = [v for v in regs_a_global if y_s.d >> v & 1]
     regs_q_global = [v for v in regs_a_global if y_q.d >> v & 1]
 

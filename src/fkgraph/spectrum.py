@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInvariantError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, mask_of
 from .lattice import AdmissiblePair, IdealLattice
 from .report import Report
 
@@ -54,14 +54,7 @@ class SpectrumSpace:
 
     def w_set(self, i: int) -> int:
         """Points whose pair does not lie above lattice element i."""
-        out = 0
-        for k in range(self.npoints):
-            if not self.lattice.leq(i, self.points[k]):
-                out |= 1 << k
-        return out
-
-    def gamma(self, i: int) -> int:
-        return self.w_set(i)
+        return _w_set(self.lattice, self.points, i)
 
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
@@ -94,6 +87,10 @@ class SpectrumSpace:
         return frozenset(self.opens)
 
 
+def _w_set(lat: IdealLattice, points: tuple[int, ...], i: int) -> int:
+    return mask_of(k for k, p in enumerate(points) if not lat.leq(i, p))
+
+
 def s_primes(lat: IdealLattice) -> SpectrumSpace:
     """All prime points with the topology installed."""
     pts = []
@@ -105,15 +102,8 @@ def s_primes(lat: IdealLattice) -> SpectrumSpace:
                for i, j in itertools.combinations_with_replacement(above, 2)):
             pts.append(p)
     points = tuple(pts)
-
-    def w(i: int) -> int:
-        out = 0
-        for k, p in enumerate(points):
-            if not lat.leq(i, p):
-                out |= 1 << k
-        return out
-
-    opens = sorted({w(i) for i in range(lat.size)}, key=lambda m: (m.bit_count(), m))
+    opens = sorted({_w_set(lat, points, i) for i in range(lat.size)},
+                   key=lambda m: (m.bit_count(), m))
     seen = set(opens)
     for a, b in itertools.combinations(opens, 2):
         if (a | b) not in seen or (a & b) not in seen:
@@ -160,8 +150,8 @@ def locally_closed_sets(sp: SpectrumSpace) -> tuple[LocallyClosedSet, ...]:
     return tuple(out)
 
 
-def _subset_samples(n: int, exhaustive_cap: int = 6, samples: int = 200):
-    if n <= exhaustive_cap:
+def _subset_samples(n: int, samples: int = 200):
+    if (1 << n) <= samples:
         return list(range(1 << n))
     rng = random.Random(0)
     full = (1 << n) - 1
@@ -174,7 +164,8 @@ def _subset_samples(n: int, exhaustive_cap: int = 6, samples: int = 200):
 def verify_kuratowski(sp: SpectrumSpace) -> Report:
     """Closure axioms: empty set, extensivity, idempotence, union splitting.
 
-    Exhaustive over all point subsets up to 6 points, seeded sampling above.
+    Exhaustive over all point subsets while there are at most 200 of them
+    (up to 7 points), a seeded sample of 200 subsets above.
     """
     fails = []
     checks = 0
@@ -197,25 +188,25 @@ def verify_kuratowski(sp: SpectrumSpace) -> Report:
 
 
 def verify_open_ideal_iso(sp: SpectrumSpace) -> Report:
-    """phi and gamma invert each other and preserve order, meet, and join."""
+    """phi and gamma = w_set invert each other and preserve order, meet, and join."""
     lat = sp.lattice
     fails = []
     checks = 0
     for i in range(lat.size):
         checks += 1
-        if sp.phi(sp.gamma(i)) != i:
+        if sp.phi(sp.w_set(i)) != i:
             fails.append(f"phi(gamma({lat.pairs[i]})) drifted")
     for u in sp.opens:
         checks += 1
-        if sp.gamma(sp.phi(u)) != u:
+        if sp.w_set(sp.phi(u)) != u:
             fails.append(f"gamma(phi({u:#b})) drifted")
     for i, j in itertools.product(range(lat.size), repeat=2):
         checks += 3
-        if lat.leq(i, j) and sp.gamma(i) & ~sp.gamma(j):
+        if lat.leq(i, j) and sp.w_set(i) & ~sp.w_set(j):
             fails.append(f"gamma not monotone at ({i},{j})")
-        if sp.gamma(lat.join[i][j]) != sp.gamma(i) | sp.gamma(j):
+        if sp.w_set(lat.join[i][j]) != sp.w_set(i) | sp.w_set(j):
             fails.append(f"gamma(join) != union at ({i},{j})")
-        if sp.gamma(lat.meet[i][j]) != sp.gamma(i) & sp.gamma(j):
+        if sp.w_set(lat.meet[i][j]) != sp.w_set(i) & sp.w_set(j):
             fails.append(f"gamma(meet) != intersection at ({i},{j})")
     for u, v in itertools.product(sp.opens, repeat=2):
         checks += 1

@@ -126,7 +126,7 @@ def test_criterion_6_fixed_k_values(corpus, capsys):
 
     g4 = corpus["g4"]
     sp = _spectrum(g4)
-    u_mid = sp.gamma(sp.lattice.index_of(g4.vertex_mask(["v2"])))
+    u_mid = sp.w_set(sp.lattice.index_of(g4.vertex_mask(["v2"])))
     st = six_term(g4, sp, 0, u_mid, sp.full)
     expect(st.partial.rows == st.partial.cols == 1
            and abs(st.partial.entries[0][0]) == 1, "g4 boundary iso")

@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
 import subprocess
+import sys
+import tomllib
 
 import jsonschema
 import pytest
 
+import fkgraph
 from fkgraph.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -171,8 +175,29 @@ def test_byte_stable_outputs(capsys):
             seen[argv] = out
 
 
+def test_check_seven_point_chain(capsys, tmp_path):
+    # seven points at the default cap: Kuratowski runs over all 128 subsets
+    names = [f"v{i}" for i in range(7)]
+    lines = [f"vertex {v}" for v in names] + [f"edge {v} {v} 2" for v in names]
+    lines += [f"edge {a} {b}" for a, b in zip(names, names[1:])]
+    path = tmp_path / "chain7.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "PASS kuratowski (8513 checks)" in out and out.endswith("ok\n")
+
+
 def test_console_script_wiring():
-    proc = subprocess.run(["fk-graph", "check", gpath("g3")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    # the declared entry point, run by the interpreter under test, so an
+    # uninstalled checkout needs no `fk-graph` on PATH
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"fk-graph": "fkgraph.cli:main"}
+    module, attr = scripts["fk-graph"].split(":")
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(fkgraph.__file__).parent.parent)}
+    code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    proc = subprocess.run([sys.executable, "-c", code, "check", gpath("g3")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")

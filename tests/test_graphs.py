@@ -1,5 +1,5 @@
 """Graph model: parsing, reachability, hereditary/saturated machinery,
-condition (K), quotients.  Derived expectations come from tests/oracles.py."""
+condition (K), subquotients.  Derived expectations come from tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from fkgraph.graphs import (
     parse_graph,
     parse_graph_auto,
     parse_graph_json,
-    quotient,
     reaches,
     return_path_count,
     satisfies_condition_K,
@@ -254,25 +253,16 @@ def test_condition_k_invariant_under_relabeling(corpus):
         assert satisfies_condition_K(h) == satisfies_condition_K(g), name
 
 
-# --------------------------------------------------- quotients and pieces
+# ------------------------------------------------------------ subquotients
 
 
 def test_quotient_basic(corpus):
+    # the quotient by the ideal at h is the subquotient carried by the rest
     g4 = corpus["g4"]
     h = g4.vertex_mask(["v2"])
-    q = quotient(g4, h)
+    q = subquotient_graph(g4, g4.full_mask & ~h, h)
     assert q.vertices == ("v1",)
     assert q.mult == ((1,),)  # the loop survives, the edge into v2 is dropped
-
-
-def test_quotient_validation(corpus):
-    with pytest.raises(ValueError):
-        quotient(corpus["inf_emitter"], 0)
-    g4 = corpus["g4"]
-    with pytest.raises(ValueError):
-        quotient(g4, g4.vertex_mask(["v1"]))  # not hereditary
-    with pytest.raises(ValueError):
-        quotient(g4, g4.vertex_mask(["v2"]), s=1)
 
 
 def test_subquotient_restricts_adjacency(corpus):
@@ -293,6 +283,9 @@ def test_subquotient_validation(corpus):
     with pytest.raises(ValueError):
         # {v1} | {} is not hereditary
         subquotient_graph(g, g.vertex_mask(["v1"]), 0)
+    with pytest.raises(ValueError):
+        # v_ideal = {v1} is not hereditary
+        subquotient_graph(g, g.vertex_mask(["v2"]), g.vertex_mask(["v1"]))
 
 
 def test_subquotient_no_new_sinks(row_finite_corpus):

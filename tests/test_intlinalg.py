@@ -8,6 +8,7 @@ defining identities P @ M @ Q = S recomputed from scratch.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -22,6 +23,7 @@ from fkgraph.intlinalg import (
     iso_search_complete,
     kernel_basis,
     kernel_group,
+    lattice_contains,
     maps_equal,
     reduce_map,
     smith_decomposition,
@@ -326,6 +328,63 @@ def test_group_isos_elementary_abelian():
 def test_group_iso_inverse_rejects_non_iso():
     G = cokernel(IntMatrix.from_rows([[4]]))
     assert group_iso_inverse(G, IntMatrix.from_rows([[2]])) is None
+
+
+def _contains_per_column(A, B):
+    return all(solve_exact(A, B.col(j)) is not None for j in range(B.cols))
+
+
+def _iso_inverse_per_column(G, A):
+    k = G.ncoords
+    relcols = [i for i, d in enumerate(G.invariant_factors) if d != 0]
+    slack = IntMatrix.from_rows(
+        [[G.invariant_factors[j] if i == j else 0 for j in relcols] for i in range(k)],
+        cols=len(relcols))
+    aug = A.hstack(slack)
+    cols = []
+    for i in range(k):
+        sol = solve_exact(aug, [1 if j == i else 0 for j in range(k)])
+        if sol is None:
+            return None
+        cols.append(sol[:k])
+    B = reduce_map(G, IntMatrix.from_rows(
+        [[cols[j][i] for j in range(k)] for i in range(k)], cols=k))
+    ident = IntMatrix.identity(k)
+    if not (maps_equal(G, A @ B, ident) and maps_equal(G, B @ A, ident)):
+        return None
+    return B
+
+
+def test_shared_decomposition_matches_per_column_solves():
+    rng = random.Random(11)
+    hits = Counter()
+    for _ in range(150):
+        m, n, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+        A = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)]
+                                 for _ in range(m)], cols=n)
+        X = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(c)]
+                                 for _ in range(n)], cols=c)
+        B = A @ X if rng.random() < 0.5 else IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(c)] for _ in range(m)], cols=c)
+        want = _contains_per_column(A, B)
+        hits[want] += 1
+        assert lattice_contains(A, B) == want, (A, B)
+    assert hits[True] and hits[False]
+
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        G = cokernel(IntMatrix.from_rows(
+            [[rng.choice((0, 0, 2, 3, 4, 6)) if i == j else rng.randint(0, 2)
+              for j in range(k)] for i in range(k)], cols=k))
+        k = G.ncoords
+        A = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)]
+                                 for _ in range(k)], cols=k)
+        want = _iso_inverse_per_column(G, A)
+        got = group_iso_inverse(G, A)
+        hits["torsion"] += bool(G.torsion_factors)
+        hits["invertible" if want is not None else "singular"] += 1
+        assert (got and got.entries) == (want and want.entries), (G, A)
+    assert hits["torsion"] and hits["invertible"] and hits["singular"]
 
 
 def test_reduce_map_and_equality():

@@ -30,7 +30,6 @@ def test_assemble_shape(fks):
         else:
             assert fk.kmap == {} and fk.triples == {}
             assert fk.unit_class is None
-        assert fk.unital
 
 
 def test_assemble_caps(corpus):

@@ -1,9 +1,15 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from fkgraph import ktheory
+from fkgraph.graphs import Graph
 from fkgraph.intlinalg import FgAbGroup, IntMatrix, maps_equal
+from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
+    _k_data,
+    _presentation,
     canonical_presentation,
     cone_contains,
     k_data,
@@ -129,10 +135,40 @@ def test_k_data_rejects_bad_input(corpus):
         k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, v1, 0))  # {v1} not hereditary
 
 
+def test_cached_k_data_matches_fresh_build(row_finite_corpus):
+    # every (U, V) presentation, canonical or not, on a graph with an empty cache
+    for name, g in row_finite_corpus.items():
+        g = Graph(g.vertices, g.mult)
+        sp = spectrum_of(g)
+        for u, v in itertools.product(sp.opens, repeat=2):
+            if v & ~u:
+                continue
+            y = _presentation(sp, u, v)
+            kd = k_data(g, y)
+            assert kd == _k_data(g, y)[0], (name, u, v)
+            assert k_data(g, y) is kd, (name, u, v)
+
+
+def test_assemble_builds_each_carrier_once(row_finite_corpus, monkeypatch):
+    builds = Counter()
+    build = ktheory._k_data
+
+    def counting(g, y):
+        builds[(id(g), y.d, y.h_v)] += 1
+        return build(g, y)
+
+    monkeypatch.setattr(ktheory, "_k_data", counting)
+    fresh = [Graph(g.vertices, g.mult) for g in row_finite_corpus.values()]
+    for g in fresh:  # all kept alive, so no id is reused
+        fk = assemble(g)
+        assert {(id(g), y.d, y.h_v) for y in fk.lcs} <= set(builds), g.vertices
+    assert builds and max(builds.values()) == 1
+
+
 def test_g4_triple_frozen_maps(corpus):
     g = corpus["g4"]
     sp = spectrum_of(g)
-    u_mid = sp.gamma(sp.lattice.index_of(g.vertex_mask(["v2"])))
+    u_mid = sp.w_set(sp.lattice.index_of(g.vertex_mask(["v2"])))
     st = six_term(g, sp, 0, u_mid, sp.full)
     one = IntMatrix.from_rows([[1]])
     zero = IntMatrix.from_rows([[0]])
@@ -148,7 +184,7 @@ def test_g4_triple_frozen_maps(corpus):
 def test_g3_triple_all_trivial(corpus):
     g = corpus["g3"]
     sp = spectrum_of(g)
-    u_mid = sp.gamma(sp.lattice.index_of(g.vertex_mask(["v2"])))
+    u_mid = sp.w_set(sp.lattice.index_of(g.vertex_mask(["v2"])))
     st = six_term(g, sp, 0, u_mid, sp.full)
     for _, m, src, tgt in st.edges():
         assert src.is_trivial and tgt.is_trivial

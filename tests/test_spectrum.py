@@ -4,6 +4,7 @@ import pytest
 
 from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs
 from fkgraph.spectrum import (
+    _subset_samples,
     locally_closed_sets,
     s_primes,
     verify_kernel_identity,
@@ -137,6 +138,13 @@ def test_verifier_suites_pass(corpus):
             assert rep.checks > 0
         rep = verify_t0(sp)
         assert rep.passed, f"{name}: {rep.line()}"  # vacuous on one point
+
+
+def test_subset_samples_exhaustive_through_seven_points():
+    assert _subset_samples(7) == list(range(128))
+    picks = _subset_samples(8)
+    assert len(set(picks)) == len(picks) == 200
+    assert 0 in picks and 255 in picks and picks == _subset_samples(8)
 
 
 def test_locally_closed_g3(corpus):

@@ -9,6 +9,7 @@ arbitrary-precision integers; no floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -517,11 +518,12 @@ def _is_torsion_automorphism(T: list[list[int]], tf: Sequence[int]) -> bool:
     return True
 
 
-def _torsion_automorphisms(tf: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """All automorphism matrices of the torsion group Z/tf[0] + ..., identity first."""
+@cache
+def _torsion_automorphisms(tf: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All automorphism matrices of Z/tf[0] + ..., identity first (memoised, so a tuple)."""
     k = len(tf)
     if k == 0:
-        return [()]
+        return ((),)
     # entry (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j]) for the
     # column map from a generator of order tf[j] to be well defined
     cell_values = [[list(range(0, tf[i], tf[i] // gcd(tf[i], tf[j]))) for j in range(k)] for i in range(k)]
@@ -533,7 +535,7 @@ def _torsion_automorphisms(tf: Sequence[int]) -> list[tuple[tuple[int, ...], ...
             continue
         if _is_torsion_automorphism([list(r) for r in T], tf):
             out.append(T)
-    return out
+    return tuple(out)
 
 
 def _unimodular_candidates(f: int, budget: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -661,7 +663,3 @@ def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
         return True
     dec = smith_decomposition(A)
     return all(dec.solve(B.col(j)) is not None for j in range(B.cols))
-
-
-def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    return lattice_contains(A, B) and lattice_contains(B, A)

@@ -1,19 +1,20 @@
 """Whole-graph invariant assembly and bounded isomorphism search.
 
 `assemble` packages the spectrum, the K-data of every locally closed point
-set, and every triple's six-term maps into one object.  `compare` decides
-whether two such objects can be matched by a homeomorphism of spectra
-together with a family of ordered group isomorphisms commuting with all the
-maps.  The verdict is three-valued: a mismatch that survives every
-homeomorphism is DISTINGUISHED, a fully certified family is COMPATIBLE, and
-an exhausted search budget (or an inconclusive cone membership) is UNKNOWN.
-Witnesses are plain dicts, deterministic, and replayable.
+set, and every triple's six-term maps into one object; chains with the same
+(sub, mid) pair share one `SixTerm`, built once.  `compare` decides whether
+two such objects can be matched by a homeomorphism of spectra together with
+a family of ordered group isomorphisms commuting with all the maps.  The
+verdict is three-valued: a mismatch that survives every homeomorphism is
+DISTINGUISHED, a fully certified family is COMPATIBLE, and an exhausted
+search budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses
+are plain dicts, deterministic, and replayable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import CapExceeded, InternalInvariantError
@@ -25,7 +26,8 @@ from .intlinalg import (
     iso_search_complete,
     maps_equal,
 )
-from .ktheory import KData, SixTerm, cone_contains, k_data, open_triples, six_term
+from .ktheory import (KData, SixTerm, cone_contains, k_data, open_triples,
+                      sequence_key, six_term)
 from .lattice import enumerate_admissible_pairs
 from .report import Report
 from .spectrum import LocallyClosedSet, SpectrumSpace, locally_closed_sets, s_primes
@@ -46,9 +48,10 @@ class FilteredK:
     """Everything `compare` looks at, computed once per graph.
 
     kmap keys are exactly the locally closed pointsets of the space; triples
-    keys are the open chains (U1, U2, U3).  When the graph is not row-finite
-    the K layer cannot be built from the data at hand and both mappings are
-    empty; k_complete records which case we are in.
+    keys are the open chains (U1, U2, U3), and chains with one (sub, mid) pair
+    share one `SixTerm`'s maps.  Without row-finiteness the K layer cannot be
+    built from the data at hand and both mappings are empty; k_complete says
+    which case we are in.
     """
 
     graph: Graph
@@ -84,11 +87,14 @@ def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,
     if not g.row_finite:
         return FilteredK(g, sp, lcs, {}, {}, False)
     kmap = {y.pointset: k_data(g, y) for y in lcs}
-    triples = {}
+    triples, shared = {}, {}
     for u1, u2, u3 in open_triples(sp):
-        st = six_term(g, sp, u1, u2, u3)
-        for part, mask in ((st.sub, u2 & ~u1), (st.mid, u3 & ~u1),
-                           (st.quot, u3 & ~u2)):
+        key = sequence_key(u1, u2, u3)
+        if key in shared:
+            triples[(u1, u2, u3)] = replace(shared[key], u1=u1, u2=u2, u3=u3)
+            continue
+        st = shared[key] = six_term(g, sp, u1, u2, u3)
+        for part, mask in ((st.sub, key[0]), (st.mid, key[1]), (st.quot, u3 & ~u2)):
             if part != kmap[mask]:
                 raise InternalInvariantError("triple groups drift from kmap")
         triples[(u1, u2, u3)] = st
@@ -178,9 +184,12 @@ class _Search:
             self._pool0.append(group_isos(ka.k0, kb.k0, budget))
             self._pool1.append(group_isos(ka.k1, kb.k1, budget))
         self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-        # commutation constraints keyed by the later-assigned endpoint
+        # commuting squares by later-assigned endpoint, one chain per (sub, mid)
         self.constraints = [[] for _ in self.slots]
+        first = {}
         for key, st_a in a.triples.items():
+            if first.setdefault(sequence_key(*key), key) != key:
+                continue
             b_key = tuple(_map_mask(u, sigma) for u in key)
             st_b = b.triples[b_key]
             parts = _triple_parts(key)

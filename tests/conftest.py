@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fkgraph.graphs import Graph, parse_graph
+from fkgraph.graphs import Graph, graph_from_edges, parse_graph
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -33,3 +33,13 @@ def row_finite_corpus() -> dict[str, Graph]:
 @pytest.fixture(scope="session")
 def graph_dir() -> Path:
     return GRAPH_DIR
+
+
+@pytest.fixture(scope="session")
+def free_antichain() -> Graph:
+    """Four unrelated looped blocks: a 2-vertex free block (K0 = K1 = Z) and
+    one-vertex blocks with K0 = Z/2, Z/3, Z/2."""
+    return graph_from_edges(
+        ["x", "y", "a", "b", "c"],
+        [("x", "x", 2), ("x", "y", 1), ("y", "x", 1), ("y", "y", 2),
+         ("a", "a", 3), ("b", "b", 4), ("c", "c", 3)])

@@ -17,6 +17,7 @@ import pytest
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
+    _torsion_automorphisms,
     cokernel,
     group_iso_inverse,
     group_isos,
@@ -323,6 +324,16 @@ def test_group_isos_elementary_abelian():
     assert G.invariant_factors == (2, 2)
     isos = list(group_isos(G, G))
     assert len(isos) == 6
+
+
+def test_torsion_automorphisms_memoised_per_factor_tuple():
+    # one immutable list per factor tuple, shared by every stream over it
+    auts = _torsion_automorphisms((2, 2))
+    assert isinstance(auts, tuple) and len(auts) == 6
+    assert _torsion_automorphisms((2, 2)) is auts
+    G = cokernel(IntMatrix.from_rows([[2, 0], [0, 2]]))
+    assert [m.entries for m in group_isos(G, G)] == list(auts)
+    assert list(group_isos(G, G)) == list(group_isos(G, G))
 
 
 def test_group_iso_inverse_rejects_non_iso():

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from fkgraph import invariant
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
@@ -13,7 +15,7 @@ from fkgraph.invariant import (
     poset_isomorphisms,
     verify_compatible_witness,
 )
-from fkgraph.ktheory import open_triples
+from fkgraph.ktheory import open_triples, sequence_key
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,27 @@ def test_assemble_shape(fks):
         else:
             assert fk.kmap == {} and fk.triples == {}
             assert fk.unit_class is None
+
+
+def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain,
+                                               monkeypatch):
+    calls = Counter()
+    build = invariant.six_term
+
+    def counting(g, sp, u1, u2, u3):
+        calls[sequence_key(u1, u2, u3)] += 1
+        return build(g, sp, u1, u2, u3)
+
+    monkeypatch.setattr(invariant, "six_term", counting)
+    for name, g in dict(row_finite_corpus, free_antichain=free_antichain).items():
+        calls.clear()
+        fk = assemble(g)
+        chains = list(open_triples(fk.space))
+        assert list(fk.triples) == chains, name
+        assert all((st.u1, st.u2, st.u3) == c for c, st in fk.triples.items()), name
+        assert set(calls) == {sequence_key(*c) for c in chains}, name
+        assert set(calls.values()) == {1}, name
+    assert (len(calls), len(chains)) == (81, 256)
 
 
 def test_assemble_caps(corpus):

@@ -1,19 +1,33 @@
 import itertools
+import random
 from collections import Counter
+from dataclasses import replace
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from fkgraph import ktheory
 from fkgraph.graphs import Graph
-from fkgraph.intlinalg import FgAbGroup, IntMatrix, maps_equal
+from fkgraph.intlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    image_lattice,
+    kernel_lattice,
+    lattice_contains,
+    maps_equal,
+)
 from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
+    SixTerm,
     _k_data,
     _presentation,
     canonical_presentation,
     cone_contains,
+    exactness_failures,
     k_data,
     open_triples,
+    sequence_key,
     six_term,
     verify_exactness,
     verify_well_definedness,
@@ -279,6 +293,130 @@ def test_pi_functoriality(row_finite_corpus):
                               direct.pi0), name
             assert maps_equal(direct.quot.k1, second.pi1 @ first.pi1,
                               direct.pi1), name
+
+
+def test_chains_with_one_pair_share_their_maps(row_finite_corpus, free_antichain):
+    # the sequence of U1 <= U2 <= U3 depends only on (U2 \ U1, U3 \ U1)
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain)
+    for name, g in graphs.items():
+        sp = spectrum_of(g)
+        first = {}
+        for chain in open_triples(sp):
+            st = six_term(g, sp, *chain)
+            ref = first.setdefault(sequence_key(*chain), st)
+            assert [e[1:] for e in st.edges()] == [e[1:] for e in ref.edges()], (name, chain)
+        if name == "free_antichain":  # 4**4 chains, 3**4 pairs
+            assert len(first) == 81
+
+
+def _group(factors):
+    ident = IntMatrix.identity(len(factors))
+    return FgAbGroup(factors, ident, ident)
+
+
+def _random_hom(rng, src, tgt):
+    """A well-defined map between canonical coordinates, biased to zero."""
+    rows = []
+    for e in tgt.invariant_factors:
+        row = []
+        for d in src.invariant_factors:
+            if rng.random() < 0.4 or (e == 0 and d > 0):
+                row.append(0)
+            elif e == 0:
+                row.append(rng.randint(-2, 2))
+            else:
+                step = e // gcd(e, d)  # d * entry must vanish mod e
+                row.append(rng.randrange(0, e, step))
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=src.ncoords)
+
+
+def _hand_built(levels, maps):
+    """A SixTerm over bare groups: levels[part] = (K0 factors, K1 factors)."""
+    parts = {p: SimpleNamespace(k0=_group(k0), k1=_group(k1))
+             for p, (k0, k1) in levels.items()}
+    return SixTerm(0, 0, 0, parts["sub"], parts["mid"], parts["quot"], **maps)
+
+
+def _two_sided_failures(st):
+    """Reference: image and kernel compared as lattices in both directions."""
+    def lattices_equal(a, b):
+        return lattice_contains(a, b) and lattice_contains(b, a)
+
+    edges = st.edges()
+    fails = []
+    for k in range(6):
+        f_name, f, _, mid = edges[k]
+        g_name, gm, _, tgt = edges[(k + 1) % 6]
+        if not maps_equal(tgt, gm @ f, IntMatrix.zero(gm.rows, f.cols)):
+            fails.append(f"{g_name} after {f_name} is nonzero")
+            continue
+        if mid.ncoords == 0:
+            continue
+        if not lattices_equal(image_lattice(mid, f), kernel_lattice(tgt, gm)):
+            fails.append(f"image of {f_name} differs from kernel of {g_name}")
+    return fails
+
+
+def test_one_sided_exactness_matches_two_sided_reference():
+    rng = random.Random(20161)
+    menu = [(), (2,), (4,), (0,), (2, 4), (2, 0), (0, 0)]
+    seen = Counter()
+    for _ in range(400):
+        levels = {p: (rng.choice(menu), rng.choice(menu)) for p in ("sub", "mid", "quot")}
+        probe = _hand_built(levels, {n: IntMatrix.zero(0, 0) for n in
+                                     ("iota0", "pi0", "delta", "iota1", "pi1", "partial")})
+        maps = {name: _random_hom(rng, src, tgt) for name, _, src, tgt in probe.edges()}
+        st = _hand_built(levels, maps)
+        want = _two_sided_failures(st)
+        assert exactness_failures(st) == want, (levels, maps)
+        seen.update(w.split()[0] if w.startswith("image") else "nonzero" for w in want)
+        seen["exact"] += 6 - len(want)
+    # every branch of the test is exercised, with both verdicts
+    assert min(seen["image"], seen["nonzero"], seen["exact"]) >= 50, seen
+
+
+def test_non_exact_sequence_is_reported():
+    # Z --2--> Z --> 0: the image 2Z is not the kernel Z of the zero map
+    levels = {"sub": ((0,), ()), "mid": ((0,), ()), "quot": ((), ())}
+    z = IntMatrix.zero
+    maps = {"iota0": IntMatrix.from_rows([[2]]), "pi0": z(0, 1), "delta": z(0, 0),
+            "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
+    st = _hand_built(levels, maps)
+    assert exactness_failures(st) == ["image of iota0 differs from kernel of pi0"]
+    levels["quot"] = ((0,), ())
+    maps.update(iota0=IntMatrix.from_rows([[1]]), pi0=IntMatrix.from_rows([[1]]),
+                delta=z(0, 1))
+    assert "pi0 after iota0 is nonzero" in exactness_failures(_hand_built(levels, maps))
+
+
+def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch):
+    g = free_antichain
+    sp = spectrum_of(g)
+    chains = list(open_triples(sp))
+    first = {}
+    for chain in chains:
+        earlier = first.setdefault(sequence_key(*chain), chain)
+        iota0 = six_term(g, sp, *chain).iota0
+        if earlier != chain and iota0.rows and iota0.cols:
+            break
+    real = ktheory.six_term
+
+    def perturbed(g_, sp_, *c):
+        st = real(g_, sp_, *c)
+        if c != chain:
+            return st
+        rows = [list(r) for r in st.iota0.entries]
+        rows[0][0] += 1
+        return replace(st, iota0=IntMatrix.from_rows(rows, cols=st.iota0.cols))
+
+    monkeypatch.setattr(ktheory, "six_term", perturbed)
+    rep = verify_exactness(g, sp)
+    (u1, u2, u3), (v1, v2, v3) = chain, earlier
+    assert rep.failures == (
+        f"triple ({u1:#b},{u2:#b},{u3:#b}): maps differ from chain "
+        f"({v1:#b},{v2:#b},{v3:#b}) with the same subquotient pair",)
+    assert rep.checks == 6 * len(chains)
 
 
 def test_cone_membership_basics(corpus):

@@ -26,7 +26,7 @@ from .invariant import (
 from .ktheory import verify_exactness, verify_well_definedness
 from .lattice import enumerate_admissible_pairs
 from .spectrum import (
-    s_primes,
+    capped_spectrum,
     verify_kernel_identity,
     verify_kuratowski,
     verify_open_ideal_iso,
@@ -70,9 +70,7 @@ def _emit(payload: dict, text: str, dot: str | None, cfg) -> None:
 
 def _run_spectrum(cfg) -> int:
     g = _load(cfg.graph)
-    sp = s_primes(enumerate_admissible_pairs(g, vertex_cap=cfg.vertex_cap))
-    if sp.npoints > cfg.point_cap:
-        raise CapExceeded(f"{sp.npoints} spectrum points exceed cap {cfg.point_cap}")
+    sp = capped_spectrum(g, cfg.point_cap, cfg.vertex_cap)
     points = [{"index": k, "h": _names(g, sp.pair(k).h),
                "s": _names(g, sp.pair(k).s)} for k in range(sp.npoints)]
     spec = [[i, j] for i in range(sp.npoints) for j in range(sp.npoints)
@@ -226,9 +224,7 @@ def _run_compare(cfg) -> int:
 
 def _run_check(cfg) -> int:
     g = _load(cfg.graph)
-    sp = s_primes(enumerate_admissible_pairs(g, vertex_cap=cfg.vertex_cap))
-    if sp.npoints > cfg.point_cap:
-        raise CapExceeded(f"{sp.npoints} spectrum points exceed cap {cfg.point_cap}")
+    sp = capped_spectrum(g, cfg.point_cap, cfg.vertex_cap)
     suites = [
         ("kuratowski", verify_kuratowski(sp), False),
         ("lattice-iso", verify_open_ideal_iso(sp), False),

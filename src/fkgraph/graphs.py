@@ -95,9 +95,6 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
-    def names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in iter_bits(mask))
-
     def vertex_mask(self, names: Iterable[str]) -> int:
         return mask_of(self.index(v) for v in names)
 

@@ -62,13 +62,6 @@ class IntMatrix:
     def zero(rows: int, cols: int) -> IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    @staticmethod
-    def column(values: Sequence[int]) -> IntMatrix:
-        return IntMatrix(len(values), 1, tuple((int(v),) for v in values))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -86,19 +79,6 @@ class IntMatrix:
         if not self.entries:
             ent = ()
         return IntMatrix(self.rows, other.cols, ent if self.rows else ())
-
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return self + (-other)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -321,12 +301,6 @@ def _assert_smith(M: IntMatrix, dec: SmithDecomposition) -> None:
         raise AssertionError("divisibility chain broken")
     if len(nz) != len(diag) and any(d != 0 for d in diag[len(nz):]):
         raise AssertionError("zero factors must trail")
-
-
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (S, P, Q) with P @ M @ Q = S in Smith normal form."""
-    dec = smith_decomposition(M)
-    return dec.S, dec.P, dec.Q
 
 
 def solve_exact(A: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

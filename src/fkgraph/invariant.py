@@ -1,23 +1,23 @@
 """Whole-graph invariant assembly and bounded isomorphism search.
 
 `assemble` packages the spectrum, the K-data of every locally closed point
-set, and every triple's six-term maps into one object; chains with the same
-(sub, mid) pair share one `SixTerm`, built once.  `compare` decides whether
-two such objects can be matched by a homeomorphism of spectra together with
-a family of ordered group isomorphisms commuting with all the maps.  The
-verdict is three-valued: a mismatch that survives every homeomorphism is
-DISTINGUISHED, a fully certified family is COMPATIBLE, and an exhausted
-search budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses
-are plain dicts, deterministic, and replayable.
+set, and one six-term sequence per (sub, mid) pair of pointsets into one
+object.  `compare` decides whether two such objects can be matched by a
+homeomorphism of spectra together with a family of ordered group
+isomorphisms commuting with all the maps.  The verdict is three-valued: a
+mismatch that survives every homeomorphism is DISTINGUISHED, a fully
+certified family is COMPATIBLE, and an exhausted search budget (or an
+inconclusive cone membership) is UNKNOWN.  Witnesses are plain dicts,
+deterministic, and replayable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import CapExceeded, InternalInvariantError
+from .errors import InternalInvariantError
 from .graphs import Graph, iter_bits
 from .intlinalg import (
     IntMatrix,
@@ -28,9 +28,9 @@ from .intlinalg import (
 )
 from .ktheory import (KData, SixTerm, cone_contains, k_data, open_triples,
                       sequence_key, six_term)
-from .lattice import enumerate_admissible_pairs
 from .report import Report
-from .spectrum import LocallyClosedSet, SpectrumSpace, locally_closed_sets, s_primes
+from .spectrum import (LocallyClosedSet, SpectrumSpace, capped_spectrum,
+                       locally_closed_sets)
 
 DISTINGUISHED = "DISTINGUISHED"
 COMPATIBLE = "COMPATIBLE"
@@ -47,18 +47,19 @@ _NODE_CAP = 500_000
 class FilteredK:
     """Everything `compare` looks at, computed once per graph.
 
-    kmap keys are exactly the locally closed pointsets of the space; triples
-    keys are the open chains (U1, U2, U3), and chains with one (sub, mid) pair
-    share one `SixTerm`'s maps.  Without row-finiteness the K layer cannot be
-    built from the data at hand and both mappings are empty; k_complete says
-    which case we are in.
+    kmap keys are exactly the locally closed pointsets of the space.
+    sequences holds one `SixTerm` per (sub, mid) pair that an open chain
+    U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair
+    (`ktheory.sequence_key`) in first-seen `open_triples` order.  Without
+    row-finiteness the K layer cannot be built from the data at hand and both
+    mappings are empty; k_complete says which case we are in.
     """
 
     graph: Graph
     space: SpectrumSpace
     lcs: tuple[LocallyClosedSet, ...]
     kmap: Mapping[int, KData]
-    triples: Mapping[tuple[int, int, int], SixTerm]
+    sequences: Mapping[tuple[int, int], SixTerm]
     k_complete: bool
 
     @property
@@ -76,29 +77,23 @@ class CompareVerdict:
 
 def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,
              vertex_cap: int = 16) -> FilteredK:
-    """Spectrum, per-pointset K-data, and all triple maps for one graph."""
+    """Spectrum, per-pointset K-data, and one sequence per (sub, mid) pair."""
     if point_cap < 1:
         raise ValueError("point cap must be >= 1")
-    lat = enumerate_admissible_pairs(g, vertex_cap=vertex_cap)
-    sp = s_primes(lat)
-    if sp.npoints > point_cap:
-        raise CapExceeded(f"{sp.npoints} spectrum points exceed cap {point_cap}")
+    sp = capped_spectrum(g, point_cap, vertex_cap)
     lcs = locally_closed_sets(sp)
     if not g.row_finite:
         return FilteredK(g, sp, lcs, {}, {}, False)
     kmap = {y.pointset: k_data(g, y) for y in lcs}
-    triples, shared = {}, {}
-    for u1, u2, u3 in open_triples(sp):
-        key = sequence_key(u1, u2, u3)
-        if key in shared:
-            triples[(u1, u2, u3)] = replace(shared[key], u1=u1, u2=u2, u3=u3)
+    sequences = {}
+    for chain in open_triples(sp):
+        key = sequence_key(*chain)
+        if key in sequences:
             continue
-        st = shared[key] = six_term(g, sp, u1, u2, u3)
-        for part, mask in ((st.sub, key[0]), (st.mid, key[1]), (st.quot, u3 & ~u2)):
-            if part != kmap[mask]:
-                raise InternalInvariantError("triple groups drift from kmap")
-        triples[(u1, u2, u3)] = st
-    return FilteredK(g, sp, lcs, kmap, triples, True)
+        st = sequences[key] = six_term(g, sp, *chain)
+        if any(getattr(st, part) != kmap[mask] for part, mask in _parts(key).items()):
+            raise InternalInvariantError("triple groups drift from kmap")
+    return FilteredK(g, sp, lcs, kmap, sequences, True)
 
 
 def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):
@@ -140,9 +135,24 @@ _EDGE_SLOTS = (
 )
 
 
-def _triple_parts(key):
-    u1, u2, u3 = key
-    return {"sub": u2 & ~u1, "mid": u3 & ~u1, "quot": u3 & ~u2}
+def _parts(key):
+    sub, mid = key
+    return {"sub": sub, "mid": mid, "quot": mid & ~sub}
+
+
+def _squares(a: FilteredK, b: FilteredK, sigma, key):
+    """The six commuting squares of a's pair key against its image under sigma.
+
+    Each is (edge, source pointset, source level, target pointset, target
+    level, map of a, map of b, b's target group).
+    """
+    st_a = a.sequences[key]
+    st_b = b.sequences[tuple(_map_mask(y, sigma) for y in key)]
+    parts = _parts(key)
+    for name, src, s_lv, tgt, t_lv in _EDGE_SLOTS:
+        kb = getattr(st_b, tgt)
+        yield (name, parts[src], s_lv, parts[tgt], t_lv, getattr(st_a, name),
+               getattr(st_b, name), kb.k1 if t_lv else kb.k0)
 
 
 class _Budget(Exception):
@@ -184,19 +194,11 @@ class _Search:
             self._pool0.append(group_isos(ka.k0, kb.k0, budget))
             self._pool1.append(group_isos(ka.k1, kb.k1, budget))
         self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-        # commuting squares by later-assigned endpoint, one chain per (sub, mid)
+        # commuting squares by later-assigned endpoint, one set per (sub, mid)
         self.constraints = [[] for _ in self.slots]
-        first = {}
-        for key, st_a in a.triples.items():
-            if first.setdefault(sequence_key(*key), key) != key:
-                continue
-            b_key = tuple(_map_mask(u, sigma) for u in key)
-            st_b = b.triples[b_key]
-            parts = _triple_parts(key)
-            for name, src, s_lv, tgt, t_lv in _EDGE_SLOTS:
-                si, ti = self.index[parts[src]], self.index[parts[tgt]]
-                m_a, m_b = getattr(st_a, name), getattr(st_b, name)
-                grp = getattr(st_b, tgt).k1 if t_lv else getattr(st_b, tgt).k0
+        for key in a.sequences:
+            for _, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
+                si, ti = self.index[src], self.index[tgt]
                 self.constraints[max(si, ti)].append(
                     (si, s_lv, ti, t_lv, m_a, m_b, grp))
 
@@ -360,22 +362,33 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
     return CompareVerdict(DISTINGUISHED, {"kind": "no_family", "budget": budget})
 
 
+def _slot_matrix(rows, m: int, n: int) -> IntMatrix | None:
+    """rows as an m x n integer matrix, or None when they are not one."""
+    if (isinstance(rows, (list, tuple)) and len(rows) == m
+            and all(isinstance(r, (list, tuple)) and len(r) == n
+                    and all(type(x) is int for x in r) for r in rows)):
+        return IntMatrix.from_rows(rows, cols=n)
+    return None
+
+
 def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Report:
     """Replay every check behind a COMPATIBLE verdict.
 
     The homeomorphism is re-verified as an order isomorphism, each slot
     matrix as an invertible map matching the factor lists, cone and unit
-    conditions are re-decided, and every commuting square from every triple
-    is recomputed from the stored matrices.
+    conditions are re-decided, and every commuting square from every open
+    chain is recomputed from the stored matrices.  A witness is outside
+    input: whatever its shape, the result is a Report, never an exception.
     """
     fails = []
     checks = 0
-    if witness.get("kind") != "family":
+    if not isinstance(witness, dict) or witness.get("kind") != "family":
         return Report("witness", 1, ("witness is not a family",))
-    sigma = tuple(witness["homeomorphism"])
+    sigma = witness.get("homeomorphism")
     n = a.space.npoints
     checks += 1
-    if sorted(sigma) != list(range(n)) or b.space.npoints != n:
+    if (not isinstance(sigma, (list, tuple)) or any(type(i) is not int for i in sigma)
+            or sorted(sigma) != list(range(n)) or b.space.npoints != n):
         return Report("witness", checks, ("homeomorphism is not a bijection",))
     checks += 1
     if not all(a.space.specializes(i, j) == b.space.specializes(sigma[i], sigma[j])
@@ -386,20 +399,28 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
         if a.k_complete and b.k_complete:
             fails.append("spectrum_only witness for two complete invariants")
         return Report("witness", checks, tuple(fails))
+    if not (a.k_complete and b.k_complete):
+        return Report("witness", checks, ("family witness without both K layers",))
 
     slot_sets = [list(iter_bits(lc.pointset)) for lc in a.lcs]
+    slots = witness.get("slots")
     checks += 1
-    if [s["pointset"] for s in witness["slots"]] != slot_sets:
+    if (not isinstance(slots, list) or not all(isinstance(s, dict) for s in slots)
+            or [s.get("pointset") for s in slots] != slot_sets):
         return Report("witness", checks, ("slots do not cover the locally closed sets",))
     alpha = {}
-    for lc, slot in zip(a.lcs, witness["slots"]):
+    for lc, slot in zip(a.lcs, slots):
         y = lc.pointset
         z = _map_mask(y, sigma)
         ka, kb = a.kmap[y], b.kmap[z]
-        m0 = IntMatrix.from_rows(slot["alpha0"], cols=ka.k0.ncoords)
-        m1 = IntMatrix.from_rows(slot["alpha1"], cols=ka.k1.ncoords)
-        alpha[y] = (m0, m1)
+        m0 = _slot_matrix(slot.get("alpha0"), kb.k0.ncoords, ka.k0.ncoords)
+        m1 = _slot_matrix(slot.get("alpha1"), kb.k1.ncoords, ka.k1.ncoords)
         checks += 1
+        if m0 is None or m1 is None:
+            return Report("witness", checks, (
+                *fails, f"slot matrix is not an integer matrix of the right shape"
+                        f" at {list(iter_bits(y))}"))
+        alpha[y] = (m0, m1)
         if ka.factor_summary() != kb.factor_summary():
             fails.append(f"factor mismatch at {list(iter_bits(y))}")
             continue
@@ -421,16 +442,10 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             checks += 1
             if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:
                 fails.append("unit class is not preserved")
-    for key, st_a in a.triples.items():
-        b_key = tuple(_map_mask(u, sigma) for u in key)
-        st_b = b.triples[b_key]
-        parts = _triple_parts(key)
-        for name, src, s_lv, tgt, t_lv in _EDGE_SLOTS:
-            a_src = alpha[parts[src]][s_lv]
-            a_tgt = alpha[parts[tgt]][t_lv]
-            grp = getattr(st_b, tgt).k1 if t_lv else getattr(st_b, tgt).k0
+    for chain in open_triples(a.space):
+        squares = _squares(a, b, sigma, sequence_key(*chain))
+        for name, src, s_lv, tgt, t_lv, m_a, m_b, grp in squares:
             checks += 1
-            if not maps_equal(grp, a_tgt @ getattr(st_a, name),
-                              getattr(st_b, name) @ a_src):
-                fails.append(f"{name} square fails at triple {key}")
+            if not maps_equal(grp, alpha[tgt][t_lv] @ m_a, m_b @ alpha[src][s_lv]):
+                fails.append(f"{name} square fails at triple {chain}")
     return Report("witness", checks, tuple(fails))

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalInvariantError
+from .errors import CapExceeded, InternalInvariantError
 from .graphs import Graph, iter_bits, mask_of
-from .lattice import AdmissiblePair, IdealLattice
+from .lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from .report import Report
 
 
@@ -111,6 +111,14 @@ def s_primes(lat: IdealLattice) -> SpectrumSpace:
     return SpectrumSpace(lat, points, tuple(opens))
 
 
+def capped_spectrum(g: Graph, point_cap: int, vertex_cap: int) -> SpectrumSpace:
+    """The spectrum of g, refused with CapExceeded above point_cap points."""
+    sp = s_primes(enumerate_admissible_pairs(g, vertex_cap=vertex_cap))
+    if sp.npoints > point_cap:
+        raise CapExceeded(f"{sp.npoints} spectrum points exceed cap {point_cap}")
+    return sp
+
+
 @dataclass(frozen=True)
 class LocallyClosedSet:
     """A difference U \\ V of opens in canonical form.
@@ -128,6 +136,22 @@ class LocallyClosedSet:
     h_v: int
 
 
+def presentation(sp: SpectrumSpace, u: int, v: int) -> LocallyClosedSet:
+    """The pointset u \\ v presented by the opens v <= u, with its carrier."""
+    hu = sp.lattice.pairs[sp.phi(u)].h
+    hv = sp.lattice.pairs[sp.phi(v)].h
+    return LocallyClosedSet(u & ~v, u, v, hu & ~hv, hu, hv)
+
+
+def canonical_presentation(sp: SpectrumSpace, pointset: int) -> LocallyClosedSet:
+    """The minimal-hull presentation of a locally closed pointset."""
+    umin = sp.min_open_containing(pointset)
+    vc = umin & ~pointset
+    if not sp.is_open(vc):
+        raise ValueError(f"{pointset:#b} is not locally closed")
+    return presentation(sp, umin, vc)
+
+
 def locally_closed_sets(sp: SpectrumSpace) -> tuple[LocallyClosedSet, ...]:
     """Every pointset of the form U \\ V, once each, canonically presented."""
     seen: set[int] = set()
@@ -139,13 +163,11 @@ def locally_closed_sets(sp: SpectrumSpace) -> tuple[LocallyClosedSet, ...]:
         if y in seen:
             continue
         seen.add(y)
-        umin = sp.min_open_containing(y)
-        vc = umin & ~y
-        if not sp.is_open(vc):
-            raise InternalInvariantError(f"complement of {y:#b} in its hull is not open")
-        hu = sp.lattice.pairs[sp.phi(umin)].h
-        hv = sp.lattice.pairs[sp.phi(vc)].h
-        out.append(LocallyClosedSet(y, umin, vc, hu & ~hv, hu, hv))
+        try:
+            out.append(canonical_presentation(sp, y))
+        except ValueError:
+            raise InternalInvariantError(
+                f"complement of {y:#b} in its hull is not open") from None
     out.sort(key=lambda lc: (lc.pointset.bit_count(), lc.pointset))
     return tuple(out)
 

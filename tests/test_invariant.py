@@ -27,10 +27,10 @@ def test_assemble_shape(fks):
     for name, fk in fks.items():
         assert set(fk.kmap) == {lc.pointset for lc in fk.lcs} or not fk.k_complete
         if fk.k_complete:
-            assert set(fk.triples) == set(open_triples(fk.space))
+            assert set(fk.sequences) == {sequence_key(*c) for c in open_triples(fk.space)}
             assert fk.unit_class == fk.kmap[fk.space.full].unit_class
         else:
-            assert fk.kmap == {} and fk.triples == {}
+            assert fk.kmap == {} and fk.sequences == {}
             assert fk.unit_class is None
 
 
@@ -48,9 +48,9 @@ def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain
         calls.clear()
         fk = assemble(g)
         chains = list(open_triples(fk.space))
-        assert list(fk.triples) == chains, name
-        assert all((st.u1, st.u2, st.u3) == c for c, st in fk.triples.items()), name
-        assert set(calls) == {sequence_key(*c) for c in chains}, name
+        keys = list(dict.fromkeys(sequence_key(*c) for c in chains))
+        assert list(fk.sequences) == keys, name
+        assert list(calls) == keys, name
         assert set(calls.values()) == {1}, name
     assert (len(calls), len(chains)) == (81, 256)
 
@@ -176,3 +176,65 @@ def test_witness_rejects_tampering(fks):
     bad["homeomorphism"] = [1]
     rep = verify_compatible_witness(fks["g1"], fks["cycle2"], bad)
     assert not rep.passed
+
+
+@pytest.fixture(scope="module")
+def mixed5_witness(fks):
+    v = compare(fks["mixed5"], fks["mixed5"])
+    assert v.outcome == COMPATIBLE
+    return v.witness
+
+
+def _replay_tampered(fks, witness, tamper):
+    bad = json.loads(json.dumps(witness))
+    tamper(bad)
+    return verify_compatible_witness(fks["mixed5"], fks["mixed5"], bad)
+
+
+def _first_nonempty_slot(witness):
+    return next(s for s in witness["slots"] if s["alpha0"])
+
+
+def test_witness_replay_reports_dropped_row(fks, mixed5_witness):
+    def drop_row(w):
+        slot = _first_nonempty_slot(w)
+        slot["alpha0"].pop()
+    rep = _replay_tampered(fks, mixed5_witness, drop_row)
+    pts = _first_nonempty_slot(mixed5_witness)["pointset"]
+    assert rep.failures == (
+        f"slot matrix is not an integer matrix of the right shape at {pts}",)
+
+
+@pytest.mark.parametrize("entry", ["x", "1", 1.5, None, True])
+def test_witness_replay_reports_non_integer_entry(fks, mixed5_witness, entry):
+    def spoil(w):
+        _first_nonempty_slot(w)["alpha0"][0][0] = entry
+    rep = _replay_tampered(fks, mixed5_witness, spoil)
+    pts = _first_nonempty_slot(mixed5_witness)["pointset"]
+    assert rep.failures == (
+        f"slot matrix is not an integer matrix of the right shape at {pts}",)
+
+
+def test_witness_replay_reports_missing_keys(fks, mixed5_witness):
+    rep = _replay_tampered(fks, mixed5_witness, lambda w: w.pop("slots"))
+    assert rep.failures == ("slots do not cover the locally closed sets",)
+    rep = _replay_tampered(fks, mixed5_witness, lambda w: w.pop("homeomorphism"))
+    assert rep.failures == ("homeomorphism is not a bijection",)
+    rep = _replay_tampered(fks, mixed5_witness,
+                           lambda w: w.update(homeomorphism=["0"] * 5))
+    assert rep.failures == ("homeomorphism is not a bijection",)
+    rep = verify_compatible_witness(fks["mixed5"], fks["mixed5"], [mixed5_witness])
+    assert rep.failures == ("witness is not a family",)
+
+
+def test_witness_replay_against_other_graphs_fails_cleanly(fks):
+    # a self-compare family replayed against a graph with the same spectrum
+    # but other K-groups (g1 vs o2), or with no K layer (blocks6 vs
+    # inf_emitter, both 3-chains): only the K layer can object
+    w = compare(fks["g1"], fks["g1"]).witness
+    rep = verify_compatible_witness(fks["g1"], fks["o2"], w)
+    assert rep.failures == (
+        "slot matrix is not an integer matrix of the right shape at [0]",)
+    w = compare(fks["blocks6"], fks["blocks6"]).witness
+    rep = verify_compatible_witness(fks["blocks6"], fks["inf_emitter"], w)
+    assert rep.failures == ("family witness without both K layers",)

@@ -21,8 +21,6 @@ from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
     SixTerm,
     _k_data,
-    _presentation,
-    canonical_presentation,
     cone_contains,
     exactness_failures,
     k_data,
@@ -33,7 +31,13 @@ from fkgraph.ktheory import (
     verify_well_definedness,
 )
 from fkgraph.lattice import enumerate_admissible_pairs
-from fkgraph.spectrum import LocallyClosedSet, locally_closed_sets, s_primes
+from fkgraph.spectrum import (
+    LocallyClosedSet,
+    canonical_presentation,
+    locally_closed_sets,
+    presentation,
+    s_primes,
+)
 
 
 def spectrum_of(g):
@@ -157,7 +161,7 @@ def test_cached_k_data_matches_fresh_build(row_finite_corpus):
         for u, v in itertools.product(sp.opens, repeat=2):
             if v & ~u:
                 continue
-            y = _presentation(sp, u, v)
+            y = presentation(sp, u, v)
             kd = k_data(g, y)
             assert kd == _k_data(g, y)[0], (name, u, v)
             assert k_data(g, y) is kd, (name, u, v)
@@ -335,7 +339,7 @@ def _hand_built(levels, maps):
     """A SixTerm over bare groups: levels[part] = (K0 factors, K1 factors)."""
     parts = {p: SimpleNamespace(k0=_group(k0), k1=_group(k1))
              for p, (k0, k1) in levels.items()}
-    return SixTerm(0, 0, 0, parts["sub"], parts["mid"], parts["quot"], **maps)
+    return SixTerm(parts["sub"], parts["mid"], parts["quot"], **maps)
 
 
 def _two_sided_failures(st):
@@ -388,6 +392,16 @@ def test_non_exact_sequence_is_reported():
     maps.update(iota0=IntMatrix.from_rows([[1]]), pi0=IntMatrix.from_rows([[1]]),
                 delta=z(0, 1))
     assert "pi0 after iota0 is nonzero" in exactness_failures(_hand_built(levels, maps))
+    # Z/2 --1--> Z is not well defined: iota0 sends the relation 2 to 2 != 0
+    levels = {"sub": ((2,), ()), "mid": ((0,), ()), "quot": ((), ())}
+    maps = {"iota0": IntMatrix.from_rows([[1]]), "pi0": z(0, 1), "delta": z(0, 0),
+            "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
+    st = _hand_built(levels, maps)
+    assert exactness_failures(st) == ["iota0 does not kill source relations"]
+    maps["iota0"] = IntMatrix.from_rows([[0]])  # well defined, but not exact
+    assert exactness_failures(_hand_built(levels, maps)) == [
+        "image of iota0 differs from kernel of pi0",
+        "image of partial differs from kernel of iota0"]
 
 
 def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch):

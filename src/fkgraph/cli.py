@@ -15,7 +15,6 @@ import sys
 
 from .errors import CapExceeded, ParseError
 from .graphs import Graph, iter_bits, parse_graph_auto
-from .intlinalg import kernel_basis
 from .invariant import (
     DEFAULT_BUDGET,
     DEFAULT_POINT_CAP,
@@ -146,7 +145,7 @@ def _parse_pointset(arg: str, npoints: int) -> int:
 
 def _k_entry(fk, y) -> dict:
     kd = fk.kmap[y.pointset]
-    basis = kernel_basis(kd.matrix)
+    basis = kd.k1.lift
     return {
         "pointset": list(iter_bits(y.pointset)),
         "vertices": list(kd.vertices),

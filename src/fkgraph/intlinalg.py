@@ -4,6 +4,11 @@ Smith normal form with tracked unimodular transforms, cokernels and kernels
 as finitely generated abelian groups in canonical presentation, and a bounded
 enumeration of group isomorphisms.  Everything runs on Python's
 arbitrary-precision integers; no floating point is used anywhere.
+
+Smith decompositions and kernels are memoised by value (`IntMatrix` is
+frozen), so each distinct matrix is decomposed and checked once per process.
+Torsion automorphisms are generated row by row with pruning, not filtered
+from the box of all candidate matrices.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -65,26 +71,18 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        ent = tuple(
-            tuple(sum(a * b for a, b in zip(row, ocol)) for ocol in ot)
-            for row in self.entries
-        )
-        if not self.entries:
-            ent = ()
-        return IntMatrix(self.rows, other.cols, ent if self.rows else ())
+        ocols = tuple(zip(*other.entries)) or ((),) * other.cols
+        return IntMatrix(self.rows, other.cols, tuple(
+            tuple(sum(map(mul, row, col)) for col in ocols) for row in self.entries))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if self.rows != other.rows:
@@ -170,8 +168,12 @@ class SmithDecomposition:
         return self.Q.apply(z)
 
 
+@cache
 def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
-    """Diagonalize M over the integers, tracking both transforms and their inverses."""
+    """Diagonalize M over the integers, tracking both transforms and their inverses.
+
+    Memoised by value, so each distinct matrix is decomposed and checked once.
+    """
     m, n = M.rows, M.cols
     D = [list(r) for r in M.entries]
     P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -424,8 +426,9 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return kernel_group(M).lift
 
 
+@cache
 def kernel_group(M: IntMatrix) -> FgAbGroup:
-    """The kernel of M as a free group: lift = basis, project = left inverse."""
+    """The kernel of M as a free group: lift = basis, project = left inverse (memoised)."""
     dec = smith_decomposition(M)
     r = dec.rank
     idx = list(range(r, M.cols))
@@ -460,55 +463,58 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[x % p for x in r] for r in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = (det * m[k][k]) % p
-        inv = pow(m[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = (m[i][k] * inv) % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
-    return det % p
-
-
-def _is_torsion_automorphism(T: list[list[int]], tf: Sequence[int]) -> bool:
-    # an endomorphism of a finite abelian group is bijective iff it is
-    # surjective on every Frattini quotient G/pG, prime by prime
-    primes = sorted({p for d in tf for p in _prime_factors(d)})
-    for p in primes:
-        idx = [i for i, d in enumerate(tf) if d % p == 0]
-        sub = [[T[i][j] for j in idx] for i in idx]
-        if _det_mod_p(sub, p) == 0:
-            return False
-    return True
-
-
 @cache
 def _torsion_automorphisms(tf: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All automorphism matrices of Z/tf[0] + ..., identity first (memoised, so a tuple)."""
+    """All automorphism matrices of Z/tf[0] + ..., identity first (memoised, so a tuple).
+
+    Generated row by row in lexicographic order, not filtered from the box
+    of candidates.  Entry (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j])
+    for the column map from a generator of order tf[j] to be well defined, so
+    mod a prime p it vanishes whenever tf[i] has the larger p-exponent: the
+    matrix is block-triangular mod p, one diagonal block per p-exponent, and
+    it is bijective iff every block is invertible mod p (Hillar-Rhea,
+    arXiv:math/0605185).  A row is dropped as soon as its residues on its
+    block lie in the span of the earlier rows of that block.
+    """
     k = len(tf)
     if k == 0:
         return ((),)
-    # entry (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j]) for the
-    # column map from a generator of order tf[j] to be well defined
-    cell_values = [[list(range(0, tf[i], tf[i] // gcd(tf[i], tf[j]))) for j in range(k)] for i in range(k)]
+    primes = sorted({p for d in tf for p in _prime_factors(d)})
+    ppart = {p: [gcd(d, p ** d.bit_length()) for d in tf] for p in primes}
+    spans: dict[tuple[int, int], set] = {}   # (p, p-part) -> span mod p so far
+    cands = []   # per row: (row, [(block key, residues on the block)])
+    for i in range(k):
+        blocks = []
+        for p in primes:
+            if ppart[p][i] > 1:
+                cols = [j for j in range(k) if ppart[p][j] == ppart[p][i]]
+                blocks.append(((p, ppart[p][i]), cols))
+                spans[p, ppart[p][i]] = {(0,) * len(cols)}
+        cells = [range(0, tf[i], tf[i] // gcd(tf[i], tf[j])) for j in range(k)]
+        cands.append([(row, [(key, tuple(row[j] % key[0] for j in cols)) for key, cols in blocks])
+                      for row in product(*cells)])
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     out = [ident]
-    for flat in product(*(cell_values[i][j] for i in range(k) for j in range(k))):
-        T = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
-        if T == ident:
-            continue
-        if _is_torsion_automorphism([list(r) for r in T], tf):
-            out.append(T)
+    rows: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> None:
+        for row, residues in cands[i]:
+            if any(r in spans[key] for key, r in residues):
+                continue
+            rows.append(row)
+            if i + 1 < k:
+                saved = [(key, spans[key]) for key, _ in residues]
+                for key, r in residues:
+                    p = key[0]
+                    spans[key] = {tuple((a + c * b) % p for a, b in zip(v, r))
+                                  for v in spans[key] for c in range(p)}
+                extend(i + 1)
+                spans.update(saved)
+            elif tuple(rows) != ident:
+                out.append(tuple(rows))
+            rows.pop()
+
+    extend(0)
     return tuple(out)
 
 
@@ -531,11 +537,12 @@ def _unimodular_candidates(f: int, budget: int) -> Iterator[tuple[tuple[int, ...
 def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2) -> Iterator[IntMatrix]:
     """Isomorphisms G -> H as matrices on canonical coordinates.
 
-    Torsion-part automorphisms and free-to-torsion blocks are enumerated
-    exactly; free-part blocks have entries bounded by `budget`.  Yields the
-    identity first when it qualifies.  Every yield is invertible over the
-    factors.  The enumeration is exhaustive iff the free rank is <= 1
-    (see `iso_search_complete`).
+    Torsion-part automorphisms (generated row by row and memoised per factor
+    tuple, see `_torsion_automorphisms`) and free-to-torsion blocks are
+    enumerated exactly; free-part blocks have entries bounded by `budget`.
+    Yields the identity first when it qualifies.  Every yield is invertible
+    over the factors.  The enumeration is exhaustive iff the free rank is
+    <= 1 (see `iso_search_complete`).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
+from fkgraph import intlinalg
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -335,6 +336,86 @@ def test_torsion_automorphisms_memoised_per_factor_tuple():
     G = cokernel(IntMatrix.from_rows([[2, 0], [0, 2]]))
     assert [m.entries for m in group_isos(G, G)] == list(auts)
     assert list(group_isos(G, G)) == list(group_isos(G, G))
+
+
+def _det_mod_p(rows: list[list[int]], p: int) -> int:
+    n = len(rows)
+    m = [[x % p for x in r] for r in rows]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] % p != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = (det * m[k][k]) % p
+        inv = pow(m[k][k], -1, p)
+        for i in range(k + 1, n):
+            f = (m[i][k] * inv) % p
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
+    return det % p
+
+
+def _primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _torsion_automorphisms_by_filter(tf):
+    """Reference: every well-defined matrix in the box, identity first, kept
+    when it is surjective on each Frattini quotient G/pG (det mod p != 0)."""
+    k = len(tf)
+    cells = [range(0, tf[i], tf[i] // gcd(tf[i], tf[j])) for i in range(k) for j in range(k)]
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    out = [ident]
+    for flat in product(*cells):
+        T = tuple(tuple(flat[i * k + j] for j in range(k)) for i in range(k))
+        if T == ident:
+            continue
+        if all(_det_mod_p([[T[i][j] for j in idx] for i in idx], p)
+               for p in sorted({p for d in tf for p in _primes(d)})
+               for idx in [[i for i, d in enumerate(tf) if d % p == 0]]):
+            out.append(T)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tf", [
+    (2,), (6,), (2, 4), (2, 6), (6, 6), (4, 4), (3, 9), (2, 12), (2, 2, 4),
+    (5, 5), (2, 2, 2), (3, 3), (3, 3, 3), (2, 2, 2, 2)])
+def test_torsion_automorphisms_match_filter_reference(tf):
+    # same matrices in the same order, so every witness stays the same
+    assert _torsion_automorphisms(tf) == _torsion_automorphisms_by_filter(tf)
+
+
+_FRESH = random.Random(20261018)
+
+
+def _fresh(m: int, n: int) -> IntMatrix:
+    """A matrix no other test builds: entries far outside the ranges used elsewhere."""
+    return IntMatrix.from_rows([[_FRESH.randrange(10**9, 10**10) for _ in range(n)]
+                                for _ in range(m)], cols=n)
+
+
+def test_smith_and_kernel_memoised_by_value(monkeypatch):
+    checked = []
+    real = intlinalg._assert_smith
+
+    def counting(M, dec):
+        checked.append(M)
+        real(M, dec)
+    monkeypatch.setattr(intlinalg, "_assert_smith", counting)
+    A, B = _fresh(2, 3), _fresh(3, 2)
+    A2 = IntMatrix.from_rows([list(r) for r in A.entries])
+    assert A2 == A and A2.entries is not A.entries
+    dec = smith_decomposition(A)
+    assert smith_decomposition(A2) is dec
+    assert kernel_group(A2) is kernel_group(A)
+    for M in (B, A, B, A2):
+        smith_decomposition(M)
+    assert checked == [A, B]
+    assert (dec.P @ A @ dec.Q).entries == dec.S.entries
+    assert (A @ kernel_group(A).lift).is_zero()
 
 
 def test_group_iso_inverse_rejects_non_iso():

@@ -2,9 +2,11 @@ import ast
 import importlib
 import inspect
 import pathlib
+import random
 
-from fkgraph import invariant, spectrum
+from fkgraph import intlinalg, invariant, spectrum
 from fkgraph.graphs import graph_from_edges
+from fkgraph.intlinalg import IntMatrix
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -45,3 +47,30 @@ def test_capped_spectrum_calls_rebindable_globals(monkeypatch):
     spy("enumerate_admissible_pairs")
     invariant.assemble(graph_from_edges(["v"], [("v", "v", 2)]))
     assert seen == ["enumerate_admissible_pairs", "s_primes"]
+
+
+def test_rebound_smith_decomposition_sees_every_caller(monkeypatch):
+    # intlinalg.snf_calls counts calls through the module global, so the memo
+    # must sit behind that name: callers reaching a privately bound copy would
+    # bypass a rebinding.  Fresh matrices, so no memo answers first.
+    rng = random.Random(5)
+
+    def fresh(m, n):
+        return IntMatrix.from_rows([[rng.randrange(10**11, 10**12) for _ in range(n)]
+                                    for _ in range(m)], cols=n)
+
+    free2 = intlinalg.cokernel(IntMatrix.zero(2, 2))
+    seen = []
+    real = intlinalg.smith_decomposition
+
+    def spy(M):
+        seen.append(M)
+        return real(M)
+    monkeypatch.setattr(intlinalg, "smith_decomposition", spy)
+    mats = [fresh(2, 3), fresh(3, 2), fresh(2, 2), fresh(2, 2), fresh(3, 3)]
+    intlinalg.cokernel(mats[0])
+    intlinalg.kernel_group(mats[1])
+    intlinalg.lattice_contains(mats[2], fresh(2, 1))
+    intlinalg.group_iso_inverse(free2, mats[3])
+    intlinalg.solve_exact(mats[4], (1, 2, 3))
+    assert seen == mats

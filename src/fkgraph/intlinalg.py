@@ -7,8 +7,9 @@ arbitrary-precision integers; no floating point is used anywhere.
 
 Smith decompositions and kernels are memoised by value (`IntMatrix` is
 frozen), so each distinct matrix is decomposed and checked once per process.
-Torsion automorphisms are generated row by row with pruning, not filtered
-from the box of all candidate matrices.
+Group isomorphisms are generated lazily, row by row, under linear
+constraints A v = c: a row that breaks one is dropped before it is extended,
+and no automorphism group is ever built whole.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 @dataclass(frozen=True)
@@ -355,23 +353,6 @@ class FgAbGroup:
     def torsion_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariant_factors if d != 0)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
-    def order(self) -> int:
-        """Number of elements; only for finite groups."""
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative: torsion coordinates taken mod their factor."""
         if len(vec) != self.ncoords:
@@ -463,22 +444,38 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@cache
-def _torsion_automorphisms(tf: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All automorphism matrices of Z/tf[0] + ..., identity first (memoised, so a tuple).
+def _fits(row: tuple[int, ...], rules) -> bool:
+    """Whether a matrix row meets its rules (v, c, m): row . v == c mod m, exactly if m == 0."""
+    for v, c, m in rules:
+        d = sum(map(mul, row, v)) - c
+        if d % m if m else d:
+            return False
+    return True
 
-    Generated row by row in lexicographic order, not filtered from the box
-    of candidates.  Entry (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j])
-    for the column map from a generator of order tf[j] to be well defined, so
-    mod a prime p it vanishes whenever tf[i] has the larger p-exponent: the
-    matrix is block-triangular mod p, one diagonal block per p-exponent, and
-    it is bijective iff every block is invertible mod p (Hillar-Rhea,
-    arXiv:math/0605185).  A row is dropped as soon as its residues on its
-    block lie in the span of the earlier rows of that block.
+
+def _identity_first(rules, lex: Iterator[tuple]) -> Iterator[tuple]:
+    """The identity when its rows fit `rules`, then `lex` without it."""
+    ident = IntMatrix.identity(len(rules)).entries
+    if all(map(_fits, ident, rules)):
+        yield ident
+    for m in lex:
+        if m != ident:
+            yield m
+
+
+def _torsion_lex(tf: tuple[int, ...], rules) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Automorphism matrices of Z/tf[0] + ... whose rows fit `rules`, lexicographic.
+
+    Built row by row, not filtered from the box of candidates.  Entry
+    (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j]) for the column map
+    from a generator of order tf[j] to be well defined, so mod a prime p it
+    vanishes whenever tf[i] has the larger p-exponent: the matrix is
+    block-triangular mod p, one diagonal block per p-exponent, and it is
+    bijective iff every block is invertible mod p (Hillar-Rhea,
+    arXiv:math/0605185).  A row is dropped as soon as it misses a rule or its
+    residues on its block lie in the span of the earlier rows of that block.
     """
     k = len(tf)
-    if k == 0:
-        return ((),)
     primes = sorted({p for d in tf for p in _prime_factors(d)})
     ppart = {p: [gcd(d, p ** d.bit_length()) for d in tf] for p in primes}
     spans: dict[tuple[int, int], set] = {}   # (p, p-part) -> span mod p so far
@@ -492,12 +489,10 @@ def _torsion_automorphisms(tf: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], 
                 spans[p, ppart[p][i]] = {(0,) * len(cols)}
         cells = [range(0, tf[i], tf[i] // gcd(tf[i], tf[j])) for j in range(k)]
         cands.append([(row, [(key, tuple(row[j] % key[0] for j in cols)) for key, cols in blocks])
-                      for row in product(*cells)])
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    out = [ident]
+                      for row in product(*cells) if _fits(row, rules[i])])
     rows: list[tuple[int, ...]] = []
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for row, residues in cands[i]:
             if any(r in spans[key] for key, r in residues):
                 continue
@@ -508,60 +503,60 @@ def _torsion_automorphisms(tf: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], 
                     p = key[0]
                     spans[key] = {tuple((a + c * b) % p for a, b in zip(v, r))
                                   for v in spans[key] for c in range(p)}
-                extend(i + 1)
+                yield from extend(i + 1)
                 spans.update(saved)
-            elif tuple(rows) != ident:
-                out.append(tuple(rows))
+            else:
+                yield tuple(rows)
             rows.pop()
 
-    extend(0)
-    return tuple(out)
+    if k:   # the trivial group has only the identity, which comes first anyway
+        yield from extend(0)
 
 
-def _unimodular_candidates(f: int, budget: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """GL(f, Z) matrices with |entries| <= budget, identity first, then lexicographic."""
-    if f == 0:
-        yield ()
-        return
-    ident = tuple(tuple(1 if i == j else 0 for j in range(f)) for i in range(f))
-    yield ident
+def _free_lex(kf: int, budget: int, rules) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """GL(kf, Z) matrices with |entries| <= budget whose rows fit `rules`, lexicographic."""
     vals = range(-budget, budget + 1)
-    for flat in product(vals, repeat=f * f):
-        F = tuple(tuple(flat[i * f + j] for j in range(f)) for i in range(f))
-        if F == ident:
-            continue
-        if abs(IntMatrix(f, f, F).det()) == 1:
+    for F in product(*([r for r in product(vals, repeat=kf) if _fits(r, rules[i])]
+                       for i in range(kf))):
+        if abs(IntMatrix(kf, kf, F).det()) == 1:
             yield F
 
 
-def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2) -> Iterator[IntMatrix]:
-    """Isomorphisms G -> H as matrices on canonical coordinates.
+def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2,
+               constraints: Iterable[tuple[Sequence[int], Sequence[int]]] = ()) -> Iterator[IntMatrix]:
+    """Isomorphisms A: G -> H on canonical coordinates with A v = c in H for
+    every constraint (v, c), generated lazily; no group is held whole.
 
-    Torsion-part automorphisms (generated row by row and memoised per factor
-    tuple, see `_torsion_automorphisms`) and free-to-torsion blocks are
-    enumerated exactly; free-part blocks have entries bounded by `budget`.
-    Yields the identity first when it qualifies.  Every yield is invertible
-    over the factors.  The enumeration is exhaustive iff the free rank is
-    <= 1 (see `iso_search_complete`).
+    The free block F (entries bounded by `budget`) varies slowest, then the
+    torsion automorphism T, then the free-to-torsion block X, each identity
+    first, then lexicographic, and each built row by row.  Row i of A meets
+    (v, c) iff its own entries do, so a row is dropped once it fails a
+    constraint it decides (a row of T: when no X row can repair it).  The
+    output is the unconstrained stream filtered, in the same order.  Every
+    yield is invertible over the factors.  The enumeration is exhaustive iff
+    the free rank is <= 1 (see `iso_search_complete`).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if G.invariant_factors != H.invariant_factors:
         return
-    f = G.invariant_factors
     tf = G.torsion_factors
     kt, kf = len(tf), G.rank
-    t_auts = _torsion_automorphisms(tf)
-    x_blocks = list(product(*(range(f[i]) for i in range(kt) for _ in range(kf)))) or [()]
-    for F in _unimodular_candidates(kf, budget):
-        for T in t_auts:
-            for X in x_blocks:
-                rows = []
-                for i in range(kt):
-                    rows.append(tuple(T[i]) + tuple(X[i * kf + j] for j in range(kf)))
-                for i in range(kf):
-                    rows.append((0,) * kt + tuple(F[i]))
-                yield IntMatrix(kt + kf, kt + kf, tuple(rows))
+    cons = [(tuple(v[:kt]), tuple(v[kt:]), tuple(c)) for v, c in constraints]
+    # a torsion row of T can still be repaired by its X row up to gcd(tf[i], vf)
+    t_rules = [[(vt, c[i], m) for vt, vf, c in cons if (m := gcd(tf[i], *vf)) != 1]
+               for i in range(kt)]
+    f_rules = [[(vf, c[kt + i], 0) for vt, vf, c in cons] for i in range(kf)]
+    for F in _identity_first(f_rules, _free_lex(kf, budget, f_rules)):
+        for T in _identity_first(t_rules, _torsion_lex(tf, t_rules)):
+            xs = [[()]] * kt   # with no free part, T's rules were exact
+            if kf:
+                xs = [[x for x in product(range(d), repeat=kf) if _fits(x, rules)]
+                      for i, d in enumerate(tf) for rules in
+                      [[(vf, c[i] - sum(map(mul, T[i], vt)), d) for vt, vf, c in cons]]]
+            for X in product(*xs):
+                yield IntMatrix(kt + kf, kt + kf, tuple(T[i] + X[i] for i in range(kt))
+                                + tuple((0,) * kt + F[i] for i in range(kf)))
 
 
 def iso_search_complete(G: FgAbGroup, budget: int = 2) -> bool:

@@ -162,15 +162,19 @@ class _Budget(Exception):
 class _Search:
     """Backtracking over per-slot (K0, K1) isomorphism candidates.
 
-    Order, cone, and unit conditions constrain one slot at a time, so they
-    are applied once while building the candidate lists; the recursion then
-    only has to check commuting squares between assigned slots.
+    Each commuting square into slot k from an assigned slot fixes alpha_k on
+    the columns of a's map, as the unit class does at the full slot, so they
+    go into `group_isos` as constraints and no candidate breaking one is
+    built.  Each survivor's cone conditions and invertibility are vetted
+    once per slot; the recursion checks every square between assigned slots.
+    Every candidate a slot stream yields counts against `_NODE_CAP`.
     """
 
     def __init__(self, a: FilteredK, b: FilteredK, sigma, unital: bool,
                  budget: int, counter: list[int]):
         self.a, self.b, self.sigma = a, b, sigma
         self.unital = unital
+        self.budget = budget
         self.counter = counter
         self.inconclusive = False
         self.slots = [y.pointset for y in a.lcs]
@@ -181,26 +185,21 @@ class _Search:
             iso_search_complete(a.kmap[y].k0, budget)
             and iso_search_complete(a.kmap[y].k1, budget)
             for y in self.slots)
-        # lazy memoized candidate streams: admissibility (cone, unit,
-        # invertibility) is slot-local, so each matrix is vetted at most once
-        # no matter how often backtracking revisits the slot
-        self._seen0 = [[] for _ in self.slots]
-        self._seen1 = [[] for _ in self.slots]
-        self._pool0 = []
-        self._pool1 = []
-        for y in self.slots:
-            z = _map_mask(y, sigma)
-            ka, kb = a.kmap[y], b.kmap[z]
-            self._pool0.append(group_isos(ka.k0, kb.k0, budget))
-            self._pool1.append(group_isos(ka.k1, kb.k1, budget))
+        self.kd = [(a.kmap[y], b.kmap[_map_mask(y, sigma)]) for y in self.slots]
+        self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
         self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-        # commuting squares by later-assigned endpoint, one set per (sub, mid)
+        # commuting squares by later-assigned endpoint, one set per (sub, mid);
+        # by target slot and level, those whose source is assigned first
+        # (slots in order, K0 before K1), for the constraints
         self.constraints = [[] for _ in self.slots]
+        self.into = [([], []) for _ in self.slots]
         for key in a.sequences:
             for _, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
                 si, ti = self.index[src], self.index[tgt]
                 self.constraints[max(si, ti)].append(
                     (si, s_lv, ti, t_lv, m_a, m_b, grp))
+                if (si, s_lv) < (ti, t_lv):
+                    self.into[ti][t_lv].append((si, s_lv, m_a, m_b))
 
     def _in_cone(self, k: int, forward: bool, kd: KData, x) -> bool:
         key = (k, forward, tuple(x))
@@ -213,9 +212,6 @@ class _Search:
         return hit
 
     def _admissible(self, k: int, ka: KData, kb: KData, m0: IntMatrix) -> bool:
-        if self.unital and self.slots[k] == self.a.space.full:
-            if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:
-                return False
         for gen in ka.cone_generators:
             if not self._in_cone(k, True, kb, m0.apply(gen)):
                 return False
@@ -227,28 +223,34 @@ class _Search:
                 return False
         return True
 
-    def _cands0(self, k: int):
-        yield from self._seen0[k]
-        y = self.slots[k]
-        z = _map_mask(y, self.sigma)
-        ka, kb = self.a.kmap[y], self.b.kmap[z]
-        for m0 in self._pool0[k]:
-            if self._admissible(k, ka, kb, m0):
-                self._seen0[k].append(m0)
-                yield m0
+    def _stream(self, k: int, lv: int):
+        """Slot k's level-lv isomorphisms meeting every square from an assigned slot."""
+        ka, kb = self.kd[k]
+        cons = []
+        for si, s_lv, m_a, m_b in self.into[k][lv]:
+            img = m_b @ (self.alpha1 if s_lv else self.alpha0)[si]
+            cons += [(m_a.col(j), img.col(j)) for j in range(m_a.cols)]
+        if not lv and self.unital and self.slots[k] == self.a.space.full:
+            cons.append((ka.unit_class, kb.unit_class))
+        for m in group_isos(*((ka.k1, kb.k1) if lv else (ka.k0, kb.k0)),
+                            self.budget, cons):
+            self.counter[0] += 1
+            if self.counter[0] > _NODE_CAP:
+                raise _Budget
+            yield m
 
-    def _cands1(self, k: int):
-        yield from self._seen1[k]
-        for m1 in self._pool1[k]:
-            self._seen1[k].append(m1)
-            yield m1
+    def _cands0(self, k: int):
+        vetted = self._vetted[k]
+        for m0 in self._stream(k, 0):
+            if m0 not in vetted:
+                vetted[m0] = self._admissible(k, *self.kd[k], m0)
+            if vetted[m0]:
+                yield m0
 
     def _commutes(self, k: int) -> bool:
         for si, s_lv, ti, t_lv, m_a, m_b, grp in self.constraints[k]:
             a_src = (self.alpha1 if s_lv else self.alpha0)[si]
             a_tgt = (self.alpha1 if t_lv else self.alpha0)[ti]
-            if a_src is None or a_tgt is None:
-                continue  # other endpoint not yet assigned
             if not maps_equal(grp, a_tgt @ m_a, m_b @ a_src):
                 return False
         return True
@@ -263,14 +265,11 @@ class _Search:
         if k == len(self.slots):
             return True
         for m0 in self._cands0(k):
-            for m1 in self._cands1(k):
-                self.counter[0] += 1
-                if self.counter[0] > _NODE_CAP:
-                    raise _Budget
-                self.alpha0[k], self.alpha1[k] = m0, m1
+            self.alpha0[k] = m0   # the level-1 stream reads it
+            for m1 in self._stream(k, 1):
+                self.alpha1[k] = m1
                 if self._commutes(k) and self._extend(k + 1):
                     return True
-                self.alpha0[k] = self.alpha1[k] = None
         return False
 
 

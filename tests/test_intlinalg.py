@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 
@@ -18,7 +19,6 @@ from fkgraph import intlinalg
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
-    _torsion_automorphisms,
     cokernel,
     group_iso_inverse,
     group_isos,
@@ -194,7 +194,6 @@ def test_cokernel_of_zero_1x1_is_Z():
 def test_cokernel_of_unit_is_trivial():
     G = cokernel(IntMatrix.from_rows([[1]]))
     assert G.invariant_factors == ()
-    assert G.is_trivial
 
 
 def test_cokernel_shifted_basis():
@@ -214,7 +213,6 @@ def test_cokernel_torsion():
     assert G.invariant_factors == (6,)
     assert G.project_vec([1]) in {(1,), (5,)}
     assert G.reduce([7]) == (1,)
-    assert G.order() == 6
 
 
 def test_cokernel_kills_image_and_sections():
@@ -328,14 +326,28 @@ def test_group_isos_elementary_abelian():
     assert len(isos) == 6
 
 
-def test_torsion_automorphisms_memoised_per_factor_tuple():
-    # one immutable list per factor tuple, shared by every stream over it
-    auts = _torsion_automorphisms((2, 2))
-    assert isinstance(auts, tuple) and len(auts) == 6
-    assert _torsion_automorphisms((2, 2)) is auts
-    G = cokernel(IntMatrix.from_rows([[2, 0], [0, 2]]))
-    assert [m.entries for m in group_isos(G, G)] == list(auts)
+def _group(factors) -> FgAbGroup:
+    k = len(factors)
+    return FgAbGroup(tuple(factors), IntMatrix.identity(k), IntMatrix.identity(k))
+
+
+def test_torsion_automorphisms_memoised_per_factor_tuple(monkeypatch):
+    # no group is held whole: the identity comes first, before any other
+    # candidate row is looked at, and every stream over a group is the same
+    G = _group((2, 2))
+    isos = [m.entries for m in group_isos(G, G)]
+    assert isos[0] == IntMatrix.identity(2).entries and len(isos) == 6
     assert list(group_isos(G, G)) == list(group_isos(G, G))
+    rows = []
+    real = intlinalg._fits
+
+    def counting(row, rules):
+        rows.append(row)
+        return real(row, rules)
+    monkeypatch.setattr(intlinalg, "_fits", counting)
+    G8 = _group((2,) * 8)
+    assert next(group_isos(G8, G8)) == IntMatrix.identity(8)
+    assert 0 < len(rows) <= 8
 
 
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
@@ -362,6 +374,7 @@ def _primes(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
+@cache
 def _torsion_automorphisms_by_filter(tf):
     """Reference: every well-defined matrix in the box, identity first, kept
     when it is surjective on each Frattini quotient G/pG (det mod p != 0)."""
@@ -380,12 +393,68 @@ def _torsion_automorphisms_by_filter(tf):
     return tuple(out)
 
 
-@pytest.mark.parametrize("tf", [
+def _unimodular_by_filter(f: int, budget: int):
+    """Reference: GL(f, Z) matrices with |entries| <= budget, identity first,
+    then lexicographic."""
+    ident = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
+    out = [ident]
+    for flat in product(range(-budget, budget + 1), repeat=f * f):
+        F = tuple(tuple(flat[i * f + j] for j in range(f)) for i in range(f))
+        if F != ident and abs(cofactor_det([list(r) for r in F])) == 1:
+            out.append(F)
+    return out
+
+
+def _group_isos_reference(G: FgAbGroup, budget: int):
+    """Reference: the unconstrained stream, free block slowest, then torsion
+    automorphism, then free-to-torsion block."""
+    tf, kf = G.torsion_factors, G.rank
+    kt = len(tf)
+    for F in _unimodular_by_filter(kf, budget):
+        for T in _torsion_automorphisms_by_filter(tf):
+            for X in product(*(range(d) for d in tf for _ in range(kf))):
+                yield (tuple(T[i] + X[i * kf:(i + 1) * kf] for i in range(kt))
+                       + tuple((0,) * kt + F[i] for i in range(kf)))
+
+
+_TORSION_TUPLES = [
     (2,), (6,), (2, 4), (2, 6), (6, 6), (4, 4), (3, 9), (2, 12), (2, 2, 4),
-    (5, 5), (2, 2, 2), (3, 3), (3, 3, 3), (2, 2, 2, 2)])
+    (5, 5), (2, 2, 2), (3, 3), (3, 3, 3), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("tf", _TORSION_TUPLES)
 def test_torsion_automorphisms_match_filter_reference(tf):
     # same matrices in the same order, so every witness stays the same
-    assert _torsion_automorphisms(tf) == _torsion_automorphisms_by_filter(tf)
+    G = _group(tf)
+    assert tuple(m.entries for m in group_isos(G, G)) == _torsion_automorphisms_by_filter(tf)
+
+
+def _meets(G: FgAbGroup, A, constraints) -> bool:
+    return all(G.reduce([sum(a * x for a, x in zip(row, v)) for row in A]) == G.reduce(c)
+               for v, c in constraints)
+
+
+@pytest.mark.parametrize("factors", [*_TORSION_TUPLES, (2, 0), (4, 0, 0), (0, 0), (2, 6, 0)])
+def test_constrained_group_isos_match_filtered_reference(factors):
+    # the constrained stream is the reference stream filtered, item by item
+    k = len(factors)
+    G = _group(factors)
+    ref = list(_group_isos_reference(G, 2))
+    assert [m.entries for m in group_isos(G, G)] == ref
+    rng = random.Random(repr(factors))
+    cases = [[], [((0,) * k, (1,) + (0,) * (k - 1))], [((1,) + (0,) * (k - 1), (0,) * k)]]
+    for n in (1, 1, 2, k):
+        A = IntMatrix(k, k, rng.choice(ref))
+        vs = [tuple(rng.randrange(-3, 4) for _ in range(k)) for _ in range(n)]
+        cases.append([(v, A.apply(v)) for v in vs])
+    sizes = []
+    for cons in cases:
+        want = [A for A in ref if _meets(G, A, cons)]
+        got = [m.entries for m in group_isos(G, G, 2, cons)]
+        assert got == want, cons
+        sizes.append(len(want))
+    assert sizes[1] == sizes[2] == 0
+    assert all(sizes[3:])
 
 
 _FRESH = random.Random(20261018)

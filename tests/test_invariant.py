@@ -144,6 +144,67 @@ def test_rank_two_slots_exhaust_to_unknown(fks):
     assert rep.passed, rep.line()
 
 
+def _sinks(feeders: list[int]):
+    """One sink per entry, fed by that many extra vertices: K0 = Z^n with
+    cone N^n, unit class (1 + feeders[0], ...)."""
+    verts, edges = [], []
+    for i, n in enumerate(feeders):
+        verts += [f"s{i}", *(f"t{i}_{j}" for j in range(n))]
+        edges += [(f"t{i}_{j}", f"s{i}", 1) for j in range(n)]
+    return assemble(graph_from_edges(verts, edges))
+
+
+def _counting(monkeypatch):
+    """Count the candidates every slot stream yields and the K0 candidates
+    `_admissible` rejects."""
+    seen = Counter()
+    real_isos, real_admissible = invariant.group_isos, invariant._Search._admissible
+
+    def isos(*args):
+        for m in real_isos(*args):
+            seen["yielded"] += 1
+            yield m
+
+    def admissible(self, *args):
+        ok = real_admissible(self, *args)
+        seen["accepted" if ok else "rejected"] += 1
+        return ok
+    monkeypatch.setattr(invariant, "group_isos", isos)
+    monkeypatch.setattr(invariant._Search, "_admissible", admissible)
+    return seen
+
+
+def test_node_cap_counts_rejected_candidates(monkeypatch):
+    # units (1, 1, 1) and (1, 1, 2) never match, so every homeomorphism's
+    # search backtracks through the point slots, whose second candidate -1
+    # leaves the cone: the streams yield many candidates that `_admissible`
+    # rejects, and each of them counts against the node cap
+    a, b = _sinks([0, 0, 0]), _sinks([0, 0, 1])
+    seen = _counting(monkeypatch)
+    budget_exhausted = {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": False}
+    assert compare(a, b).witness == budget_exhausted   # free rank 3: incomplete
+    assert seen["rejected"] >= 18 and seen["yielded"] > 40
+    seen.clear()
+    monkeypatch.setattr(invariant, "_NODE_CAP", 40)
+    v = compare(a, b)
+    assert v.outcome == UNKNOWN and v.witness == budget_exhausted
+    assert seen["yielded"] == 41 and seen["rejected"] > 0
+
+
+def test_swap_search_solves_instead_of_enumerating(monkeypatch):
+    # (Z/3)^3 against the same with one block of unit 2: the inclusions of
+    # the points fix every larger slot, so few candidates ever get vetted
+    a = assemble(graph_from_edges(["x", "y", "z"], [(v, v, 4) for v in "xyz"]))
+    b = assemble(graph_from_edges(["u", "w", "y", "z"], [
+        ("u", "u", 1), ("u", "w", 3), ("w", "u", 1), ("w", "w", 3),
+        ("y", "y", 4), ("z", "z", 4)]))
+    seen = _counting(monkeypatch)
+    v = compare(a, b)
+    assert v.outcome == COMPATIBLE
+    assert verify_compatible_witness(a, b, v.witness).passed
+    assert seen["accepted"] + seen["rejected"] <= 100
+
+
 def test_spectrum_only_mode(fks):
     fk = fks["inf_emitter"]
     assert not fk.k_complete

@@ -42,17 +42,24 @@ def _blocks(*blocks: list[list[int]]) -> list[list[int]]:
     return out
 
 
-# The (Z/d)^3 swaps: three one-vertex Z/d blocks (unit 1) against the same
-# with one block swapped for the two-vertex Z/d block of unit 2.  The last
-# pair has K0 = (Z/3)^2 on one point with units (1, 0) and (1, 1): several
-# automorphisms match the units, so its witness is the first of them in the
-# order the automorphisms are generated.
-PAIRS = {
-    f"compare-swap/z{d}": (_blocks([[d + 1]], [[d + 1]], [[d + 1]]),
-                           _blocks([[1, d], [1, d]], [[d + 1]], [[d + 1]]))
-    for d in (2, 3)
-}
+def _swap(k: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """k one-vertex Z/d blocks (unit 1) against the same with one block
+    swapped for the two-vertex Z/d block of unit 2."""
+    return (_blocks(*[[[d + 1]]] * k),
+            _blocks([[1, d], [1, d]], *[[[d + 1]]] * (k - 1)))
+
+
+# The (Z/d)^k swaps.  The (Z/3)^2 pair has K0 = (Z/3)^2 on one point with
+# units (1, 0) and (1, 1): several automorphisms match the units, so its
+# witness is the first of them in the order the automorphisms are generated.
+# The last four are the search cliffs: each slot's automorphism group is
+# large, so enumerating it whole instead of solving for it takes minutes.
+PAIRS = {f"compare-swap/z{d}": _swap(3, d) for d in (2, 3)}
 PAIRS["compare-unit/z3z3"] = ([[4, 3], [3, 7]], [[1, 3], [3, 1]])
+PAIRS["compare-swap/z4"] = _swap(3, 4)
+PAIRS["compare-swap/z2^4"] = _swap(4, 2)
+PAIRS["compare-swap/z5"] = _swap(3, 5)
+PAIRS["compare-self/z2^5"] = (_blocks(*[[[3]]] * 5),) * 2
 
 
 def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
@@ -149,6 +156,10 @@ DIGESTS = {
     "compare-swap/z2": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z3": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
     "compare-unit/z3z3": (0, "126c6713b0637fc66057a90570831c024ca1f7769311914454db4ede334f65a3"),
+    "compare-swap/z4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
+    "compare-swap/z2^4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
+    "compare-swap/z5": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
+    "compare-self/z2^5": (0, "d0a8319af94e9fc979c52a20af8289bdbb2bb9b7d9245dea397a0d5d7a15c4aa"),
 }
 
 

@@ -39,9 +39,13 @@ def _names(g: Graph, mask: int) -> list[str]:
     return [g.vertices[i] for i in iter_bits(mask)]
 
 
-def _load(path: str) -> Graph:
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph_auto(fh.read())
+        return fh.read()
+
+
+def _load(path: str) -> Graph:
+    return parse_graph_auto(_read(path))
 
 
 def _covers(n: int, leq) -> list[tuple[int, int]]:
@@ -198,10 +202,12 @@ def _run_k(cfg) -> int:
 # -- compare ----------------------------------------------------------------
 
 def _run_compare(cfg) -> int:
-    a = assemble(_load(cfg.graph_a), point_cap=cfg.point_cap,
-                 vertex_cap=cfg.vertex_cap)
-    b = assemble(_load(cfg.graph_b), point_cap=cfg.point_cap,
-                 vertex_cap=cfg.vertex_cap)
+    caps = {"point_cap": cfg.point_cap, "vertex_cap": cfg.vertex_cap}
+    text_a = _read(cfg.graph_a)
+    a = assemble(parse_graph_auto(text_a), **caps)
+    text_b = _read(cfg.graph_b)
+    # equal texts give equal invariants: a self-compare assembles once
+    b = a if text_b == text_a else assemble(parse_graph_auto(text_b), **caps)
     unital = not cfg.no_unit
     verdict = compare(a, b, unital=unital, budget=cfg.budget)
     replay = None

@@ -253,26 +253,6 @@ def parse_graph_auto(text: str) -> Graph:
     return parse_graph(text)
 
 
-def graph_to_json_dict(g: Graph) -> dict:
-    edges = []
-    for i in range(g.n):
-        for j in range(g.n):
-            m = g.mult[i][j]
-            if m is INF:
-                edges.append({"src": g.vertices[i], "dst": g.vertices[j], "mult": "inf"})
-            elif m > 0:
-                edges.append({"src": g.vertices[i], "dst": g.vertices[j], "mult": m})
-    return {"vertices": list(g.vertices), "edges": edges}
-
-
-# ------------------------------------------------------------ reachability
-
-
-def reaches(g: Graph, v: str, w: str) -> bool:
-    """True iff there is a path (possibly empty) from v to w."""
-    return bool(g._reach[g.index(v)] >> g.index(w) & 1)
-
-
 # ------------------------------------------- hereditary / saturated sets
 
 
@@ -292,24 +272,6 @@ def is_saturated(g: Graph, h: int) -> bool:
         if g.is_regular(i) and not (g.successors[i] & ~h):
             return False
     return True
-
-
-def saturated_hereditary_closure(g: Graph, x: int) -> int:
-    """Smallest hereditary and saturated superset of x."""
-    h = x
-    changed = True
-    while changed:
-        changed = False
-        for i in iter_bits(h):
-            add = g.successors[i] & ~h
-            if add:
-                h |= add
-                changed = True
-        for i in range(g.n):
-            if not (h >> i & 1) and g.is_regular(i) and not (g.successors[i] & ~h):
-                h |= 1 << i
-                changed = True
-    return h
 
 
 def breaking_vertices(g: Graph, h: int) -> int:

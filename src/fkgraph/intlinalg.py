@@ -15,7 +15,7 @@ and no automorphism group is ever built whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from math import gcd
 from operator import mul
@@ -96,9 +96,6 @@ class IntMatrix:
 
     def select_cols(self, idx: Sequence[int]) -> IntMatrix:
         return IntMatrix(self.rows, len(idx), tuple(tuple(r[j] for j in idx) for r in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -365,6 +362,14 @@ class FgAbGroup:
     def is_zero(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self.reduce(vec))
 
+    @cached_property
+    def relation_columns(self) -> IntMatrix:
+        """Columns d_i e_i for the torsion factors, built once per group."""
+        tors = [i for i, d in enumerate(self.invariant_factors) if d > 0]
+        return IntMatrix(self.ncoords, len(tors), tuple(
+            tuple(self.invariant_factors[j] if i == j else 0 for j in tors)
+            for i in range(self.ncoords)))
+
 
 def _sign_normalize(rows: list[list[int]], cosign: list[list[int]], free_idx: Iterable[int]) -> None:
     # flip a presentation row (and the matching section column) so its first
@@ -569,11 +574,7 @@ def group_iso_inverse(G: FgAbGroup, A: IntMatrix) -> IntMatrix | None:
     k = G.ncoords
     if A.rows != k or A.cols != k:
         raise ValueError("shape mismatch")
-    relcols = [i for i, d in enumerate(G.invariant_factors) if d != 0]
-    slack = IntMatrix(k, len(relcols),
-                      tuple(tuple(G.invariant_factors[j] if i == j else 0 for j in relcols)
-                            for i in range(k)))
-    aug = smith_decomposition(A.hstack(slack))
+    aug = smith_decomposition(A.hstack(G.relation_columns))
     cols = []
     for i in range(k):
         e = [1 if j == i else 0 for j in range(k)]
@@ -604,19 +605,11 @@ def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:
     return reduce_map(target, A).entries == reduce_map(target, B).entries
 
 
-def relation_columns(G: FgAbGroup) -> IntMatrix:
-    """Columns d_i e_i for the torsion factors of G, in G's coordinates."""
-    n = G.ncoords
-    tors = [i for i, d in enumerate(G.invariant_factors) if d > 0]
-    rows = [[G.invariant_factors[j] if i == j else 0 for j in tors] for i in range(n)]
-    return IntMatrix.from_rows(rows, cols=len(tors))
-
-
 def image_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
     """Column generators of the subgroup im(M) of `target`, relations included."""
     if M.rows != target.ncoords:
         raise ValueError("map does not land in target coordinates")
-    return M.hstack(relation_columns(target))
+    return M.hstack(target.relation_columns)
 
 
 def kernel_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
@@ -627,7 +620,7 @@ def kernel_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
     """
     if M.rows != target.ncoords:
         raise ValueError("map does not land in target coordinates")
-    block = M.hstack(relation_columns(target))
+    block = M.hstack(target.relation_columns)
     return kernel_basis(block).select_rows(range(M.cols))
 
 

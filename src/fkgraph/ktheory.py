@@ -10,18 +10,22 @@ an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
 (U2 \\ U1, U3 \\ U1) equal to the pair presents it, and `sequence_key` names
 that pair.  On a chain the matrix over D = H3 \\ H1 is block triangular; the
 connecting map feeds the off-diagonal block into the ideal's cokernel, and the
-exponential direction vanishes because vertex classes lift.  Exactness, with
-each map killing its source relations, is recomputed on every call.
-`assemble` builds one sequence per pair, while `check` still builds every
-chain.  K-data and presentation changes are cached per graph by carrier, in
-`Graph.carrier_cache`, so each is computed once however many chains use it.
+exponential direction vanishes because vertex classes lift.  Inclusions of
+carriers are index selections: a map through the 0/1 inclusion of one
+carrier's vertices (or regular columns) into another's is a projection with
+columns selected, or a lift with rows selected, never a matrix product.
+Exactness, with each map killing its source relations, is recomputed on
+every call.  `assemble` builds one sequence per pair, while `check` still
+builds every chain.  K-data and presentation changes are cached per graph by
+carrier, in `Graph.carrier_cache`, so each is computed once however many
+chains use it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
 from .graphs import Graph, iter_bits, subquotient_graph
@@ -35,7 +39,6 @@ from .intlinalg import (
     kernel_lattice,
     lattice_contains,
     reduce_map,
-    relation_columns,
     solve_exact,
 )
 from .report import Report
@@ -137,10 +140,16 @@ class SixTerm:
         )
 
 
-def _indicator(rows: Sequence[int], cols: Sequence[int]) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[1 if r == c else 0 for c in cols] for r in rows], cols=len(cols)
-    )
+def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
+    """Index in `within` of each item: a 0/1 inclusion matrix as a selection.
+
+    An item missing from `within` would have been a zero column of that matrix.
+    """
+    pos = {v: i for i, v in enumerate(within)}
+    try:
+        return [pos[v] for v in items]
+    except KeyError:
+        raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
 
 
 def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
@@ -150,7 +159,8 @@ def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
     The canonical carrier sits inside every presentation's carrier and
     saturates to all of it, so zero-extension of representatives and of
     kernel vectors induces isomorphisms on both K-groups.  Returns the pair
-    of matrices with their inverses; identity when the carriers agree.
+    of matrices with their inverses, or None (the identity) when the
+    carriers agree.
     """
     key = (canon_y.d, canon_y.h_v, raw_y.d, raw_y.h_v)
     return _memo(g, key, lambda: _build_transition(g, canon_y, canon_k, raw_y, raw_k))
@@ -159,15 +169,11 @@ def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
 def _build_transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
                       raw_y: LocallyClosedSet, raw_k: KData):
     if canon_y.d == raw_y.d:
-        n0 = IntMatrix.identity(canon_k.k0.ncoords)
-        n1 = IntMatrix.identity(canon_k.k1.ncoords)
-        return n0, n0, n1, n1
-    if canon_y.d & ~raw_y.d:
-        raise InternalInvariantError("canonical carrier escapes the presentation")
-    e_vert = _indicator(list(iter_bits(raw_y.d)), list(iter_bits(canon_y.d)))
-    e_reg = _indicator(_carrier(g, raw_y)[1], _carrier(g, canon_y)[1])
-    n0 = reduce_map(raw_k.k0, raw_k.k0.project @ e_vert @ canon_k.k0.lift)
-    n1 = reduce_map(raw_k.k1, raw_k.k1.project @ e_reg @ canon_k.k1.lift)
+        return None
+    verts = _positions(list(iter_bits(raw_y.d)), iter_bits(canon_y.d))
+    regs = _positions(_carrier(g, raw_y)[1], _carrier(g, canon_y)[1])
+    n0 = reduce_map(raw_k.k0, raw_k.k0.project.select_cols(verts) @ canon_k.k0.lift)
+    n1 = reduce_map(raw_k.k1, raw_k.k1.project.select_cols(regs) @ canon_k.k1.lift)
     inv0 = group_iso_inverse(raw_k.k0, n0)
     inv1 = group_iso_inverse(raw_k.k1, n1)
     if inv0 is None or inv1 is None:
@@ -175,12 +181,23 @@ def _build_transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
     return n0, inv0, n1, inv1
 
 
+def _pull(target: FgAbGroup, inv: IntMatrix | None, m: IntMatrix,
+          fwd: IntMatrix | None) -> IntMatrix:
+    """inv @ m @ fwd reduced into target; a None factor is an identity, skipped."""
+    if inv is not None:
+        m = inv @ m
+    if fwd is not None:
+        m = m @ fwd
+    return reduce_map(target, m)
+
+
 def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     """Six-term data for the chain, exactness-checked before returning.
 
-    The maps are computed on the chain's own presentations and then pulled
-    onto the canonical coordinates of each pointset, so matrices from
-    different triples compose.
+    The maps are computed on the chain's own presentations, by selecting the
+    ideal's and the quotient's vertices and regular columns inside the
+    middle carrier, and then pulled onto the canonical coordinates of each
+    pointset, so matrices from different triples compose.
     """
     for a, b in ((u1, u2), (u2, u3)):
         if a & ~b:
@@ -190,47 +207,41 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     y_a = presentation(sp, u3, u1)
     ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
 
-    verts_s, verts_q, verts_a = (list(iter_bits(y.d)) for y in (y_s, y_q, y_a))
-    b_a, regs_a_global = ka.matrix, _carrier(g, y_a)[1]
-    regs_s_global = [v for v in regs_a_global if y_s.d >> v & 1]
-    regs_q_global = [v for v in regs_a_global if y_q.d >> v & 1]
+    verts_a, regs_a = list(iter_bits(y_a.d)), _carrier(g, y_a)[1]
+    rows_s = _positions(verts_a, iter_bits(y_s.d))
+    rows_q = _positions(verts_a, iter_bits(y_q.d))
+    cols_s = _positions(regs_a, _carrier(g, y_s)[1])
+    cols_q = _positions(regs_a, _carrier(g, y_q)[1])
 
     # sub-block rows hit by quotient columns vanish by hereditarity of H2
-    rows_q = [verts_a.index(v) for v in verts_q]
-    cols_s = [regs_a_global.index(v) for v in regs_s_global]
-    if not b_a.select_rows(rows_q).select_cols(cols_s).is_zero():
+    b_a = ka.matrix.entries
+    if any(b_a[r][c] for r in rows_q for c in cols_s):
         raise InternalInvariantError("ideal columns leak into the quotient block")
-    rows_s = [verts_a.index(v) for v in verts_s]
-    cols_q = [regs_a_global.index(v) for v in regs_q_global]
-    c_block = b_a.select_rows(rows_s).select_cols(cols_q)
+    c_block = ka.matrix.select_rows(rows_s).select_cols(cols_q)
 
-    e_vert = _indicator(verts_a, verts_s)
-    r_vert = _indicator(verts_q, verts_a)
-    e_reg = _indicator(regs_a_global, regs_s_global)
-    r_reg = _indicator(regs_q_global, regs_a_global)
-
-    iota0 = reduce_map(ka.k0, ka.k0.project @ e_vert @ ks.k0.lift)
-    pi0 = reduce_map(kq.k0, kq.k0.project @ r_vert @ ka.k0.lift)
-    iota1 = reduce_map(ka.k1, ka.k1.project @ e_reg @ ks.k1.lift)
-    pi1 = reduce_map(kq.k1, kq.k1.project @ r_reg @ ka.k1.lift)
+    iota0 = reduce_map(ka.k0, ka.k0.project.select_cols(rows_s) @ ks.k0.lift)
+    pi0 = reduce_map(kq.k0, kq.k0.project @ ka.k0.lift.select_rows(rows_q))
+    iota1 = reduce_map(ka.k1, ka.k1.project.select_cols(cols_s) @ ks.k1.lift)
+    pi1 = reduce_map(kq.k1, kq.k1.project @ ka.k1.lift.select_rows(cols_q))
     partial = reduce_map(ks.k0, ks.k0.project @ c_block @ kq.k1.lift)
 
     cy_s = canonical_presentation(sp, y_s.pointset)
     cy_q = canonical_presentation(sp, y_q.pointset)
     cy_a = canonical_presentation(sp, y_a.pointset)
     cks, ckq, cka = k_data(g, cy_s), k_data(g, cy_q), k_data(g, cy_a)
-    s0, s0i, s1, s1i = _transition(g, cy_s, cks, y_s, ks)
-    q0, q0i, q1, q1i = _transition(g, cy_q, ckq, y_q, kq)
-    a0, a0i, a1, a1i = _transition(g, cy_a, cka, y_a, ka)
+    none = (None,) * 4
+    s0, s0i, s1, s1i = _transition(g, cy_s, cks, y_s, ks) or none
+    q0, q0i, q1, q1i = _transition(g, cy_q, ckq, y_q, kq) or none
+    a0, a0i, a1, a1i = _transition(g, cy_a, cka, y_a, ka) or none
 
     st = SixTerm(
         cks, cka, ckq,
-        iota0=reduce_map(cka.k0, a0i @ iota0 @ s0),
-        pi0=reduce_map(ckq.k0, q0i @ pi0 @ a0),
+        iota0=_pull(cka.k0, a0i, iota0, s0),
+        pi0=_pull(ckq.k0, q0i, pi0, a0),
         delta=IntMatrix.zero(cks.k1.ncoords, ckq.k0.ncoords),
-        iota1=reduce_map(cka.k1, a1i @ iota1 @ s1),
-        pi1=reduce_map(ckq.k1, q1i @ pi1 @ a1),
-        partial=reduce_map(cks.k0, s0i @ partial @ q1),
+        iota1=_pull(cka.k1, a1i, iota1, s1),
+        pi1=_pull(ckq.k1, q1i, pi1, a1),
+        partial=_pull(cks.k0, s0i, partial, q1),
     )
     fails = exactness_failures(st)
     if fails:
@@ -250,11 +261,11 @@ def exactness_failures(st: SixTerm) -> list[str]:
         f_name, f, _, mid = edges[k]
         g_name, gm, _, tgt = edges[(k + 1) % 6]
         img = image_lattice(mid, f)
-        killed = reduce_map(tgt, gm @ img)
-        if not killed.select_cols(range(f.cols, img.cols)).is_zero():
+        killed = reduce_map(tgt, gm @ img).entries
+        if any(x for row in killed for x in row[f.cols:]):
             fails.append(f"{g_name} does not kill source relations")
             continue
-        if not killed.select_cols(range(f.cols)).is_zero():
+        if any(x for row in killed for x in row[:f.cols]):
             fails.append(f"{g_name} after {f_name} is nonzero")
             continue
         if mid.ncoords == 0:
@@ -355,7 +366,7 @@ def cone_contains(k: KData, x, bound: int = 64) -> tuple[bool, bool]:
     tors_g = [g for g in gens if not any(g[i] for i in free_idx)]
     memb = IntMatrix.from_rows(
         [[g[i] for g in tors_g] for i in range(k0.ncoords)], cols=len(tors_g)
-    ).hstack(relation_columns(k0))
+    ).hstack(k0.relation_columns)
 
     def torsion_reachable(t) -> bool:
         return solve_exact(memb, t) is not None

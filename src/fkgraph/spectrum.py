@@ -4,13 +4,19 @@ A proper pair P is prime when meet(I, J) <= P forces I <= P or J <= P.
 Closures come from kernels (meets), opens from the sets W(I) of points not
 containing I.  Point subsets are bitmasks over the point list; opens are
 exactly the W(I), which is verified rather than assumed.
+
+Each `SpectrumSpace` keeps its own tables, filled on first use: phi of every
+open, the closure of each point subset asked for (always from its kernel, so
+the Kuratowski suite still tests kernels against unions), and the
+presentations of pointsets by pairs of opens.  Nothing is shared between
+spaces.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CapExceeded, InternalInvariantError
@@ -24,6 +30,11 @@ class SpectrumSpace:
     lattice: IdealLattice
     points: tuple[int, ...]   # lattice indices of the primes, in lattice order
     opens: tuple[int, ...]    # every open point-subset, sorted by (size, mask)
+    # tables filled on first use: point mask -> closure, (u, v) -> presentation,
+    # pointset -> canonical presentation
+    _closures: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _presentations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _canonical: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def graph(self) -> Graph:
@@ -45,24 +56,26 @@ class SpectrumSpace:
         return self.lattice.meet_many(self.points[k] for k in iter_bits(tmask))
 
     def closure(self, tmask: int) -> int:
-        kt = self.ker(tmask)
-        out = 0
-        for k in range(self.npoints):
-            if self.lattice.leq(kt, self.points[k]):
-                out |= 1 << k
-        return out
+        """Points above ker(tmask), computed once per mask."""
+        if tmask not in self._closures:
+            kt = self.ker(tmask)
+            self._closures[tmask] = mask_of(
+                k for k, p in enumerate(self.points) if self.lattice.leq(kt, p))
+        return self._closures[tmask]
 
     def w_set(self, i: int) -> int:
         """Points whose pair does not lie above lattice element i."""
         return _w_set(self.lattice, self.points, i)
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set
+        return mask in self._phis
 
     def phi(self, umask: int) -> int:
-        if not self.is_open(umask):
-            raise ValueError(f"{umask:#b} is not an open set")
-        return self.ker(self.full & ~umask)
+        """The ideal of an open: the kernel of its complement."""
+        try:
+            return self._phis[umask]
+        except KeyError:
+            raise ValueError(f"{umask:#b} is not an open set") from None
 
     def min_open_containing(self, tmask: int) -> int:
         """Intersection of all opens containing tmask; open in a finite space."""
@@ -83,8 +96,9 @@ class SpectrumSpace:
         return tuple(self.closure(1 << k) for k in range(self.npoints))
 
     @cached_property
-    def _open_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
+    def _phis(self) -> dict[int, int]:
+        """open -> its ideal; the keys are exactly the opens."""
+        return {u: self.ker(self.full & ~u) for u in self.opens}
 
 
 def _w_set(lat: IdealLattice, points: tuple[int, ...], i: int) -> int:
@@ -138,18 +152,22 @@ class LocallyClosedSet:
 
 def presentation(sp: SpectrumSpace, u: int, v: int) -> LocallyClosedSet:
     """The pointset u \\ v presented by the opens v <= u, with its carrier."""
-    hu = sp.lattice.pairs[sp.phi(u)].h
-    hv = sp.lattice.pairs[sp.phi(v)].h
-    return LocallyClosedSet(u & ~v, u, v, hu & ~hv, hu, hv)
+    if (u, v) not in sp._presentations:
+        hu = sp.lattice.pairs[sp.phi(u)].h
+        hv = sp.lattice.pairs[sp.phi(v)].h
+        sp._presentations[u, v] = LocallyClosedSet(u & ~v, u, v, hu & ~hv, hu, hv)
+    return sp._presentations[u, v]
 
 
 def canonical_presentation(sp: SpectrumSpace, pointset: int) -> LocallyClosedSet:
     """The minimal-hull presentation of a locally closed pointset."""
-    umin = sp.min_open_containing(pointset)
-    vc = umin & ~pointset
-    if not sp.is_open(vc):
-        raise ValueError(f"{pointset:#b} is not locally closed")
-    return presentation(sp, umin, vc)
+    if pointset not in sp._canonical:
+        umin = sp.min_open_containing(pointset)
+        vc = umin & ~pointset
+        if not sp.is_open(vc):
+            raise ValueError(f"{pointset:#b} is not locally closed")
+        sp._canonical[pointset] = presentation(sp, umin, vc)
+    return sp._canonical[pointset]
 
 
 def locally_closed_sets(sp: SpectrumSpace) -> tuple[LocallyClosedSet, ...]:

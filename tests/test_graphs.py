@@ -13,7 +13,6 @@ from fkgraph.graphs import (
     Graph,
     breaking_vertices,
     graph_from_edges,
-    graph_to_json_dict,
     is_hereditary,
     is_saturated,
     iter_bits,
@@ -22,12 +21,11 @@ from fkgraph.graphs import (
     parse_graph,
     parse_graph_auto,
     parse_graph_json,
-    reaches,
     return_path_count,
     satisfies_condition_K,
-    saturated_hereditary_closure,
     subquotient_graph,
 )
+from fkgraph.lattice import enumerate_admissible_pairs
 
 from oracles import (
     all_subsets,
@@ -86,11 +84,19 @@ def test_parse_empty_text_gives_empty_graph():
     assert g.full_mask == 0
 
 
+def _json_mirror(g: Graph) -> dict:
+    edges = [{"src": g.vertices[i], "dst": g.vertices[j],
+              "mult": "inf" if g.mult[i][j] is INF else g.mult[i][j]}
+             for i in range(g.n) for j in range(g.n)
+             if g.mult[i][j] is INF or g.mult[i][j] > 0]
+    return {"vertices": list(g.vertices), "edges": edges}
+
+
 def test_json_mirror_roundtrip(corpus):
     import json
 
     for name, g in corpus.items():
-        text = json.dumps(graph_to_json_dict(g))
+        text = json.dumps(_json_mirror(g))
         g2 = parse_graph_json(text)
         assert g2 == g, name
         assert parse_graph_auto(text) == g
@@ -132,10 +138,17 @@ def test_unknown_vertex_raises(corpus):
     with pytest.raises(ValueError):
         corpus["g1"].index("nope")
     with pytest.raises(ValueError):
-        reaches(corpus["g1"], "v", "nope")
+        corpus["g1"].vertex_mask(["v", "nope"])
 
 
 # ------------------------------------------------------------ reachability
+
+
+def reaches(g: Graph, v: str, w: str) -> bool:
+    """w lies in every hereditary set holding v: the forward closure of v
+    is hereditary, so this is reachability, read off `is_hereditary`."""
+    i, j = g.index(v), g.index(w)
+    return all(h >> j & 1 for h in range(1 << g.n) if h >> i & 1 and is_hereditary(g, h))
 
 
 def test_reaches_fixed(corpus):
@@ -162,6 +175,16 @@ def test_hereditary_saturated_match_oracles(corpus):
             mask = mask_of(s)
             assert is_hereditary(g, mask) == oracle_hereditary(g, s), (name, s)
             assert is_saturated(g, mask) == oracle_saturated(g, s), (name, s)
+
+
+def saturated_hereditary_closure(g: Graph, x: int) -> int:
+    """The least hereditary saturated superset of x: the intersection of the
+    H of every admissible pair holding x (the top pair always does)."""
+    out = g.full_mask
+    for p in enumerate_admissible_pairs(g).pairs:
+        if not x & ~p.h:
+            out &= p.h
+    return out
 
 
 def test_closure_fixed_example(corpus):

@@ -8,14 +8,17 @@ from types import SimpleNamespace
 import pytest
 
 from fkgraph import ktheory
-from fkgraph.graphs import Graph
+from fkgraph.errors import InternalInvariantError
+from fkgraph.graphs import Graph, graph_from_edges, iter_bits
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
+    group_iso_inverse,
     image_lattice,
     kernel_lattice,
     lattice_contains,
     maps_equal,
+    reduce_map,
 )
 from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
@@ -311,6 +314,106 @@ def test_chains_with_one_pair_share_their_maps(row_finite_corpus, free_antichain
             assert [e[1:] for e in st.edges()] == [e[1:] for e in ref.edges()], (name, chain)
         if name == "free_antichain":  # 4**4 chains, 3**4 pairs
             assert len(first) == 81
+
+
+def _indicator(rows, cols):
+    return IntMatrix.from_rows([[1 if r == c else 0 for c in cols] for r in rows],
+                               cols=len(cols))
+
+
+def _reference_transition(g, canon_y, canon_k, raw_y, raw_k):
+    """The presentation change as products with 0/1 inclusion matrices."""
+    if canon_y.d == raw_y.d:
+        n0 = IntMatrix.identity(canon_k.k0.ncoords)
+        n1 = IntMatrix.identity(canon_k.k1.ncoords)
+        return n0, n0, n1, n1
+    e_vert = _indicator(list(iter_bits(raw_y.d)), list(iter_bits(canon_y.d)))
+    e_reg = _indicator(ktheory._carrier(g, raw_y)[1], ktheory._carrier(g, canon_y)[1])
+    n0 = reduce_map(raw_k.k0, raw_k.k0.project @ e_vert @ canon_k.k0.lift)
+    n1 = reduce_map(raw_k.k1, raw_k.k1.project @ e_reg @ canon_k.k1.lift)
+    inv0, inv1 = group_iso_inverse(raw_k.k0, n0), group_iso_inverse(raw_k.k1, n1)
+    assert inv0 is not None and inv1 is not None
+    return n0, inv0, n1, inv1
+
+
+def _reference_maps(g, sp, u1, u2, u3):
+    """The six maps as project @ E @ lift with 0/1 inclusions E, pulled onto
+    canonical coordinates by full products, identities included."""
+    y_s, y_q, y_a = presentation(sp, u2, u1), presentation(sp, u3, u2), presentation(sp, u3, u1)
+    ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
+    verts_s, verts_q, verts_a = (list(iter_bits(y.d)) for y in (y_s, y_q, y_a))
+    regs_a = ktheory._carrier(g, y_a)[1]
+    regs_s = [v for v in regs_a if y_s.d >> v & 1]
+    regs_q = [v for v in regs_a if y_q.d >> v & 1]
+    c_block = ka.matrix.select_rows([verts_a.index(v) for v in verts_s]).select_cols(
+        [regs_a.index(v) for v in regs_q])
+    raw = {
+        "iota0": reduce_map(ka.k0, ka.k0.project @ _indicator(verts_a, verts_s) @ ks.k0.lift),
+        "pi0": reduce_map(kq.k0, kq.k0.project @ _indicator(verts_q, verts_a) @ ka.k0.lift),
+        "iota1": reduce_map(ka.k1, ka.k1.project @ _indicator(regs_a, regs_s) @ ks.k1.lift),
+        "pi1": reduce_map(kq.k1, kq.k1.project @ _indicator(regs_q, regs_a) @ ka.k1.lift),
+        "partial": reduce_map(ks.k0, ks.k0.project @ c_block @ kq.k1.lift),
+    }
+    t, ck = {}, {}
+    for part, y, k in (("s", y_s, ks), ("q", y_q, kq), ("a", y_a, ka)):
+        cy = canonical_presentation(sp, y.pointset)
+        ck[part] = k_data(g, cy)
+        t[part] = _reference_transition(g, cy, ck[part], y, k)
+    return [
+        reduce_map(ck["a"].k0, t["a"][1] @ raw["iota0"] @ t["s"][0]),
+        reduce_map(ck["q"].k0, t["q"][1] @ raw["pi0"] @ t["a"][0]),
+        IntMatrix.zero(ck["s"].k1.ncoords, ck["q"].k0.ncoords),
+        reduce_map(ck["a"].k1, t["a"][3] @ raw["iota1"] @ t["s"][2]),
+        reduce_map(ck["q"].k1, t["q"][3] @ raw["pi1"] @ t["a"][2]),
+        reduce_map(ck["s"].k0, t["s"][1] @ raw["partial"] @ t["q"][2]),
+    ]
+
+
+# Saturation enlarges some presentations' carriers so that the canonical
+# coordinates come out permuted: the pull-backs multiply by swaps, on K0 only
+# in the first graph and on K0 and K1 in the second.  In the corpus every
+# presentation change is an identity matrix.
+SWAPPED = {
+    "source_into_sinks": graph_from_edges(
+        ["v0", "v1", "v2", "v3"], [("v2", "v0", 2), ("v2", "v3", 1)]),
+    "source_into_loops": graph_from_edges(
+        ["v0", "v1", "v2", "v3"],
+        [("v0", "v0", 1), ("v2", "v2", 1), ("v3", "v1", 1), ("v3", "v2", 1)]),
+}
+
+
+def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichain, deep7):
+    # index selections and skipped identity pull-backs give the matrices the
+    # 0/1 inclusion products give, on every chain and every presentation change
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7, **SWAPPED)
+    swaps = Counter()
+    for name, g in graphs.items():
+        sp = spectrum_of(g)
+        chains = list(open_triples(sp))
+        for chain in chains:
+            got = [e[1] for e in six_term(g, sp, *chain).edges()]
+            assert got == _reference_maps(g, sp, *chain), (name, chain)
+        for u, v in itertools.product(sp.opens, repeat=2):
+            if v & ~u:
+                continue
+            raw = presentation(sp, u, v)
+            canon = canonical_presentation(sp, raw.pointset)
+            args = (g, canon, k_data(g, canon), raw, k_data(g, raw))
+            want = _reference_transition(*args)
+            got = ktheory._transition(*args)
+            assert (got is None) == (canon.d == raw.d), (name, u, v)
+            assert got is None or got == want, (name, u, v)
+            swaps[name] += got is not None and any(
+                m != IntMatrix.identity(m.rows) for m in got)
+        if name == "deep7":  # the 7-point check-deep shape: 525 chains
+            assert sp.npoints == 7 and len(chains) == 525
+    assert +swaps == {name: 1 for name in SWAPPED}
+
+
+def test_carrier_escape_raises_instead_of_a_zero_column():
+    with pytest.raises(InternalInvariantError):
+        ktheory._positions([0, 2, 5], [2, 3])
+    assert ktheory._positions([0, 2, 5], [5, 0]) == [2, 0]
 
 
 def _group(factors):

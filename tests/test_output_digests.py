@@ -62,8 +62,31 @@ PAIRS["compare-swap/z5"] = _swap(3, 5)
 PAIRS["compare-self/z2^5"] = (_blocks(*[[[3]]] * 5),) * 2
 
 
+def _deep(kinds: str, dag: list[tuple[int, int]], d: int) -> list[list[int]]:
+    """Components in order ('f' the free 2-vertex block, '1' the one-vertex
+    Z/d block), plus one edge from the first vertex of component i to the
+    first vertex of component j for each DAG edge (i, j)."""
+    comps = [[[2, 1], [1, 2]] if k == "f" else [[d + 1]] for k in kinds]
+    mult = _blocks(*comps)
+    first = [sum(map(len, comps[:c])) for c in range(len(comps))]
+    for i, j in dag:
+        mult[first[i]][first[j]] += 1
+    return mult
+
+
+# The check-deep shapes of the benchmark: 5, 6 and 7 points, one free block,
+# the same DAGs and torsion orders; `check` builds every chain's sequence.
+DEEP = {
+    "5pt": _deep("11f11", [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)], 3),
+    "6pt": _deep("111f11", [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3),
+                            (3, 4)], 2),
+    "7pt": _deep("111f111", [(0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+                             (2, 6), (3, 4), (3, 6), (4, 5)], 5),
+}
+
+
 def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
-    """Name -> argv; the files of PAIRS are written into `tmp`."""
+    """Name -> argv; the files of PAIRS and DEEP are written into `tmp`."""
     out = {}
     for name in CORPUS:
         path = str(GRAPHS / f"{name}.graph")
@@ -78,6 +101,11 @@ def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
             path.write_text(_graph_text(mult))
             paths.append(str(path))
         out[name] = ["compare", *paths, "--format", "json"]
+    for name, mult in DEEP.items():
+        path = tmp / f"deep-{name}.graph"
+        path.write_text(_graph_text(mult))
+        out[f"check/deep-{name}"] = ["check", str(path), "--format", "json"]
+        out[f"k-all/deep-{name}"] = ["k", str(path), "--all", "--format", "json"]
     return out
 
 
@@ -160,6 +188,12 @@ DIGESTS = {
     "compare-swap/z2^4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z5": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
     "compare-self/z2^5": (0, "d0a8319af94e9fc979c52a20af8289bdbb2bb9b7d9245dea397a0d5d7a15c4aa"),
+    "check/deep-5pt": (0, "6a9d1c5b939d164d3f38c6468b1a68931b9297ddfa36bf85156a6872c7f01259"),
+    "k-all/deep-5pt": (0, "c997343058eb1832b752d611b5a577f8b92dfb463bf5ca85b0043d134ccac9c8"),
+    "check/deep-6pt": (0, "1ec394c91e6833cc1d5c1eef1337486b6711a84c58cab48cd68f15e10399fbd8"),
+    "k-all/deep-6pt": (0, "dc0021fe772303311241da9acbba9c2d8fa1f24b20f71e8975ad8760a64bb63f"),
+    "check/deep-7pt": (0, "67f7eff21e34815ef56608d384ff9bf2e814995d8a176fa7d50634d8cfaa200d"),
+    "k-all/deep-7pt": (0, "fc8b36250266f23cc9c1c53a48de8541e38a2428f8d8e185704536776e3effd7"),
 }
 
 

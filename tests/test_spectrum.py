@@ -1,11 +1,18 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from fkgraph import spectrum
 from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs
 from fkgraph.spectrum import (
+    LocallyClosedSet,
+    SpectrumSpace,
     _subset_samples,
+    canonical_presentation,
     locally_closed_sets,
+    presentation,
     s_primes,
     verify_kernel_identity,
     verify_kuratowski,
@@ -138,6 +145,96 @@ def test_verifier_suites_pass(corpus):
             assert rep.checks > 0
         rep = verify_t0(sp)
         assert rep.passed, f"{name}: {rep.line()}"  # vacuous on one point
+
+
+def _fresh_ker(sp, tmask):
+    lat, acc = sp.lattice, sp.lattice.top
+    for k in range(sp.npoints):
+        if tmask >> k & 1:
+            acc = lat.meet[acc][sp.points[k]]
+    return acc
+
+
+def test_tables_match_fresh_computation(corpus, free_antichain):
+    for name, g in dict(corpus, free_antichain=free_antichain).items():
+        sp = spectrum_of(g)
+        lat = sp.lattice
+        for _ in range(2):   # the second pass reads the tables
+            for u in sp.opens:
+                assert sp.phi(u) == _fresh_ker(sp, sp.full & ~u), (name, u)
+            for t in range(1 << sp.npoints):
+                kt = _fresh_ker(sp, t)
+                want = sum(1 << k for k, p in enumerate(sp.points) if lat.leq(kt, p))
+                assert sp.closure(t) == want, (name, t)
+            for u, v in itertools.product(sp.opens, repeat=2):
+                if v & ~u:
+                    continue
+                hu = lat.pairs[_fresh_ker(sp, sp.full & ~u)].h
+                hv = lat.pairs[_fresh_ker(sp, sp.full & ~v)].h
+                assert presentation(sp, u, v) == LocallyClosedSet(
+                    u & ~v, u, v, hu & ~hv, hu, hv), (name, u, v)
+
+
+def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch):
+    kers, builds, hulls = [], Counter(), Counter()
+    real_ker, real_hull = SpectrumSpace.ker, SpectrumSpace.min_open_containing
+
+    def ker(self, tmask):
+        kers.append(tmask)
+        return real_ker(self, tmask)
+
+    def hull(self, tmask):
+        hulls[id(self), tmask] += 1
+        return real_hull(self, tmask)
+
+    def lcs(*args):
+        builds[args[1:3]] += 1
+        return LocallyClosedSet(*args)
+
+    monkeypatch.setattr(SpectrumSpace, "ker", ker)
+    monkeypatch.setattr(SpectrumSpace, "min_open_containing", hull)
+    monkeypatch.setattr(spectrum, "LocallyClosedSet", lcs)
+    lat = enumerate_admissible_pairs(free_antichain)
+    spaces = [s_primes(lat), s_primes(lat)]   # equal, but each has its own tables
+    assert spaces[0] == spaces[1]
+    for sp in spaces:
+        kers.clear()
+        for _ in range(3):
+            for u in sp.opens:
+                sp.phi(u)
+        assert sorted(kers) == sorted(sp.full & ~u for u in sp.opens)
+        kers.clear()
+        for _ in range(3):
+            for t in range(1 << sp.npoints):
+                sp.closure(t)
+        assert sorted(kers) == list(range(1 << sp.npoints))
+        kers.clear()
+        for _ in range(3):
+            for u, v in itertools.product(sp.opens, repeat=2):
+                if not v & ~u:
+                    presentation(sp, u, v)
+                    canonical_presentation(sp, u & ~v)
+        assert kers == []   # presentations read phi's table
+    # one build per (u, v) and space, shared by the canonical table; one hull
+    # per pointset and space
+    assert set(builds.values()) == {2} and set(hulls.values()) == {1}
+    assert len(hulls) == 2 * len(locally_closed_sets(spaces[0]))
+
+
+def test_kuratowski_tests_kernels_against_unions(free_antichain):
+    # corrupt the meet of two points: their kernel closure loses one of them,
+    # which the suite must see; a closure assembled from point closures
+    # would satisfy union splitting by construction and hide it
+    sp = spectrum_of(free_antichain)
+    assert verify_kuratowski(sp).passed
+    p, q = sp.points[0], sp.points[1]
+    meet = [list(r) for r in sp.lattice.meet]
+    meet[p][q] = meet[q][p] = p
+    bad = SpectrumSpace(replace(sp.lattice, meet=tuple(map(tuple, meet))),
+                        sp.points, sp.opens)
+    rep = verify_kuratowski(bad)
+    assert not rep.passed
+    assert "closure(0b1 | 0b10) != union of closures" in rep.failures
 
 
 def test_subset_samples_exhaustive_through_seven_points():

@@ -4,7 +4,7 @@ import inspect
 import pathlib
 import random
 
-from fkgraph import intlinalg, invariant, spectrum
+from fkgraph import intlinalg, invariant, ktheory, spectrum
 from fkgraph.graphs import graph_from_edges
 from fkgraph.intlinalg import IntMatrix
 
@@ -74,3 +74,22 @@ def test_rebound_smith_decomposition_sees_every_caller(monkeypatch):
     intlinalg.group_iso_inverse(free2, mats[3])
     intlinalg.solve_exact(mats[4], (1, 2, 3))
     assert seen == mats
+
+
+def test_exactness_suite_calls_rebindable_globals(monkeypatch):
+    # ktheory.six_term_calls, exactness_s and k_data_calls count calls
+    # through these module globals, so `check` must reach them there
+    seen = []
+    for name in ("six_term", "exactness_failures", "k_data"):
+        real = getattr(ktheory, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ktheory, name, wrapper)
+    g = graph_from_edges(["v", "w"], [("v", "v", 2), ("v", "w", 1), ("w", "w", 3)])
+    sp = spectrum.s_primes(spectrum.enumerate_admissible_pairs(g))
+    assert ktheory.verify_exactness(g, sp).passed
+    chains = len(list(ktheory.open_triples(sp)))
+    assert seen.count("six_term") == seen.count("exactness_failures") == chains
+    assert seen.count("k_data") == 6 * chains

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import CapExceeded, ParseError
@@ -31,8 +30,6 @@ from .spectrum import (
     verify_open_ideal_iso,
     verify_t0,
 )
-
-BUDGET_ENV = "FK_GRAPH_BUDGET"
 
 
 def _names(g: Graph, mask: int) -> list[str]:
@@ -58,6 +55,14 @@ def _covers(n: int, leq) -> list[tuple[int, int]]:
                        for k in range(n)):
                 out.append((i, j))
     return out
+
+
+def _hasse_dot(name: str, prefix: str, labels: list[str], cov) -> str:
+    """A Hasse diagram in DOT, bottom up: node k is `{prefix}{k}`."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  {prefix}{k} [label="{label}"];' for k, label in enumerate(labels)]
+    lines += [f"  {prefix}{i} -> {prefix}{j};" for i, j in cov]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _emit(payload: dict, text: str, dot: str | None, cfg) -> None:
@@ -92,15 +97,9 @@ def _run_spectrum(cfg) -> int:
         lines.append("  {" + ",".join(f"p{k}" for k in u) + "}")
     text = "\n".join(lines) + "\n"
 
-    cov = _covers(sp.npoints, sp.specializes)
-    dot_lines = ["digraph spectrum {", "  rankdir=BT;"]
-    for p in points:
-        label = f"p{p['index']}: {{{','.join(p['h'])}}}"
-        dot_lines.append(f'  p{p["index"]} [label="{label}"];')
-    for i, j in cov:
-        dot_lines.append(f"  p{i} -> p{j};")
-    dot_lines.append("}")
-    _emit(payload, text, "\n".join(dot_lines) + "\n", cfg)
+    labels = [f"p{p['index']}: {{{','.join(p['h'])}}}" for p in points]
+    dot = _hasse_dot("spectrum", "p", labels, _covers(sp.npoints, sp.specializes))
+    _emit(payload, text, dot, cfg)
     return 0
 
 
@@ -122,14 +121,8 @@ def _run_lattice(cfg) -> int:
     lines.append("covers: " + (" ".join(f"i{i}<i{j}" for i, j in cov) or "none"))
     text = "\n".join(lines) + "\n"
 
-    dot_lines = ["digraph lattice {", "  rankdir=BT;"]
-    for p in pairs:
-        label = f"H={{{','.join(p['h'])}}} S={{{','.join(p['s'])}}}"
-        dot_lines.append(f'  i{p["index"]} [label="{label}"];')
-    for i, j in cov:
-        dot_lines.append(f"  i{i} -> i{j};")
-    dot_lines.append("}")
-    _emit(payload, text, "\n".join(dot_lines) + "\n", cfg)
+    labels = [f"H={{{','.join(p['h'])}}} S={{{','.join(p['s'])}}}" for p in pairs]
+    _emit(payload, text, _hasse_dot("lattice", "i", labels, cov), cfg)
     return 0
 
 
@@ -264,16 +257,6 @@ def _run_check(cfg) -> int:
 
 # -- plumbing ---------------------------------------------------------------
 
-def _budget_default() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fk-graph")
     sub = top.add_subparsers(dest="command", required=True)
@@ -306,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--no-unit", dest="no_unit", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(p)
 
     p = sub.add_parser("check", help="run the property suites on one graph")
@@ -335,11 +318,8 @@ def main(argv=None) -> int:
             raise ParseError("--dot and --format json are mutually exclusive")
         if cfg.vertex_cap < 1 or cfg.point_cap < 1:
             raise ParseError("caps must be positive")
-        if cfg.command == "compare":
-            if cfg.budget is None:
-                cfg.budget = _budget_default()
-            if cfg.budget < 1:
-                raise ParseError("budget must be >= 1")
+        if cfg.command == "compare" and cfg.budget < 1:
+            raise ParseError("budget must be >= 1")
         return _RUNNERS[cfg.command](cfg)
     except CapExceeded as e:
         print(f"fk-graph: cap exceeded: {e}", file=sys.stderr)

@@ -77,10 +77,6 @@ class Graph:
         return len(self.vertices)
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.vertices)}
-
-    @cached_property
     def carrier_cache(self) -> dict:
         """Memo for data fixed by a subquotient carrier; filled by `ktheory`."""
         return {}
@@ -88,15 +84,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown vertex {name!r}") from None
-
-    def vertex_mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.index(v) for v in names)
 
     def out_total(self, i: int):
         """Total out-multiplicity of vertex i."""
@@ -166,8 +153,8 @@ def graph_from_edges(vertices: Iterable[str], edges: Iterable[tuple]) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the line format: `vertex NAME` / `edge SRC DST [K|inf]`, # comments."""
     vertices: list[str] = []
-    seen: dict[str, int] = {}
-    edges: list[tuple[int, int, object]] = []
+    seen: set[str] = set()
+    edges: list[tuple[str, str, Mult]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -180,7 +167,7 @@ def parse_graph(text: str) -> Graph:
             name = tokens[1]
             if name in seen:
                 raise ParseError(f"duplicate vertex {name!r}", lineno)
-            seen[name] = len(vertices)
+            seen.add(name)
             vertices.append(name)
         elif kw == "edge":
             if len(tokens) not in (3, 4):
@@ -201,14 +188,10 @@ def parse_graph(text: str) -> Graph:
                         raise ParseError(f"bad multiplicity {tokens[3]!r}", lineno)
             else:
                 k = 1
-            edges.append((seen[src], seen[dst], k))
+            edges.append((src, dst, k))
         else:
             raise ParseError(f"unknown directive {kw!r}", lineno)
-    n = len(vertices)
-    mat = [[0] * n for _ in range(n)]
-    for i, j, k in edges:
-        mat[i][j] = mult_add(mat[i][j], k)
-    return Graph(tuple(vertices), tuple(tuple(r) for r in mat))
+    return graph_from_edges(vertices, edges)
 
 
 def parse_graph_json(text: str) -> Graph:
@@ -222,16 +205,18 @@ def parse_graph_json(text: str) -> Graph:
     verts = obj["vertices"]
     if not isinstance(verts, list) or any(not isinstance(v, str) for v in verts):
         raise ParseError("`vertices` must be a list of strings")
-    if len(set(verts)) != len(verts):
+    names = set(verts)
+    if len(names) != len(verts):
         raise ParseError("duplicate vertex name")
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    mat = [[0] * n for _ in range(n)]
-    for e in obj.get("edges", []):
+    raw_edges = obj.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ParseError("`edges` must be a list")
+    edges = []
+    for e in raw_edges:
         if not isinstance(e, dict) or not {"src", "dst"} <= set(e):
             raise ParseError("each edge needs `src` and `dst`")
         for v in (e["src"], e["dst"]):
-            if v not in idx:
+            if not isinstance(v, str) or v not in names:
                 raise ParseError(f"unknown vertex {v!r}")
         m = e.get("mult", 1)
         if m == "inf":
@@ -240,9 +225,8 @@ def parse_graph_json(text: str) -> Graph:
             k = m
         else:
             raise ParseError(f"bad multiplicity {m!r}")
-        i, j = idx[e["src"]], idx[e["dst"]]
-        mat[i][j] = mult_add(mat[i][j], k)
-    return Graph(tuple(verts), tuple(tuple(r) for r in mat))
+        edges.append((e["src"], e["dst"], k))
+    return graph_from_edges(verts, edges)
 
 
 def parse_graph_auto(text: str) -> Graph:

@@ -359,9 +359,6 @@ class FgAbGroup:
     def project_vec(self, ambient: Sequence[int]) -> tuple[int, ...]:
         return self.reduce(self.project.apply(ambient))
 
-    def is_zero(self, vec: Sequence[int]) -> bool:
-        return all(v == 0 for v in self.reduce(vec))
-
     @cached_property
     def relation_columns(self) -> IntMatrix:
         """Columns d_i e_i for the torsion factors, built once per group."""
@@ -405,11 +402,6 @@ def cokernel(M: IntMatrix) -> FgAbGroup:
         project=IntMatrix.from_rows(proj, cols=M.rows),
         lift=IntMatrix.from_rows(lift, cols=len(keep)) if M.rows else IntMatrix.zero(0, len(keep)),
     )
-
-
-def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice {x : M x = 0}."""
-    return kernel_group(M).lift
 
 
 @cache
@@ -621,7 +613,7 @@ def kernel_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
     if M.rows != target.ncoords:
         raise ValueError("map does not land in target coordinates")
     block = M.hstack(target.relation_columns)
-    return kernel_basis(block).select_rows(range(M.cols))
+    return kernel_group(block).lift.select_rows(range(M.cols))
 
 
 def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InternalInvariantError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, mask_of
 from .intlinalg import (
     IntMatrix,
     group_iso_inverse,
@@ -26,8 +26,8 @@ from .intlinalg import (
     iso_search_complete,
     maps_equal,
 )
-from .ktheory import (KData, SixTerm, cone_contains, k_data, open_triples,
-                      sequence_key, six_term)
+from .ktheory import (SIX_EDGES, KData, SixTerm, cone_contains, k_data,
+                      pair_chains, six_term)
 from .report import Report
 from .spectrum import (LocallyClosedSet, SpectrumSpace, capped_spectrum,
                        locally_closed_sets)
@@ -49,10 +49,10 @@ class FilteredK:
 
     kmap keys are exactly the locally closed pointsets of the space.
     sequences holds one `SixTerm` per (sub, mid) pair that an open chain
-    U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair
-    (`ktheory.sequence_key`) in first-seen `open_triples` order.  Without
-    row-finiteness the K layer cannot be built from the data at hand and both
-    mappings are empty; k_complete says which case we are in.
+    U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
+    `ktheory.pair_chains` order.  Without row-finiteness the K layer cannot
+    be built from the data at hand and both mappings are empty; k_complete
+    says which case we are in.
     """
 
     graph: Graph
@@ -86,10 +86,7 @@ def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,
         return FilteredK(g, sp, lcs, {}, {}, False)
     kmap = {y.pointset: k_data(g, y) for y in lcs}
     sequences = {}
-    for chain in open_triples(sp):
-        key = sequence_key(*chain)
-        if key in sequences:
-            continue
+    for key, chain in pair_chains(sp).items():
         st = sequences[key] = six_term(g, sp, *chain)
         if any(getattr(st, part) != kmap[mask] for part, mask in _parts(key).items()):
             raise InternalInvariantError("triple groups drift from kmap")
@@ -114,25 +111,7 @@ def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):
 
 
 def _map_mask(mask: int, perm) -> int:
-    out = 0
-    k = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[k]
-        mask >>= 1
-        k += 1
-    return out
-
-
-_EDGE_SLOTS = (
-    # edge name -> (src pointset, src level, tgt pointset, tgt level)
-    ("iota0", "sub", 0, "mid", 0),
-    ("pi0", "mid", 0, "quot", 0),
-    ("delta", "quot", 0, "sub", 1),
-    ("iota1", "sub", 1, "mid", 1),
-    ("pi1", "mid", 1, "quot", 1),
-    ("partial", "quot", 1, "sub", 0),
-)
+    return mask_of(perm[k] for k in iter_bits(mask))
 
 
 def _parts(key):
@@ -149,7 +128,7 @@ def _squares(a: FilteredK, b: FilteredK, sigma, key):
     st_a = a.sequences[key]
     st_b = b.sequences[tuple(_map_mask(y, sigma) for y in key)]
     parts = _parts(key)
-    for name, src, s_lv, tgt, t_lv in _EDGE_SLOTS:
+    for name, src, s_lv, tgt, t_lv in SIX_EDGES:
         kb = getattr(st_b, tgt)
         yield (name, parts[src], s_lv, parts[tgt], t_lv, getattr(st_a, name),
                getattr(st_b, name), kb.k1 if t_lv else kb.k0)
@@ -375,9 +354,11 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
 
     The homeomorphism is re-verified as an order isomorphism, each slot
     matrix as an invertible map matching the factor lists, cone and unit
-    conditions are re-decided, and every commuting square from every open
-    chain is recomputed from the stored matrices.  A witness is outside
-    input: whatever its shape, the result is a Report, never an exception.
+    conditions are re-decided, and the six commuting squares of each
+    (sub, mid) pair are recomputed once from the stored matrices; every open
+    chain presenting the pair has exactly those squares.  A witness is
+    outside input: whatever its shape, the result is a Report, never an
+    exception.
     """
     fails = []
     checks = 0
@@ -441,10 +422,9 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             checks += 1
             if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:
                 fails.append("unit class is not preserved")
-    for chain in open_triples(a.space):
-        squares = _squares(a, b, sigma, sequence_key(*chain))
-        for name, src, s_lv, tgt, t_lv, m_a, m_b, grp in squares:
+    for key in a.sequences:
+        for name, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
             checks += 1
             if not maps_equal(grp, alpha[tgt][t_lv] @ m_a, m_b @ alpha[src][s_lv]):
-                fails.append(f"{name} square fails at triple {chain}")
+                fails.append(f"{name} square fails at pair {key}")
     return Report("witness", checks, tuple(fails))

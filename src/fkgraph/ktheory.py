@@ -15,10 +15,10 @@ carriers are index selections: a map through the 0/1 inclusion of one
 carrier's vertices (or regular columns) into another's is a projection with
 columns selected, or a lift with rows selected, never a matrix product.
 Exactness, with each map killing its source relations, is recomputed on
-every call.  `assemble` builds one sequence per pair, while `check` still
-builds every chain.  K-data and presentation changes are cached per graph by
-carrier, in `Graph.carrier_cache`, so each is computed once however many
-chains use it.
+every call.  `assemble` builds one sequence per pair, on the chain
+`pair_chains` picks, while `check` still builds every chain.  K-data and
+presentation changes are cached per graph by carrier, in
+`Graph.carrier_cache`, so each is computed once however many chains use it.
 """
 
 from __future__ import annotations
@@ -107,6 +107,18 @@ def k_data(g: Graph, y: LocallyClosedSet) -> KData:
     return _carrier(g, y)[0]
 
 
+# the six maps of a sequence in cyclic order:
+# (map, source part, source level, target part, target level)
+SIX_EDGES = (
+    ("iota0", "sub", 0, "mid", 0),
+    ("pi0", "mid", 0, "quot", 0),
+    ("delta", "quot", 0, "sub", 1),
+    ("iota1", "sub", 1, "mid", 1),
+    ("pi1", "mid", 1, "quot", 1),
+    ("partial", "quot", 1, "sub", 0),
+)
+
+
 @dataclass(frozen=True)
 class SixTerm:
     """Maps of the cyclic sequence of an ideal sub inside a subquotient mid.
@@ -129,15 +141,11 @@ class SixTerm:
     partial: IntMatrix
 
     def edges(self):
-        """The six maps as (name, matrix, source group, target group)."""
-        return (
-            ("iota0", self.iota0, self.sub.k0, self.mid.k0),
-            ("pi0", self.pi0, self.mid.k0, self.quot.k0),
-            ("delta", self.delta, self.quot.k0, self.sub.k1),
-            ("iota1", self.iota1, self.sub.k1, self.mid.k1),
-            ("pi1", self.pi1, self.mid.k1, self.quot.k1),
-            ("partial", self.partial, self.quot.k1, self.sub.k0),
-        )
+        """The six maps as (name, matrix, source group, target group), as in SIX_EDGES."""
+        return [(name, getattr(self, name),
+                 getattr(self, src).k1 if s_lv else getattr(self, src).k0,
+                 getattr(self, tgt).k1 if t_lv else getattr(self, tgt).k0)
+                for name, src, s_lv, tgt, t_lv in SIX_EDGES]
 
 
 def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
@@ -284,6 +292,14 @@ def open_triples(sp: SpectrumSpace):
 def sequence_key(u1: int, u2: int, u3: int) -> tuple[int, int]:
     """The (sub, mid) pointsets U2 \\ U1, U3 \\ U1 that fix a chain's sequence."""
     return u2 & ~u1, u3 & ~u1
+
+
+def pair_chains(sp: SpectrumSpace) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The first open chain presenting each (sub, mid) pair, in `open_triples` order."""
+    first = {}
+    for chain in open_triples(sp):
+        first.setdefault(sequence_key(*chain), chain)
+    return first
 
 
 def verify_exactness(g: Graph, sp: SpectrumSpace) -> Report:

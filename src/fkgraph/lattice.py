@@ -9,7 +9,6 @@ uniqueness are verified, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CapExceeded, InternalInvariantError
 from .graphs import Graph, breaking_vertices, is_hereditary, is_saturated
@@ -50,16 +49,6 @@ class IdealLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        return {(p.h, p.s): i for i, p in enumerate(self.pairs)}
-
-    def index_of(self, h: int, s: int = 0) -> int:
-        try:
-            return self._index[(h, s)]
-        except KeyError:
-            raise ValueError(f"({h:#b}, {s:#b}) is not an admissible pair") from None
 
     def meet_many(self, indices) -> int:
         """Meet of a collection; the empty meet is the top element."""

@@ -136,3 +136,16 @@ def oracle_admissible_pairs(g: Graph) -> list[tuple[frozenset[int], frozenset[in
             for s in combinations(sorted(bh), r):
                 out.append((frozenset(h), frozenset(s)))
     return out
+
+
+def names_mask(g: Graph, names) -> int:
+    """Bitmask of the named vertices, by position in the vertex tuple."""
+    mask = 0
+    for v in names:
+        mask |= 1 << g.vertices.index(v)
+    return mask
+
+
+def pair_index(lat, h: int, s: int = 0) -> int:
+    """Position of the admissible pair (h, s) in the lattice's pair list."""
+    return [(p.h, p.s) for p in lat.pairs].index((h, s))

@@ -21,6 +21,8 @@ from fkgraph.spectrum import (
     verify_open_ideal_iso,
 )
 
+from oracles import names_mask, pair_index
+
 KURATOWSKI_BUDGET_S = 5.0   # criterion 1, whole corpus
 COMPARE_BUDGET_S = 10.0     # criterion 7, per fixture
 MIN_CORPUS = 12             # criterion 1, graph count
@@ -126,7 +128,7 @@ def test_criterion_6_fixed_k_values(corpus, capsys):
 
     g4 = corpus["g4"]
     sp = _spectrum(g4)
-    u_mid = sp.w_set(sp.lattice.index_of(g4.vertex_mask(["v2"])))
+    u_mid = sp.w_set(pair_index(sp.lattice, names_mask(g4, ["v2"])))
     st = six_term(g4, sp, 0, u_mid, sp.full)
     expect(st.partial.rows == st.partial.cols == 1
            and abs(st.partial.entries[0][0]) == 1, "g4 boundary iso")

@@ -10,6 +10,7 @@ import pytest
 
 import fkgraph
 from fkgraph.cli import main
+from fkgraph.invariant import DEFAULT_BUDGET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -112,18 +113,14 @@ def test_compare_examples(capsys):
     assert payload["outcome"] == "COMPATIBLE" and payload["unital"] is False
 
 
-def test_budget_sources(capsys, monkeypatch):
-    monkeypatch.setenv("FK_GRAPH_BUDGET", "3")
+def test_budget_sources(capsys):
     payload = run_json(capsys, "compare.schema.json", "compare",
                        gpath("g1"), gpath("g1"), "--format", "json")
-    assert payload["budget"] == 3
+    assert payload["budget"] == DEFAULT_BUDGET
     payload = run_json(capsys, "compare.schema.json", "compare",
                        gpath("g1"), gpath("g1"), "--budget", "1",
                        "--format", "json")
     assert payload["budget"] == 1
-    monkeypatch.setenv("FK_GRAPH_BUDGET", "x")
-    code, _, err = run(capsys, "compare", gpath("g1"), gpath("g1"))
-    assert code == 1 and "FK_GRAPH_BUDGET" in err
 
 
 def test_check_subcommand(capsys):
@@ -158,6 +155,16 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, _ = run(capsys, "spectrum", gpath("g3"), "--vertex-cap", "0")
     assert code == 1
+
+
+def test_malformed_json_graph_is_a_parse_error(capsys, tmp_path):
+    # these used to escape as TypeError tracebacks
+    path = tmp_path / "bad.graph"
+    for text, msg in (('{"vertices": ["a"], "edges": 5}', "`edges` must be a list"),
+                      ('{"vertices": ["a"], "edges": [{"src": ["a"], "dst": "a"}]}',
+                       "unknown vertex ['a']")):
+        path.write_text(text)
+        assert run(capsys, "spectrum", str(path)) == (1, "", f"fk-graph: {msg}\n")
 
 
 def test_byte_stable_outputs(capsys):

@@ -23,7 +23,6 @@ from fkgraph.intlinalg import (
     group_iso_inverse,
     group_isos,
     iso_search_complete,
-    kernel_basis,
     kernel_group,
     lattice_contains,
     maps_equal,
@@ -203,7 +202,7 @@ def test_cokernel_shifted_basis():
     assert G.invariant_factors == (0,)
     assert G.project_vec([1, 0]) == (1,)
     assert G.project_vec([0, 1]) == (0,)
-    K = kernel_basis(M)
+    K = kernel_group(M).lift
     assert K.cols == 1
     assert M @ K == IntMatrix.zero(M.rows, 1)
 
@@ -224,7 +223,7 @@ def test_cokernel_kills_image_and_sections():
         G = cokernel(M)
         # image of M maps to zero
         for j in range(n):
-            assert G.is_zero(G.project.apply(M.col(j)))
+            assert not any(G.reduce(G.project.apply(M.col(j))))
         # project @ lift = identity modulo the factors
         PL = G.project @ G.lift
         assert maps_equal(G, PL, IntMatrix.identity(G.ncoords))

@@ -299,3 +299,33 @@ def test_witness_replay_against_other_graphs_fails_cleanly(fks):
     w = compare(fks["blocks6"], fks["blocks6"]).witness
     rep = verify_compatible_witness(fks["blocks6"], fks["inf_emitter"], w)
     assert rep.failures == ("family witness without both K layers",)
+
+
+def test_witness_replay_reports_broken_square(fks):
+    # -1 on K1 of [0] keeps the slot invertible, and K1 carries no cone, so
+    # only a commuting square can object, once, at its (sub, mid) pair
+    w = compare(fks["g4"], fks["g4"]).witness
+    slot = next(s for s in w["slots"] if s["pointset"] == [0])
+    slot["alpha1"] = [[-x for x in row] for row in slot["alpha1"]]
+    rep = verify_compatible_witness(fks["g4"], fks["g4"], w)
+    assert rep.failures == ("iota1 square fails at pair (1, 3)",)
+
+
+def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
+    complete = {name: fk for name, fk in fks.items() if fk.k_complete}
+    witnesses = {name: compare(fk, fk).witness for name, fk in complete.items()}
+    calls = Counter()
+    squares = invariant._squares
+
+    def counting(a, b, sigma, key):
+        calls[key] += 1
+        return squares(a, b, sigma, key)
+
+    monkeypatch.setattr(invariant, "_squares", counting)
+    for name, fk in complete.items():
+        calls.clear()
+        assert verify_compatible_witness(fk, fk, witnesses[name]).passed, name
+        assert calls == dict.fromkeys(fk.sequences, 1), name
+    # more chains than pairs, so a replay walking chains fails above
+    mixed5 = complete["mixed5"]
+    assert len(list(open_triples(mixed5.space))) > len(mixed5.sequences)

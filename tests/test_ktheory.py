@@ -42,6 +42,8 @@ from fkgraph.spectrum import (
     s_primes,
 )
 
+from oracles import names_mask, pair_index
+
 
 def spectrum_of(g):
     return s_primes(enumerate_admissible_pairs(g))
@@ -118,7 +120,7 @@ def test_blocks6_middle_subquotient(corpus):
     g = corpus["blocks6"]
     sp = spectrum_of(g)
     lc = {y.pointset: y for y in locally_closed_sets(sp)}[0b010]
-    assert lc.d == g.vertex_mask(["y1", "y2"])
+    assert lc.d == names_mask(g, ["y1", "y2"])
     kd = k_data(g, lc)
     assert kd.matrix.entries == ((-1, 2), (2, -1))
     assert kd.k0.invariant_factors == (3,)
@@ -151,7 +153,7 @@ def test_k_data_rejects_bad_input(corpus):
         lc = locally_closed_sets(sp)[-1]
         k_data(corpus["inf_emitter"], lc)
     g = corpus["g4"]
-    v1 = g.vertex_mask(["v1"])
+    v1 = names_mask(g, ["v1"])
     with pytest.raises(ValueError):
         k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, v1, 0))  # {v1} not hereditary
 
@@ -189,7 +191,7 @@ def test_assemble_builds_each_carrier_once(row_finite_corpus, monkeypatch):
 def test_g4_triple_frozen_maps(corpus):
     g = corpus["g4"]
     sp = spectrum_of(g)
-    u_mid = sp.w_set(sp.lattice.index_of(g.vertex_mask(["v2"])))
+    u_mid = sp.w_set(pair_index(sp.lattice, names_mask(g, ["v2"])))
     st = six_term(g, sp, 0, u_mid, sp.full)
     one = IntMatrix.from_rows([[1]])
     zero = IntMatrix.from_rows([[0]])
@@ -205,7 +207,7 @@ def test_g4_triple_frozen_maps(corpus):
 def test_g3_triple_all_trivial(corpus):
     g = corpus["g3"]
     sp = spectrum_of(g)
-    u_mid = sp.w_set(sp.lattice.index_of(g.vertex_mask(["v2"])))
+    u_mid = sp.w_set(pair_index(sp.lattice, names_mask(g, ["v2"])))
     st = six_term(g, sp, 0, u_mid, sp.full)
     for _, m, src, tgt in st.edges():
         assert src.invariant_factors == () and tgt.invariant_factors == ()
@@ -256,15 +258,15 @@ def test_fanout_presentations_disagree_on_carrier(corpus):
     # groups agree, carriers do not, and that is the expected geometry
     g = corpus["fanout"]
     sp = spectrum_of(g)
-    a = g.vertex_mask(["a"])
+    a = names_mask(g, ["a"])
     p_c = next(1 << k for k in range(sp.npoints)
-               if sp.pair(k).h == g.vertex_mask(["c"]))
+               if sp.pair(k).h == names_mask(g, ["c"]))
     canon = canonical_presentation(sp, p_c)
     assert canon.d == a
     alt_u, alt_v = sp.full, sp.full & ~p_c
     hu = sp.lattice.pairs[sp.phi(alt_u)].h
     hv = sp.lattice.pairs[sp.phi(alt_v)].h
-    assert hu & ~hv == g.vertex_mask(["a", "b"])
+    assert hu & ~hv == names_mask(g, ["a", "b"])
     alt = LocallyClosedSet(p_c, alt_u, alt_v, hu & ~hv, hu, hv)
     kd_canon, kd_alt = k_data(g, canon), k_data(g, alt)
     assert kd_canon.k0.invariant_factors == kd_alt.k0.invariant_factors == (0,)

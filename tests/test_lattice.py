@@ -6,7 +6,7 @@ from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges, iter_bits
 from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs, pair_leq
 
-from oracles import oracle_admissible_pairs
+from oracles import names_mask, oracle_admissible_pairs, pair_index
 
 
 def as_sets(p: AdmissiblePair) -> tuple[frozenset[int], frozenset[int]]:
@@ -32,7 +32,7 @@ def test_single_edge_lattice(corpus):
 
 def test_breaking_pair_chain(corpus):
     g = corpus["inf_emitter"]
-    u, w = g.vertex_mask(["u"]), g.vertex_mask(["w"])
+    u, w = names_mask(g, ["u"]), names_mask(g, ["w"])
     lat = enumerate_admissible_pairs(g)
     assert lat.pairs == (
         AdmissiblePair(0, 0),
@@ -52,7 +52,7 @@ def test_row_finite_pairs_have_empty_s(row_finite_corpus):
         lat = enumerate_admissible_pairs(g)
         assert all(p.s == 0 for p in lat.pairs), name
         for p, q in itertools.product(lat.pairs, repeat=2):
-            m = lat.pairs[lat.meet[lat.index_of(p.h)][lat.index_of(q.h)]]
+            m = lat.pairs[lat.meet[pair_index(lat, p.h)][pair_index(lat, q.h)]]
             assert m == AdmissiblePair(p.h & q.h, 0), name
 
 
@@ -119,12 +119,3 @@ def test_caps():
     small = graph_from_edges(["a", "b"], [])
     with pytest.raises(CapExceeded):
         enumerate_admissible_pairs(small, pair_cap=2)
-
-
-def test_index_of(corpus):
-    g = corpus["g4"]
-    lat = enumerate_admissible_pairs(g)
-    for i, p in enumerate(lat.pairs):
-        assert lat.index_of(p.h, p.s) == i
-    with pytest.raises(ValueError):
-        lat.index_of(g.vertex_mask(["v1"]))

@@ -17,7 +17,7 @@ import pathlib
 import sys
 import tempfile
 
-from fkgraph.cli import BUDGET_ENV, main
+from fkgraph.cli import main
 
 GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 CORPUS = sorted(p.stem for p in GRAPHS.glob("*.graph"))
@@ -94,6 +94,12 @@ def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
         out[f"check/{name}"] = ["check", path, "--format", "json"]
         out[f"spectrum/{name}"] = ["spectrum", path, "--format", "json"]
         out[f"compare-self/{name}"] = ["compare", path, path, "--format", "json"]
+        out[f"spectrum-dot/{name}"] = ["spectrum", path, "--dot"]
+        out[f"lattice-dot/{name}"] = ["lattice", path, "--dot"]
+        out[f"lattice/{name}"] = ["lattice", path, "--format", "json"]
+        out[f"check-text/{name}"] = ["check", path]
+    g4 = str(GRAPHS / "g4.graph")
+    out["compare-self-text/g4"] = ["compare", g4, g4]
     for name, mults in PAIRS.items():
         paths = []
         for side, mult in zip("ab", mults):
@@ -101,6 +107,7 @@ def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
             path.write_text(_graph_text(mult))
             paths.append(str(path))
         out[name] = ["compare", *paths, "--format", "json"]
+    out["compare-no-unit/z3z3"] = [*out["compare-unit/z3z3"], "--no-unit"]
     for name, mult in DEEP.items():
         path = tmp / f"deep-{name}.graph"
         path.write_text(_graph_text(mult))
@@ -121,69 +128,135 @@ DIGESTS = {
     "check/blocks6": (0, "b1fd1c60d0869508532f507bfed7838003279848dacc272cd3410d7d52673e4a"),
     "spectrum/blocks6": (0, "c31465e08bc83aaee2354b1ab5e8d2091503bdc5fb62e636d08112f8b1b45bf0"),
     "compare-self/blocks6": (0, "41039a897338710962890366e04cbf7babcce5f6c9f3f551456d48aea184bd33"),
+    "spectrum-dot/blocks6": (0, "f431782b1ffe738e8725f4b50d9b79f380d9e18ed79b4ad1a51ba5bfe6ea13d9"),
+    "lattice-dot/blocks6": (0, "9da7dc4e9497b4342ea60a8e6dddf5e9dee100ea9f8f437412afb65d77570ff3"),
+    "lattice/blocks6": (0, "82c655f5a8142b235bda7d2b9e27120d91e4c56ae38388b6403b89127829be2a"),
+    "check-text/blocks6": (0, "05d7ee8125a647b1b34bf1fef4c17d31da093ffe192850c59f7df5c9bed7dd0a"),
     "k-all/chain3": (0, "73680f53a7a8919ff2bd116c42b64ca07935666fd864daf249fcfe07dd99a3db"),
     "check/chain3": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/chain3": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/chain3": (0, "1907fa830a753ba030333ec27424883b9f91e0ceb67decd5ade1607a06b137c0"),
+    "spectrum-dot/chain3": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/chain3": (0, "6061439cc6cbf4aed6dff7a13b4824538738312fe6056056bd057d827b10a773"),
+    "lattice/chain3": (0, "78380ad5d31416c3708bdd75895a6172d5c503614c9bda037e029338cfc1f444"),
+    "check-text/chain3": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/complete2": (0, "4fead19ec8cd2dc3e8a581cec8d74f1354b8cb4229b11389c5685bf5e6d4ee4e"),
     "check/complete2": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/complete2": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/complete2": (0, "fe1092dedaebadc81ff7da59e15d00736f3bc77ac66198fc2d75060554faed01"),
+    "spectrum-dot/complete2": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/complete2": (0, "c5d9e48af8821e7f1799642da21828b2718f2e8c007325c2469aa4307e2b5b05"),
+    "lattice/complete2": (0, "98426c0b0321ad531b3627b4f53c4505a3517a89deebd2b732ec15e9d33b03c6"),
+    "check-text/complete2": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/cycle2": (0, "dad94105236e5a7eb36a38c94f46af99b354fc7241b1aa683233821972ef6aa6"),
     "check/cycle2": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/cycle2": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/cycle2": (0, "856ef06a61e7da5b7cd477b7c7c85e2cf34fb2ed64cce927f6c4e61794797269"),
+    "spectrum-dot/cycle2": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/cycle2": (0, "c5d9e48af8821e7f1799642da21828b2718f2e8c007325c2469aa4307e2b5b05"),
+    "lattice/cycle2": (0, "98426c0b0321ad531b3627b4f53c4505a3517a89deebd2b732ec15e9d33b03c6"),
+    "check-text/cycle2": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/edge_ab": (0, "2563ba855b2c2efecd243fa1bbf364a91a9302cfe1d5d041c2751615a9cadf65"),
     "check/edge_ab": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/edge_ab": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/edge_ab": (0, "1907fa830a753ba030333ec27424883b9f91e0ceb67decd5ade1607a06b137c0"),
+    "spectrum-dot/edge_ab": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/edge_ab": (0, "c5d9e48af8821e7f1799642da21828b2718f2e8c007325c2469aa4307e2b5b05"),
+    "lattice/edge_ab": (0, "98426c0b0321ad531b3627b4f53c4505a3517a89deebd2b732ec15e9d33b03c6"),
+    "check-text/edge_ab": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/fanin": (0, "e4a8311eb2c8ed95d7f876f04d915daece7b444952cd3e035d11367a4ef26d6d"),
     "check/fanin": (0, "e772cc71468a32d690795a898820066caa0736826feea9eb7b206096ba3ff411"),
     "spectrum/fanin": (0, "18b44437103f7df69cd91cd893b96bb57a5f8611de4399b6299c4177b9956fb5"),
     "compare-self/fanin": (0, "7f16dca9e53b580dd00e971173792ccd19b21435444c945eafc89af29ffb44f0"),
+    "spectrum-dot/fanin": (0, "41a312f52ccc4cc667092a08702f28f10b345bc3e8d2678a6206b9110ecbf398"),
+    "lattice-dot/fanin": (0, "702730171f3e44b57a5727f7bc35d1d2653ae3bd6664215863aedcbaad5ea803"),
+    "lattice/fanin": (0, "546cdfb7c17ecfba480651575d781d11729732bcea7293c10e0a4f5ca822d4cb"),
+    "check-text/fanin": (0, "50a63a654514a9f3a400abb0d3dc74ca1ed2ebd079abe0de4d92fc1a6731e6e9"),
     "k-all/fanout": (0, "2bf1bb65548f4ad21eda910413a1ee2ce2a9eef46c523452bc39c64bc2073137"),
     "check/fanout": (0, "8ada6757f5193319dbac7dbb384257f0a93568fc0d9b0884d78efbbb20a350b2"),
     "spectrum/fanout": (0, "ea2e5efebcd062800e672d1a4492f1037ab979b9442491b5d54c6e2d09ad4365"),
     "compare-self/fanout": (0, "207fb64af4ec51a505294f7419fc8b8a588b38c353eb080c84210c5a7439e772"),
+    "spectrum-dot/fanout": (0, "32af47130487b573f1c92dd4b61e603ea2e6a7632909585589efea0170d0bfaf"),
+    "lattice-dot/fanout": (0, "e9153eacd62abc9f766dc372af60d77ed972d14eb59e262869e3bdcef2a99a70"),
+    "lattice/fanout": (0, "f34bad8c579a84c980ea684f3994728a56265c1aa6072ce8cdeaaa99b28ee3be"),
+    "check-text/fanout": (0, "842d2b8c38aae621605d72d14aee32b8b6604440fb3bcc7d867bb8dd1b465f95"),
     "k-all/g1": (0, "5ea45cecb0682dfd0ad14686eb6b300d250af18cd0db8c5aca50269c1af7a703"),
     "check/g1": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/g1": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/g1": (0, "856ef06a61e7da5b7cd477b7c7c85e2cf34fb2ed64cce927f6c4e61794797269"),
+    "spectrum-dot/g1": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/g1": (0, "df58acd2e04839be6e8eddf7f88fe6ce0270c9e03cbff44b31340a840a68be3b"),
+    "lattice/g1": (0, "1b94495bae6a0ae078e59422724da41b455ed6f8d777a2b1dbaa72fd7eb893b1"),
+    "check-text/g1": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/g3": (0, "56d0cd6883f0d0ab6c1c639a2f0e2bfc24fedeced5004397f82fe1816063fc39"),
     "check/g3": (0, "cb41727b0b62f3c96431fa1fe8e843f9231c823276eb179502f7c11b3a5e4531"),
     "spectrum/g3": (0, "2b42993eb7851451ff4bdf9d321a75fdad0329be3b8a665bd63ff618c3b16470"),
     "compare-self/g3": (0, "e3335fe1f2541c648c7c2ec131e79a0bea727e4ce602a16e10ab25aaadb14c90"),
+    "spectrum-dot/g3": (0, "4414debf73fe01e486029921686175f5425a525e41e72023811d76c23bcd1a42"),
+    "lattice-dot/g3": (0, "df006bc2de46f26d42e4651c09b55d3c2674a45caf49d1f3741b2589aedd1875"),
+    "lattice/g3": (0, "e94d658adae1784dc727ce5e5f55cfed132490293646ee4a937029fee0ce7e6a"),
+    "check-text/g3": (0, "7b0f34b60d12982b6de319afaf9397244da2565cd261c0326312a43516418bb0"),
     "k-all/g4": (0, "5cd1a3ff1fc2b0c34e5fdf8c5700dd063300da2f97e0f619b4e01c01dd082eb7"),
     "check/g4": (0, "cb41727b0b62f3c96431fa1fe8e843f9231c823276eb179502f7c11b3a5e4531"),
     "spectrum/g4": (0, "2b42993eb7851451ff4bdf9d321a75fdad0329be3b8a665bd63ff618c3b16470"),
     "compare-self/g4": (0, "85db723e8bff1b82f1dff8a753fd55f9020ce90c19e65c1417c4c802c5321c32"),
+    "spectrum-dot/g4": (0, "4414debf73fe01e486029921686175f5425a525e41e72023811d76c23bcd1a42"),
+    "lattice-dot/g4": (0, "df006bc2de46f26d42e4651c09b55d3c2674a45caf49d1f3741b2589aedd1875"),
+    "lattice/g4": (0, "e94d658adae1784dc727ce5e5f55cfed132490293646ee4a937029fee0ce7e6a"),
+    "check-text/g4": (0, "7b0f34b60d12982b6de319afaf9397244da2565cd261c0326312a43516418bb0"),
     "k-all/inf_emitter": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check/inf_emitter": (0, "bf98751625dc139ceacc472ea49d1907795b9b42b8169271b01267e34c62ef2e"),
     "spectrum/inf_emitter": (0, "7a5af8c10078ecf0de521c9e61376fdc04eb75fdf5423cd65e67cb9928dbf3bc"),
     "compare-self/inf_emitter": (0, "b7594d0264d702ac09b5eafa573cd84d92235df08969b2987ea52798595db87f"),
+    "spectrum-dot/inf_emitter": (0, "6c39e502ca14d9cbe73109fce6e27e136cd0134b3c9fae8f287423b42e4c7497"),
+    "lattice-dot/inf_emitter": (0, "39c21b8c77bc4716da41763be1274d051a5f9649606b40def2db00872af2ca3e"),
+    "lattice/inf_emitter": (0, "6e9765fc20417d44b448e2647cb325e8a261a3e2bdbf0f001916fee54829d7ed"),
+    "check-text/inf_emitter": (0, "968db918110c73effaef6634e7aeb37076da556dddcf1ec80d0800b2ac2e6003"),
     "k-all/mixed5": (0, "889b3cc1e155780251372a37ea21e641740a18aad2a1005543eb5a1f239a35af"),
     "check/mixed5": (0, "7edba5f846295c94a3a720014b2650d927f0ebe80f9d414bc1b64c4fa804358f"),
     "spectrum/mixed5": (0, "759ccc86969c14467ed898002a69eeeba41b528a36d0284638b7dfa26c6ae0ca"),
     "compare-self/mixed5": (0, "96f219d082a2ed96950b7e54012548d130de3de7159b157f8d7f74ce04a871ba"),
+    "spectrum-dot/mixed5": (0, "a3d4033d48d391ee30490f2881c0a77ff6ffccb07bcb2028605be9120ccabdbc"),
+    "lattice-dot/mixed5": (0, "f2affae8d025b471305ceac37045fbbe9e2d12ad964f89564f12b70b4716f7ca"),
+    "lattice/mixed5": (0, "6089cd44763dfdc78c46dba206198a904c2525a68c25ecfbfd0f9a8a6e2cde2e"),
+    "check-text/mixed5": (0, "cc25b9d7670a4902e910753143aa6e4aaf0e5d401d8a2d981694ee20df316178"),
     "k-all/o2": (0, "9010b14c7df5e9a5839de02065d7c9dab962ff9db6d96973593af9f4c9be2796"),
     "check/o2": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/o2": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/o2": (0, "fe1092dedaebadc81ff7da59e15d00736f3bc77ac66198fc2d75060554faed01"),
+    "spectrum-dot/o2": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/o2": (0, "df58acd2e04839be6e8eddf7f88fe6ce0270c9e03cbff44b31340a840a68be3b"),
+    "lattice/o2": (0, "1b94495bae6a0ae078e59422724da41b455ed6f8d777a2b1dbaa72fd7eb893b1"),
+    "check-text/o2": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/o3": (0, "2cce11b3288bd74b754ac7b87dbb62bcd09c1c06089c51538a7f3809822ac7d3"),
     "check/o3": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/o3": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/o3": (0, "1907fa830a753ba030333ec27424883b9f91e0ceb67decd5ade1607a06b137c0"),
+    "spectrum-dot/o3": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/o3": (0, "df58acd2e04839be6e8eddf7f88fe6ce0270c9e03cbff44b31340a840a68be3b"),
+    "lattice/o3": (0, "1b94495bae6a0ae078e59422724da41b455ed6f8d777a2b1dbaa72fd7eb893b1"),
+    "check-text/o3": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/r4": (0, "bad9b82d5e9296b750e9968f130c895d2938b7440db4fb26f72778902f6d3942"),
     "check/r4": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/r4": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/r4": (0, "1907fa830a753ba030333ec27424883b9f91e0ceb67decd5ade1607a06b137c0"),
+    "spectrum-dot/r4": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/r4": (0, "df58acd2e04839be6e8eddf7f88fe6ce0270c9e03cbff44b31340a840a68be3b"),
+    "lattice/r4": (0, "1b94495bae6a0ae078e59422724da41b455ed6f8d777a2b1dbaa72fd7eb893b1"),
+    "check-text/r4": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
     "k-all/sink": (0, "e1e19d5073335aaeabdc24ab9262b1d8757bdf87663db750cb35ce2a518bccaf"),
     "check/sink": (0, "1958a00796e79d80b638906790f81cf6fb071b835f59575f8766a8d9d3502703"),
     "spectrum/sink": (0, "0e703b2663356b3a8c2576e82694552bb2063d80e01785686d303311b8ee7d77"),
     "compare-self/sink": (0, "1907fa830a753ba030333ec27424883b9f91e0ceb67decd5ade1607a06b137c0"),
+    "spectrum-dot/sink": (0, "3c3ef59348a8bf88a8e6b244fa18c55c27f60f362b64bf74e845412b59f37f88"),
+    "lattice-dot/sink": (0, "df58acd2e04839be6e8eddf7f88fe6ce0270c9e03cbff44b31340a840a68be3b"),
+    "lattice/sink": (0, "1b94495bae6a0ae078e59422724da41b455ed6f8d777a2b1dbaa72fd7eb893b1"),
+    "check-text/sink": (0, "b7d3325440be823548263ab2444a308f739d995b66da7f306b8dfd5ab7a96130"),
+    "compare-self-text/g4": (0, "f79c4c5763868f5910361e8f0b26c534da53dc5fbc7b375edf35d0b52c1340dc"),
     "compare-swap/z2": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z3": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
     "compare-unit/z3z3": (0, "126c6713b0637fc66057a90570831c024ca1f7769311914454db4ede334f65a3"),
+    "compare-no-unit/z3z3": (0, "cc7d38acaf5a15133551d4ba19d1731945af7df3fc25fab690845c3a05f53648"),
     "compare-swap/z4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z2^4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z5": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
@@ -197,8 +270,7 @@ DIGESTS = {
 }
 
 
-def test_output_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+def test_output_digests(tmp_path):
     got = {name: digest(argv) for name, argv in invocations(tmp_path).items()}
     assert got.keys() == DIGESTS.keys()
     changed = sorted(name for name in got if got[name] != DIGESTS[name])
@@ -206,9 +278,6 @@ def test_output_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    import os
-
-    os.environ.pop(BUDGET_ENV, None)
     with tempfile.TemporaryDirectory() as tmp:
         rows = {name: digest(argv) for name, argv in invocations(pathlib.Path(tmp)).items()}
     for name, (code, sha) in rows.items():

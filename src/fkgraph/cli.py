@@ -21,10 +21,11 @@ from .invariant import (
     compare,
     verify_compatible_witness,
 )
-from .ktheory import verify_exactness, verify_well_definedness
-from .lattice import enumerate_admissible_pairs
+from .ktheory import k_data, verify_exactness, verify_well_definedness
+from .lattice import DEFAULT_VERTEX_CAP, enumerate_admissible_pairs
 from .spectrum import (
     capped_spectrum,
+    locally_closed_sets,
     verify_kernel_identity,
     verify_kuratowski,
     verify_open_ideal_iso,
@@ -140,8 +141,8 @@ def _parse_pointset(arg: str, npoints: int) -> int:
     return mask
 
 
-def _k_entry(fk, y) -> dict:
-    kd = fk.kmap[y.pointset]
+def _k_entry(g: Graph, y) -> dict:
+    kd = k_data(g, y)
     basis = kd.k1.lift
     return {
         "pointset": list(iter_bits(y.pointset)),
@@ -162,17 +163,17 @@ def _run_k(cfg) -> int:
     g = _load(cfg.graph)
     if not g.row_finite:
         raise ParseError("K-data needs a row-finite graph")
-    fk = assemble(g, point_cap=cfg.point_cap, vertex_cap=cfg.vertex_cap)
-    by_mask = {y.pointset: y for y in fk.lcs}
+    sp = capped_spectrum(g, cfg.point_cap, cfg.vertex_cap)
+    by_mask = {y.pointset: y for y in locally_closed_sets(sp)}
     if cfg.all:
-        chosen = list(fk.lcs)
+        chosen = list(by_mask.values())
     else:
-        mask = (fk.space.full if cfg.subquotient is None
-                else _parse_pointset(cfg.subquotient, fk.space.npoints))
+        mask = (sp.full if cfg.subquotient is None
+                else _parse_pointset(cfg.subquotient, sp.npoints))
         if mask not in by_mask:
             raise ParseError("pointset is not locally closed")
         chosen = [by_mask[mask]]
-    entries = [_k_entry(fk, y) for y in chosen]
+    entries = [_k_entry(g, y) for y in chosen]
     payload = {"subquotients": entries}
 
     lines = []
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, dot=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=16)
+        p.add_argument("--vertex-cap", dest="vertex_cap", type=int,
+                       default=DEFAULT_VERTEX_CAP)
         p.add_argument("--point-cap", dest="point_cap", type=int,
                        default=DEFAULT_POINT_CAP)
         if dot:

@@ -200,6 +200,8 @@ def parse_graph_json(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}", e.lineno) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError("expected an object with a `vertices` list")
     verts = obj["vertices"]

@@ -586,6 +586,8 @@ def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
     """Canonical entries for a map into `target`: row i taken mod its factor."""
     if M.rows != target.ncoords:
         raise ValueError("shape mismatch")
+    if not target.torsion_factors:
+        return M
     rows = []
     for i, d in enumerate(target.invariant_factors):
         rows.append(tuple(x % d for x in M.entries[i]) if d else M.entries[i])

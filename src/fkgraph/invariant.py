@@ -28,9 +28,9 @@ from .intlinalg import (
 )
 from .ktheory import (SIX_EDGES, KData, SixTerm, cone_contains, k_data,
                       pair_chains, six_term)
+from .lattice import DEFAULT_VERTEX_CAP
 from .report import Report
-from .spectrum import (LocallyClosedSet, SpectrumSpace, capped_spectrum,
-                       locally_closed_sets)
+from .spectrum import SpectrumSpace, capped_spectrum, locally_closed_sets
 
 DISTINGUISHED = "DISTINGUISHED"
 COMPATIBLE = "COMPATIBLE"
@@ -47,26 +47,22 @@ _NODE_CAP = 500_000
 class FilteredK:
     """Everything `compare` looks at, computed once per graph.
 
-    kmap keys are exactly the locally closed pointsets of the space.
-    sequences holds one `SixTerm` per (sub, mid) pair that an open chain
+    kmap keys are exactly the locally closed pointsets of the space, in
+    `locally_closed_sets` order; they are the slots of a family.  sequences
+    holds one `SixTerm` per (sub, mid) pair that an open chain
     U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
     `ktheory.pair_chains` order.  Without row-finiteness the K layer cannot
     be built from the data at hand and both mappings are empty; k_complete
     says which case we are in.
     """
 
-    graph: Graph
     space: SpectrumSpace
-    lcs: tuple[LocallyClosedSet, ...]
     kmap: Mapping[int, KData]
     sequences: Mapping[tuple[int, int], SixTerm]
-    k_complete: bool
 
     @property
-    def unit_class(self):
-        if not self.k_complete:
-            return None
-        return self.kmap[self.space.full].unit_class
+    def k_complete(self) -> bool:
+        return self.space.graph.row_finite
 
 
 @dataclass(frozen=True)
@@ -76,21 +72,20 @@ class CompareVerdict:
 
 
 def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,
-             vertex_cap: int = 16) -> FilteredK:
+             vertex_cap: int = DEFAULT_VERTEX_CAP) -> FilteredK:
     """Spectrum, per-pointset K-data, and one sequence per (sub, mid) pair."""
     if point_cap < 1:
         raise ValueError("point cap must be >= 1")
     sp = capped_spectrum(g, point_cap, vertex_cap)
-    lcs = locally_closed_sets(sp)
     if not g.row_finite:
-        return FilteredK(g, sp, lcs, {}, {}, False)
-    kmap = {y.pointset: k_data(g, y) for y in lcs}
+        return FilteredK(sp, {}, {})
+    kmap = {y.pointset: k_data(g, y) for y in locally_closed_sets(sp)}
     sequences = {}
     for key, chain in pair_chains(sp).items():
         st = sequences[key] = six_term(g, sp, *chain)
         if any(getattr(st, part) != kmap[mask] for part, mask in _parts(key).items()):
             raise InternalInvariantError("triple groups drift from kmap")
-    return FilteredK(g, sp, lcs, kmap, sequences, True)
+    return FilteredK(sp, kmap, sequences)
 
 
 def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):
@@ -141,12 +136,14 @@ class _Budget(Exception):
 class _Search:
     """Backtracking over per-slot (K0, K1) isomorphism candidates.
 
-    Each commuting square into slot k from an assigned slot fixes alpha_k on
-    the columns of a's map, as the unit class does at the full slot, so they
-    go into `group_isos` as constraints and no candidate breaking one is
-    built.  Each survivor's cone conditions and invertibility are vetted
-    once per slot; the recursion checks every square between assigned slots.
-    Every candidate a slot stream yields counts against `_NODE_CAP`.
+    Slots are assigned in order, K0 before K1.  Each commuting square is
+    filed once.  A square whose source is assigned before its target fixes
+    alpha of the target on the columns of a's map, as the unit class does at
+    the full slot, so it goes into `group_isos` as a constraint and no
+    candidate breaking it is built.  Every other square is filed under its
+    source slot and checked once that slot is assigned.  Each survivor's
+    cone conditions and invertibility are vetted once per slot.  Every
+    candidate a slot stream yields counts against `_NODE_CAP`.
     """
 
     def __init__(self, a: FilteredK, b: FilteredK, sigma, unital: bool,
@@ -156,7 +153,7 @@ class _Search:
         self.budget = budget
         self.counter = counter
         self.inconclusive = False
-        self.slots = [y.pointset for y in a.lcs]
+        self.slots = list(a.kmap)
         self.index = {y: k for k, y in enumerate(self.slots)}
         self.alpha0: list[IntMatrix | None] = [None] * len(self.slots)
         self.alpha1: list[IntMatrix | None] = [None] * len(self.slots)
@@ -167,18 +164,15 @@ class _Search:
         self.kd = [(a.kmap[y], b.kmap[_map_mask(y, sigma)]) for y in self.slots]
         self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
         self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-        # commuting squares by later-assigned endpoint, one set per (sub, mid);
-        # by target slot and level, those whose source is assigned first
-        # (slots in order, K0 before K1), for the constraints
-        self.constraints = [[] for _ in self.slots]
         self.into = [([], []) for _ in self.slots]
+        self.out_of = [[] for _ in self.slots]
         for key in a.sequences:
             for _, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
                 si, ti = self.index[src], self.index[tgt]
-                self.constraints[max(si, ti)].append(
-                    (si, s_lv, ti, t_lv, m_a, m_b, grp))
                 if (si, s_lv) < (ti, t_lv):
                     self.into[ti][t_lv].append((si, s_lv, m_a, m_b))
+                else:
+                    self.out_of[si].append((s_lv, ti, t_lv, m_a, m_b, grp))
 
     def _in_cone(self, k: int, forward: bool, kd: KData, x) -> bool:
         key = (k, forward, tuple(x))
@@ -227,8 +221,8 @@ class _Search:
                 yield m0
 
     def _commutes(self, k: int) -> bool:
-        for si, s_lv, ti, t_lv, m_a, m_b, grp in self.constraints[k]:
-            a_src = (self.alpha1 if s_lv else self.alpha0)[si]
+        for s_lv, ti, t_lv, m_a, m_b, grp in self.out_of[k]:
+            a_src = (self.alpha1 if s_lv else self.alpha0)[k]
             a_tgt = (self.alpha1 if t_lv else self.alpha0)[ti]
             if not maps_equal(grp, a_tgt @ m_a, m_b @ a_src):
                 return False
@@ -253,7 +247,7 @@ class _Search:
 
 
 def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
-    for y in (lc.pointset for lc in a.lcs):
+    for y in a.kmap:
         z = _map_mask(y, sigma)
         kb = b.kmap.get(z)
         if kb is None or a.kmap[y].factor_summary() != kb.factor_summary():
@@ -270,9 +264,9 @@ def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
 
 def _family_witness(a: FilteredK, sigma, family, unital: bool) -> dict:
     slots = []
-    for lc, (m0, m1) in zip(a.lcs, family):
+    for y, (m0, m1) in zip(a.kmap, family):
         slots.append({
-            "pointset": list(iter_bits(lc.pointset)),
+            "pointset": list(iter_bits(y)),
             "alpha0": [list(r) for r in m0.entries],
             "alpha1": [list(r) for r in m1.entries],
         })
@@ -382,15 +376,14 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
     if not (a.k_complete and b.k_complete):
         return Report("witness", checks, ("family witness without both K layers",))
 
-    slot_sets = [list(iter_bits(lc.pointset)) for lc in a.lcs]
+    slot_sets = [list(iter_bits(y)) for y in a.kmap]
     slots = witness.get("slots")
     checks += 1
     if (not isinstance(slots, list) or not all(isinstance(s, dict) for s in slots)
             or [s.get("pointset") for s in slots] != slot_sets):
         return Report("witness", checks, ("slots do not cover the locally closed sets",))
     alpha = {}
-    for lc, slot in zip(a.lcs, slots):
-        y = lc.pointset
+    for y, slot in zip(a.kmap, slots):
         z = _map_mask(y, sigma)
         ka, kb = a.kmap[y], b.kmap[z]
         m0 = _slot_matrix(slot.get("alpha0"), kb.k0.ncoords, ka.k0.ncoords)

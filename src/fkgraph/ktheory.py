@@ -364,7 +364,10 @@ def verify_well_definedness(g: Graph, sp: SpectrumSpace) -> Report:
     return Report("well-definedness", checks, tuple(fails))
 
 
-def cone_contains(k: KData, x, bound: int = 64) -> tuple[bool, bool]:
+_CONE_BOUND = 64
+
+
+def cone_contains(k: KData, x) -> tuple[bool, bool]:
     """Whether x is an N-combination of the cone generators.
 
     Returns (found, conclusive).  Torsion-only generators contribute a full
@@ -401,10 +404,10 @@ def cone_contains(k: KData, x, bound: int = 64) -> tuple[bool, bool]:
         if nonneg:
             cap = min(x[i] // g[i] for i in free_idx if g[i] > 0)
         else:
-            cap = bound
+            cap = _CONE_BOUND
             covered = False
-        if cap > bound:
-            cap = bound
+        if cap > _CONE_BOUND:
+            cap = _CONE_BOUND
             covered = False
         caps.append(cap)
     total = 1

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from .errors import CapExceeded, InternalInvariantError
 from .graphs import Graph, breaking_vertices, is_hereditary, is_saturated
 
+DEFAULT_VERTEX_CAP = 16
+_PAIR_CAP = 1024
+
 
 @dataclass(frozen=True)
 class AdmissiblePair:
@@ -31,7 +34,6 @@ class IdealLattice:
     graph: Graph
     pairs: tuple[AdmissiblePair, ...]
     up: tuple[int, ...]      # up[i] = bitmask of j with pairs[i] <= pairs[j]
-    down: tuple[int, ...]
     meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
 
@@ -70,11 +72,11 @@ def _subsets_sorted(mask: int) -> list[int]:
     return subs
 
 
-def enumerate_admissible_pairs(g: Graph, vertex_cap: int = 16, pair_cap: int = 1024) -> IdealLattice:
+def enumerate_admissible_pairs(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IdealLattice:
     """All admissible pairs with order and operation tables.
 
     The pair list is sorted by (|H|, H, |S|, S), a linear extension of the
-    order.  Raises CapExceeded past `vertex_cap` vertices or `pair_cap` pairs.
+    order.  Raises CapExceeded past `vertex_cap` vertices or `_PAIR_CAP` pairs.
     """
     if g.n > vertex_cap:
         raise CapExceeded(f"{g.n} vertices exceeds the cap of {vertex_cap}")
@@ -84,8 +86,8 @@ def enumerate_admissible_pairs(g: Graph, vertex_cap: int = 16, pair_cap: int = 1
     for h in hs:
         for s in _subsets_sorted(breaking_vertices(g, h)):
             pairs.append(AdmissiblePair(h, s))
-            if len(pairs) > pair_cap:
-                raise CapExceeded(f"admissible pair count exceeds the cap of {pair_cap}")
+            if len(pairs) > _PAIR_CAP:
+                raise CapExceeded(f"admissible pair count exceeds the cap of {_PAIR_CAP}")
     m = len(pairs)
     up = [0] * m
     down = [0] * m
@@ -113,8 +115,8 @@ def enumerate_admissible_pairs(g: Graph, vertex_cap: int = 16, pair_cap: int = 1
 
     meet = [[bound(i, j, down) for j in range(m)] for i in range(m)]
     join = [[bound(i, j, up) for j in range(m)] for i in range(m)]
-    lat = IdealLattice(g, tuple(pairs), tuple(up), tuple(down),
-                       tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join))
+    lat = IdealLattice(g, tuple(pairs), tuple(up), tuple(tuple(r) for r in meet),
+                       tuple(tuple(r) for r in join))
     if lat.pairs[lat.bottom] != AdmissiblePair(0, 0):
         raise InternalInvariantError("bottom is not the empty pair")
     if lat.pairs[lat.top] != AdmissiblePair(g.full_mask, 0):

@@ -14,12 +14,3 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        out = f"{self.name}: {status} ({self.checks} checks)"
-        if self.failures:
-            out += "".join(f"\n  {f}" for f in self.failures[:8])
-            if len(self.failures) > 8:
-                out += f"\n  ... {len(self.failures) - 8} more"
-        return out

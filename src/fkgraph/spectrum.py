@@ -190,13 +190,16 @@ def locally_closed_sets(sp: SpectrumSpace) -> tuple[LocallyClosedSet, ...]:
     return tuple(out)
 
 
-def _subset_samples(n: int, samples: int = 200):
-    if (1 << n) <= samples:
+_SUBSET_SAMPLES = 200
+
+
+def _subset_samples(n: int):
+    if (1 << n) <= _SUBSET_SAMPLES:
         return list(range(1 << n))
     rng = random.Random(0)
     full = (1 << n) - 1
     picks = {0, full}
-    while len(picks) < samples:
+    while len(picks) < _SUBSET_SAMPLES:
         picks.add(rng.randrange(1 << n))
     return sorted(picks)
 

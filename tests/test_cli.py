@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import fkgraph
+from fkgraph import cli, invariant, ktheory
 from fkgraph.cli import main
 from fkgraph.invariant import DEFAULT_BUDGET
 
@@ -165,6 +166,39 @@ def test_malformed_json_graph_is_a_parse_error(capsys, tmp_path):
                        "unknown vertex ['a']")):
         path.write_text(text)
         assert run(capsys, "spectrum", str(path)) == (1, "", f"fk-graph: {msg}\n")
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "nested.graph"
+    path.write_text('{"vertices": ' + "[" * 100_000)
+    assert run(capsys, "spectrum", str(path)) == (
+        1, "", "fk-graph: bad JSON: nested too deeply\n")
+
+
+def test_k_builds_no_sequence(capsys, monkeypatch, row_finite_corpus):
+    # `k` prints K-data only, so it never assembles or builds a six-term map
+    def refuse(*args, **kwargs):
+        raise AssertionError("k built a six-term sequence")
+    for mod, name in ((cli, "assemble"), (invariant, "assemble"),
+                      (invariant, "six_term"), (ktheory, "six_term")):
+        monkeypatch.setattr(mod, name, refuse)
+    builds = []
+    real_k_data = cli.k_data
+
+    def counting(g, y):
+        builds.append(y.pointset)
+        return real_k_data(g, y)
+    monkeypatch.setattr(cli, "k_data", counting)
+    for name in row_finite_corpus:
+        everything = run_json(capsys, "k.schema.json",
+                              "k", gpath(name), "--all", "--format", "json")
+        for entry in everything["subquotients"]:
+            builds.clear()
+            arg = ",".join(map(str, entry["pointset"])) or "-"
+            one = run_json(capsys, "k.schema.json", "k", gpath(name),
+                           "--subquotient", arg, "--format", "json")
+            assert one["subquotients"] == [entry], (name, arg)
+            assert len(builds) == 1, (name, arg)
 
 
 def test_byte_stable_outputs(capsys):

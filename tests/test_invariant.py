@@ -16,6 +16,7 @@ from fkgraph.invariant import (
     verify_compatible_witness,
 )
 from fkgraph.ktheory import open_triples, sequence_key
+from fkgraph.spectrum import locally_closed_sets
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +26,12 @@ def fks(corpus):
 
 def test_assemble_shape(fks):
     for name, fk in fks.items():
-        assert set(fk.kmap) == {lc.pointset for lc in fk.lcs} or not fk.k_complete
+        lcs = [lc.pointset for lc in locally_closed_sets(fk.space)]
+        assert list(fk.kmap) == lcs or not fk.k_complete
         if fk.k_complete:
             assert set(fk.sequences) == {sequence_key(*c) for c in open_triples(fk.space)}
-            assert fk.unit_class == fk.kmap[fk.space.full].unit_class
         else:
             assert fk.kmap == {} and fk.sequences == {}
-            assert fk.unit_class is None
 
 
 def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain,
@@ -89,7 +89,7 @@ def test_compatible_fixture_with_replay(fks):
     v = compare(fks["o2"], fks["complete2"])
     assert v.outcome == COMPATIBLE
     rep = verify_compatible_witness(fks["o2"], fks["complete2"], v.witness)
-    assert rep.passed, rep.line()
+    assert rep.passed, rep.failures
     json.dumps(v.witness)  # witness must serialize as-is
 
 
@@ -99,7 +99,7 @@ def test_self_compare_corpus(fks):
         assert v.outcome == COMPATIBLE, name
         assert v.witness["homeomorphism"] == list(range(fk.space.npoints))
         rep = verify_compatible_witness(fk, fk, v.witness)
-        assert rep.passed, f"{name}: {rep.line()}"
+        assert rep.passed, (name, rep.failures)
 
 
 def test_outcome_symmetry(fks):
@@ -117,13 +117,13 @@ def test_unit_class_separates(fks):
     v = compare(fks["g1"], fks["cycle2"], unital=False)
     assert v.outcome == COMPATIBLE
     rep = verify_compatible_witness(fks["g1"], fks["cycle2"], v.witness)
-    assert rep.passed, rep.line()
+    assert rep.passed, rep.failures
 
 
 def test_feeder_vertex_changes_unit(fks):
     fed = assemble(graph_from_edges(["v", "s"], [("v", "v", 1), ("s", "v", 1)]))
     assert fed.kmap[fed.space.full].factor_summary() == ((0,), (0,))
-    assert fed.unit_class == (2,)
+    assert fed.kmap[fed.space.full].unit_class == (2,)
     v = compare(fks["g1"], fed)
     assert v.outcome == DISTINGUISHED and v.witness["kind"] == "no_family"
     assert compare(fks["g1"], fed, unital=False).outcome == COMPATIBLE
@@ -141,7 +141,7 @@ def test_rank_two_slots_exhaust_to_unknown(fks):
     v = compare(fks["fanout"], loops, unital=False)
     assert v.outcome == COMPATIBLE
     rep = verify_compatible_witness(fks["fanout"], loops, v.witness)
-    assert rep.passed, rep.line()
+    assert rep.passed, rep.failures
 
 
 def _sinks(feeders: list[int]):
@@ -203,6 +203,51 @@ def test_swap_search_solves_instead_of_enumerating(monkeypatch):
     assert v.outcome == COMPATIBLE
     assert verify_compatible_witness(a, b, v.witness).passed
     assert seen["accepted"] + seen["rejected"] <= 100
+
+
+def _linked_blocks(src: str):
+    """Two free blocks a and b (K0 = K1 = Z each) and one edge src -> b1."""
+    names = ["a0", "a1", "b0", "b1"]
+    edges = [(f"{x}{i}", f"{x}{j}", 2 if i == j else 1)
+             for x in "ab" for i in (0, 1) for j in (0, 1)]
+    return assemble(graph_from_edges(names, edges + [(src, "b1", 1)]))
+
+
+def test_search_checks_backward_squares(monkeypatch):
+    # a candidate the streams offer breaks a square out of a later slot into
+    # an earlier one, which no constraint covers: only `_commutes` rejects
+    # it, and a witness built without that check fails replay
+    a, b = _linked_blocks("a1"), _linked_blocks("a0")
+    verdicts = []
+    real = invariant._Search._commutes
+
+    def spy(self, k):
+        verdicts.append(real(self, k))
+        return verdicts[-1]
+    monkeypatch.setattr(invariant._Search, "_commutes", spy)
+    for unital in (True, False):
+        verdicts.clear()
+        v = compare(a, b, unital=unital)
+        assert v.outcome == COMPATIBLE, unital
+        assert verify_compatible_witness(a, b, v.witness).passed, unital
+        assert False in verdicts, unital
+
+
+def test_search_files_each_square_once(fks, monkeypatch):
+    pairs = [(fk, fk) for fk in fks.values() if fk.k_complete]
+    pairs.append((_linked_blocks("a1"), _linked_blocks("a0")))
+    searches = []
+    real = invariant._Search.__init__
+
+    def spy(self, a, *args):
+        real(self, a, *args)
+        filed = sum(len(sq) for lists in self.into for sq in lists)
+        searches.append((filed + sum(map(len, self.out_of)), 6 * len(a.sequences)))
+    monkeypatch.setattr(invariant._Search, "__init__", spy)
+    for a, b in pairs:
+        for unital in (True, False):
+            compare(a, b, unital=unital)
+    assert searches and all(filed == squares for filed, squares in searches)
 
 
 def test_spectrum_only_mode(fks):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fkgraph import lattice
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges, iter_bits
 from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs, pair_leq
@@ -112,10 +113,11 @@ def test_meet_many(corpus):
     assert lat.meet_many(range(lat.size)) == lat.bottom
 
 
-def test_caps():
+def test_caps(monkeypatch):
     many = graph_from_edges([f"v{i}" for i in range(17)], [])
     with pytest.raises(CapExceeded):
         enumerate_admissible_pairs(many)
     small = graph_from_edges(["a", "b"], [])
+    monkeypatch.setattr(lattice, "_PAIR_CAP", 2)
     with pytest.raises(CapExceeded):
-        enumerate_admissible_pairs(small, pair_cap=2)
+        enumerate_admissible_pairs(small)

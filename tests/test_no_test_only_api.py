@@ -1,8 +1,9 @@
-"""Every function and class of the package has a use in the package.
+"""Every function, class and method of the package has a use in the package.
 
 A name defined in src/fkgraph must be referenced in src/ outside its own
 definition, be exported in `fkgraph.__all__`, or be a function the
-per-layer tracer rebinds (perfbench/tracer.py TARGETS).  Code that only
+per-layer tracer rebinds (perfbench/tracer.py TARGETS).  A method must be
+called as `.name(` there, and a property read as `.name`.  Code that only
 tests call is deleted, not kept.  Dunder methods are called by the
 language, not by name, and are not checked.
 """
@@ -21,13 +22,24 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fkgraph"
 ALLOWED = {"satisfies_condition_K"}
 
 
+def _is_property(node) -> bool:
+    return any(getattr(d, "id", None) in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
 def unreferenced() -> list[str]:
-    """Names of functions and classes that no other code in src/ mentions."""
+    """Names of functions, classes and methods that no other code in src/ uses.
+
+    A method is reported as `Class.name`.
+    """
     texts = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     out = []
     for path, text in texts.items():
         lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
@@ -36,9 +48,14 @@ def unreferenced() -> list[str]:
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             outside = [*lines[:start - 1], *lines[node.end_lineno:]]
             others = [t for p, t in texts.items() if p != path]
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(t) for t in ["\n".join(outside), *others]):
-                out.append(name)
+            if id(node) not in owner:
+                use = re.compile(rf"\b{re.escape(name)}\b")
+            elif _is_property(node):
+                use = re.compile(rf"\.{re.escape(name)}\b")
+            else:
+                use = re.compile(rf"\.{re.escape(name)}\(")
+            if not any(use.search(t) for t in ["\n".join(outside), *others]):
+                out.append(f"{owner[id(node)]}.{name}" if id(node) in owner else name)
     return out
 
 

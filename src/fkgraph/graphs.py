@@ -10,7 +10,6 @@ Vertex subsets are plain ints used as bitsets over the vertex order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -58,19 +57,27 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple[str, ...]
-    mult: tuple[tuple[Mult, ...], ...]
+    """Vertex names and multiplicity matrix; read-only and equal by value."""
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.mult) != n or any(len(r) != n for r in self.mult):
+    def __init__(self, vertices: tuple[str, ...], mult: tuple[tuple[Mult, ...], ...]):
+        n = len(vertices)
+        if len(mult) != n or any(len(r) != n for r in mult):
             raise ValueError("multiplicity matrix shape mismatch")
-        for row in self.mult:
+        for row in mult:
             for m in row:
                 if m is not INF and (not isinstance(m, int) or m < 0):
                     raise ValueError(f"bad multiplicity {m!r}")
+        self.__dict__.update(vertices=vertices, mult=mult)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Graph.{name}")
+
+    def __eq__(self, other):
+        return type(other) is Graph and (self.vertices, self.mult) == (other.vertices, other.mult)
+
+    def __hash__(self):
+        return hash((self.vertices, self.mult))
 
     @property
     def n(self) -> int:

@@ -5,8 +5,9 @@ as finitely generated abelian groups in canonical presentation, and a bounded
 enumeration of group isomorphisms.  Everything runs on Python's
 arbitrary-precision integers; no floating point is used anywhere.
 
-Smith decompositions and kernels are memoised by value (`IntMatrix` is
-frozen), so each distinct matrix is decomposed and checked once per process.
+Smith decompositions and kernels are memoised by value (`IntMatrix` is an
+immutable tuple record), so each distinct matrix is decomposed and checked
+once per process.
 Group isomorphisms are generated lazily, row by row, under linear
 constraints A v = c: a row that breaks one is dropped before it is extended,
 and no automorphism group is ever built whole.
@@ -14,12 +15,11 @@ and no automorphism group is ever built whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -37,29 +37,27 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; `entries` is a tuple of row tuples."""
+class IntMatrix(NamedTuple):
+    """Immutable integer matrix; `entries` is a tuple of row tuples.
+
+    The shape is checked where rows come in, in `from_rows`; products,
+    stacks and selections build their entries to shape.
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged matrix")
-
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
         if cols is None:
             if not rows:
                 raise ValueError("column count needed for a matrix with no rows")
             cols = len(rows[0])
-        return IntMatrix(len(rows), cols, tuple(rows))
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged matrix")
+        return IntMatrix(len(rows), cols, rows)
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -125,8 +123,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """P @ M @ Q = S with P, Q unimodular and S diagonal, d1 | d2 | ... >= 0."""
 
     S: IntMatrix
@@ -267,13 +264,8 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
         if D[i][i] < 0:
             negate_row(i)
 
-    dec = SmithDecomposition(
-        S=IntMatrix.from_rows(D, cols=n) if m else IntMatrix.zero(0, n),
-        P=IntMatrix.from_rows(P, cols=m) if m else IntMatrix.zero(0, 0),
-        Q=IntMatrix.from_rows(Q, cols=n) if n else IntMatrix.zero(0, 0),
-        P_inv=IntMatrix.from_rows(Pi, cols=m) if m else IntMatrix.zero(0, 0),
-        Q_inv=IntMatrix.from_rows(Qi, cols=n) if n else IntMatrix.zero(0, 0),
-    )
+    dec = SmithDecomposition(*(IntMatrix.from_rows(X, cols=c)
+                               for X, c in ((D, n), (P, m), (Q, n), (Pi, m), (Qi, n))))
     _assert_smith(M, dec)
     return dec
 
@@ -305,38 +297,44 @@ def solve_exact(A: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     return smith_decomposition(A).solve(b)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class _Presentation(NamedTuple):
+    # the fields of FgAbGroup, whose constructor checks them and adds the last
+    invariant_factors: tuple[int, ...]
+    project: IntMatrix
+    lift: IntMatrix
+    relation_columns: IntMatrix
+
+
+class FgAbGroup(_Presentation):
     """Finitely generated abelian group in canonical presentation.
 
     `invariant_factors` lists d1 | d2 | ... with unit factors dropped and 0
     (free factor, divisible by everything) at the tail.  `project` maps
     ambient coordinates to canonical ones; `lift` is a section with
-    project @ lift = identity modulo the factors.
+    project @ lift = identity modulo the factors.  `relation_columns`, the
+    columns d_i e_i for the torsion factors, is built by the constructor,
+    so once per group.
     """
 
-    invariant_factors: tuple[int, ...]
-    project: IntMatrix
-    lift: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        seen_zero = False
-        prev = None
-        for d in self.invariant_factors:
+    def __new__(cls, invariant_factors: tuple[int, ...], project: IntMatrix, lift: IntMatrix):
+        for i, d in enumerate(invariant_factors):
             if d == 1 or d < 0:
                 raise ValueError("factors must be 0 or >= 2")
-            if d == 0:
-                seen_zero = True
-            else:
-                if seen_zero:
-                    raise ValueError("free factors must trail")
-                if prev is not None and d % prev != 0:
-                    raise ValueError("divisibility chain broken")
-                prev = d
-        if self.project.rows != len(self.invariant_factors):
+            if d and 0 in invariant_factors[:i]:
+                raise ValueError("free factors must trail")
+            if d and i and d % invariant_factors[i - 1]:
+                raise ValueError("divisibility chain broken")
+        k = len(invariant_factors)
+        if project.rows != k:
             raise ValueError("projection shape mismatch")
-        if self.lift.cols != len(self.invariant_factors) or self.lift.rows != self.project.cols:
+        if lift.cols != k or lift.rows != project.cols:
             raise ValueError("lift shape mismatch")
+        tors = [i for i, d in enumerate(invariant_factors) if d > 0]
+        relations = IntMatrix(k, len(tors), tuple(
+            tuple(invariant_factors[j] if i == j else 0 for j in tors) for i in range(k)))
+        return super().__new__(cls, invariant_factors, project, lift, relations)
 
     @property
     def ncoords(self) -> int:
@@ -358,14 +356,6 @@ class FgAbGroup:
 
     def project_vec(self, ambient: Sequence[int]) -> tuple[int, ...]:
         return self.reduce(self.project.apply(ambient))
-
-    @cached_property
-    def relation_columns(self) -> IntMatrix:
-        """Columns d_i e_i for the torsion factors, built once per group."""
-        tors = [i for i, d in enumerate(self.invariant_factors) if d > 0]
-        return IntMatrix(self.ncoords, len(tors), tuple(
-            tuple(self.invariant_factors[j] if i == j else 0 for j in tors)
-            for i in range(self.ncoords)))
 
 
 def _sign_normalize(rows: list[list[int]], cosign: list[list[int]], free_idx: Iterable[int]) -> None:
@@ -397,11 +387,8 @@ def cokernel(M: IntMatrix) -> FgAbGroup:
         if d:
             proj[k] = [x % d for x in proj[k]]
     _sign_normalize(proj, lift, [k for k, d in enumerate(factors) if d == 0])
-    return FgAbGroup(
-        invariant_factors=tuple(factors),
-        project=IntMatrix.from_rows(proj, cols=M.rows),
-        lift=IntMatrix.from_rows(lift, cols=len(keep)) if M.rows else IntMatrix.zero(0, len(keep)),
-    )
+    return FgAbGroup(tuple(factors), IntMatrix.from_rows(proj, cols=M.rows),
+                     IntMatrix.from_rows(lift, cols=len(keep)))
 
 
 @cache
@@ -420,11 +407,8 @@ def kernel_group(M: IntMatrix) -> FgAbGroup:
             for i in range(M.cols):
                 basis[i][k] = -basis[i][k]
             proj[k] = [-x for x in proj[k]]
-    return FgAbGroup(
-        invariant_factors=(0,) * len(idx),
-        project=IntMatrix.from_rows(proj, cols=M.cols),
-        lift=IntMatrix.from_rows(basis, cols=len(idx)) if M.cols else IntMatrix.zero(0, len(idx)),
-    )
+    return FgAbGroup((0,) * len(idx), IntMatrix.from_rows(proj, cols=M.cols),
+                     IntMatrix.from_rows(basis, cols=len(idx)))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -14,8 +14,7 @@ deterministic, and replayable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InternalInvariantError
 from .graphs import Graph, iter_bits, mask_of
@@ -43,8 +42,7 @@ DEFAULT_POINT_CAP = 7
 _NODE_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class FilteredK:
+class FilteredK(NamedTuple):
     """Everything `compare` looks at, computed once per graph.
 
     kmap keys are exactly the locally closed pointsets of the space, in
@@ -65,8 +63,7 @@ class FilteredK:
         return self.space.graph.row_finite
 
 
-@dataclass(frozen=True)
-class CompareVerdict:
+class CompareVerdict(NamedTuple):
     outcome: str
     witness: dict
 

@@ -14,18 +14,18 @@ exponential direction vanishes because vertex classes lift.  Inclusions of
 carriers are index selections: a map through the 0/1 inclusion of one
 carrier's vertices (or regular columns) into another's is a projection with
 columns selected, or a lift with rows selected, never a matrix product.
-Exactness, with each map killing its source relations, is recomputed on
+Exactness, with each map killing its source relations, is checked once per
+distinct sequence (its groups and its six maps); a failing one raises on
 every call.  `assemble` builds one sequence per pair, on the chain
-`pair_chains` picks, while `check` still builds every chain.  K-data and
-presentation changes are cached per graph by carrier, in
+`pair_chains` picks, while `check` still builds every chain.  K-data,
+presentation changes and exactness verdicts are cached per graph, in
 `Graph.carrier_cache`, so each is computed once however many chains use it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
 from .graphs import Graph, iter_bits, subquotient_graph
@@ -46,8 +46,7 @@ from .spectrum import (LocallyClosedSet, SpectrumSpace, canonical_presentation,
                        locally_closed_sets, presentation)
 
 
-@dataclass(frozen=True)
-class KData:
+class KData(NamedTuple):
     """Ordered K-theory of one subquotient.
 
     cone_generators[i] is the K0 class of the i-th vertex of the restricted
@@ -119,8 +118,7 @@ SIX_EDGES = (
 )
 
 
-@dataclass(frozen=True)
-class SixTerm:
+class SixTerm(NamedTuple):
     """Maps of the cyclic sequence of an ideal sub inside a subquotient mid.
 
     sub/mid/quot carry the K-data of the pointsets sub, mid and mid \\ sub,
@@ -251,7 +249,9 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
         pi1=_pull(ckq.k1, q1i, pi1, a1),
         partial=_pull(cks.k0, s0i, partial, q1),
     )
-    fails = exactness_failures(st)
+    # canonical carriers fix the three groups and st[3:] holds the six maps
+    key = (cy_s.d, cy_s.h_v, cy_q.d, cy_q.h_v, cy_a.d, cy_a.h_v, st[3:])
+    fails = _memo(g, key, lambda: exactness_failures(st))
     if fails:
         raise ExactnessError("; ".join(fails))
     return st

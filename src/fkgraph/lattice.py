@@ -8,7 +8,7 @@ uniqueness are verified, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInvariantError
 from .graphs import Graph, breaking_vertices, is_hereditary, is_saturated
@@ -17,8 +17,7 @@ DEFAULT_VERTEX_CAP = 16
 _PAIR_CAP = 1024
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     """Bitmasks over the graph's vertex order."""
 
     h: int
@@ -29,8 +28,7 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     return not (p.h & ~q.h) and not (p.s & ~(q.h | q.s))
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(NamedTuple):
     graph: Graph
     pairs: tuple[AdmissiblePair, ...]
     up: tuple[int, ...]      # up[i] = bitmask of j with pairs[i] <= pairs[j]

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     checks: int
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceeded, InternalInvariantError
 from .graphs import Graph, iter_bits, mask_of
@@ -25,16 +25,26 @@ from .lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from .report import Report
 
 
-@dataclass(frozen=True)
 class SpectrumSpace:
-    lattice: IdealLattice
-    points: tuple[int, ...]   # lattice indices of the primes, in lattice order
-    opens: tuple[int, ...]    # every open point-subset, sorted by (size, mask)
-    # tables filled on first use: point mask -> closure, (u, v) -> presentation,
-    # pointset -> canonical presentation
-    _closures: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _presentations: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _canonical: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """Prime points (lattice indices, in lattice order) and every open
+    point-subset, sorted by (size, mask).  Read-only, and equal by
+    (lattice, points, opens) whatever its tables hold: point mask ->
+    closure, (u, v) -> presentation, pointset -> canonical presentation.
+    """
+
+    def __init__(self, lattice: IdealLattice, points: tuple[int, ...], opens: tuple[int, ...]):
+        self.__dict__.update(lattice=lattice, points=points, opens=opens,
+                             _closures={}, _presentations={}, _canonical={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to SpectrumSpace.{name}")
+
+    def __eq__(self, other):
+        return type(other) is SpectrumSpace and (
+            (self.lattice, self.points, self.opens) == (other.lattice, other.points, other.opens))
+
+    def __hash__(self):
+        return hash((self.lattice, self.points, self.opens))
 
     @property
     def graph(self) -> Graph:
@@ -133,8 +143,7 @@ def capped_spectrum(g: Graph, point_cap: int, vertex_cap: int) -> SpectrumSpace:
     return sp
 
 
-@dataclass(frozen=True)
-class LocallyClosedSet:
+class LocallyClosedSet(NamedTuple):
     """A difference U \\ V of opens in canonical form.
 
     u is the minimal open containing the pointset and v = u minus the

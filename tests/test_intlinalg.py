@@ -558,6 +558,16 @@ def test_reduce_map_and_equality():
     assert not maps_equal(G, A, IntMatrix.from_rows([[4, 1], [0, -2]]))
 
 
+def test_from_rows_checks_the_shape():
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2], [3, 4]], cols=3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([])
+    assert IntMatrix.from_rows([], cols=2) == IntMatrix.zero(0, 2)
+
+
 def test_fgabgroup_validation():
     with pytest.raises(ValueError):
         FgAbGroup((1,), IntMatrix.zero(1, 1), IntMatrix.zero(1, 1))

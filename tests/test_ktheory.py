@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -528,7 +527,7 @@ def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch)
             return st
         rows = [list(r) for r in st.iota0.entries]
         rows[0][0] += 1
-        return replace(st, iota0=IntMatrix.from_rows(rows, cols=st.iota0.cols))
+        return st._replace(iota0=IntMatrix.from_rows(rows, cols=st.iota0.cols))
 
     monkeypatch.setattr(ktheory, "six_term", perturbed)
     rep = verify_exactness(g, sp)
@@ -537,6 +536,27 @@ def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch)
         f"triple ({u1:#b},{u2:#b},{u3:#b}): maps differ from chain "
         f"({v1:#b},{v2:#b},{v3:#b}) with the same subquotient pair",)
     assert rep.checks == 6 * len(chains)
+
+
+def test_failing_sequence_raises_for_every_chain(free_antichain, monkeypatch):
+    # exactness is memoised per distinct sequence, failures included: each
+    # chain presenting a failing pair is still reported, and the check runs
+    # once per pair (a fresh graph, so no earlier verdict is cached)
+    g = Graph(free_antichain.vertices, free_antichain.mult)
+    sp = spectrum_of(g)
+    calls = []
+
+    def failing(st):
+        calls.append(st)
+        return ["forced failure", "second failure"]
+
+    monkeypatch.setattr(ktheory, "exactness_failures", failing)
+    chains = list(open_triples(sp))
+    rep = verify_exactness(g, sp)
+    assert rep.checks == 6 * len(chains)
+    assert rep.failures == tuple(f"triple ({u1:#b},{u2:#b},{u3:#b}): forced failure; "
+                                 "second failure" for u1, u2, u3 in chains)
+    assert len(calls) == len({sequence_key(*chain) for chain in chains}) < len(chains)
 
 
 def test_cone_membership_basics(corpus, monkeypatch):

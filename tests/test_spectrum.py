@@ -1,6 +1,5 @@
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -232,7 +231,7 @@ def test_kuratowski_tests_kernels_against_unions(free_antichain):
     p, q = sp.points[0], sp.points[1]
     meet = [list(r) for r in sp.lattice.meet]
     meet[p][q] = meet[q][p] = p
-    bad = SpectrumSpace(replace(sp.lattice, meet=tuple(map(tuple, meet))),
+    bad = SpectrumSpace(sp.lattice._replace(meet=tuple(map(tuple, meet))),
                         sp.points, sp.opens)
     rep = verify_kuratowski(bad)
     assert not rep.passed

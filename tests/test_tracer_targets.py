@@ -78,7 +78,8 @@ def test_rebound_smith_decomposition_sees_every_caller(monkeypatch):
 
 def test_exactness_suite_calls_rebindable_globals(monkeypatch):
     # ktheory.six_term_calls, exactness_s and k_data_calls count calls
-    # through these module globals, so `check` must reach them there
+    # through these module globals, so `check` must reach them there;
+    # exactness is checked once per distinct sequence, one per (sub, mid) pair
     seen = []
     for name in ("six_term", "exactness_failures", "k_data"):
         real = getattr(ktheory, name)
@@ -90,6 +91,9 @@ def test_exactness_suite_calls_rebindable_globals(monkeypatch):
     g = graph_from_edges(["v", "w"], [("v", "v", 2), ("v", "w", 1), ("w", "w", 3)])
     sp = spectrum.s_primes(spectrum.enumerate_admissible_pairs(g))
     assert ktheory.verify_exactness(g, sp).passed
-    chains = len(list(ktheory.open_triples(sp)))
-    assert seen.count("six_term") == seen.count("exactness_failures") == chains
-    assert seen.count("k_data") == 6 * chains
+    chains = list(ktheory.open_triples(sp))
+    pairs = {ktheory.sequence_key(*chain) for chain in chains}
+    assert len(pairs) < len(chains)
+    assert seen.count("six_term") == len(chains)
+    assert seen.count("exactness_failures") == len(pairs)
+    assert seen.count("k_data") == 6 * len(chains)

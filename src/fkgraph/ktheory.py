@@ -19,12 +19,15 @@ distinct sequence (its groups and its six maps); a failing one raises on
 every call.  `assemble` builds one sequence per pair, on the chain
 `pair_chains` picks, while `check` still builds every chain.  K-data,
 presentation changes and exactness verdicts are cached per graph, in
-`Graph.carrier_cache`, so each is computed once however many chains use it.
+`Graph.carrier_cache`, so each is computed once however many chains use it;
+each exactness spot (a map f followed by gm) is decided once per process, by
+the value of the two maps and of the factors of the groups they land in.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
@@ -257,30 +260,45 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     return st
 
 
-def exactness_failures(st: SixTerm) -> list[str]:
-    """Image-equals-kernel at all six spots: gm kills im f, and ker gm lies in im f.
+# what fails at a spot f then gm, in the order the checks run
+_SPOT_FAILURES = ("{g} does not kill source relations", "{g} after {f} is nonzero",
+                  "image of {f} differs from kernel of {g}")
 
-    One product gm @ [f | relations of mid] checks both that gm is well
-    defined (it kills the relations of its source) and that gm after f is zero.
-    """
+
+def exactness_failures(st: SixTerm) -> list[str]:
+    """Image-equals-kernel at all six spots: gm kills im f, and ker gm lies in im f."""
     edges = st.edges()
     fails = []
     for k in range(6):
         f_name, f, _, mid = edges[k]
         g_name, gm, _, tgt = edges[(k + 1) % 6]
-        img = image_lattice(mid, f)
-        killed = reduce_map(tgt, gm @ img).entries
-        if any(x for row in killed for x in row[f.cols:]):
-            fails.append(f"{g_name} does not kill source relations")
-            continue
-        if any(x for row in killed for x in row[:f.cols]):
-            fails.append(f"{g_name} after {f_name} is nonzero")
-            continue
-        if mid.ncoords == 0:
-            continue
-        if not lattice_contains(img, kernel_lattice(tgt, gm)):
-            fails.append(f"image of {f_name} differs from kernel of {g_name}")
+        failure = _spot_failure(f, gm, mid.invariant_factors, tgt.invariant_factors)
+        if failure is not None:
+            fails.append(_SPOT_FAILURES[failure].format(f=f_name, g=g_name))
     return fails
+
+
+@cache
+def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
+                  tgt_factors: tuple[int, ...]) -> int | None:
+    """Index in _SPOT_FAILURES of the spot's failure, or None (memoised by value).
+
+    The groups enter only through their factors, so a spot shared by several
+    sequences or graphs is decided once per process.  One product
+    gm @ [f | relations of mid] checks both that gm is well defined (it kills
+    the relations of its source) and that gm after f is zero.
+    """
+    mid, tgt = (FgAbGroup(d, IntMatrix.identity(len(d)), IntMatrix.identity(len(d)))
+                for d in (mid_factors, tgt_factors))
+    img = image_lattice(mid, f)
+    killed = reduce_map(tgt, gm @ img).entries
+    if any(x for row in killed for x in row[f.cols:]):
+        return 0
+    if any(x for row in killed for x in row[:f.cols]):
+        return 1
+    if mid_factors and not lattice_contains(img, kernel_lattice(tgt, gm)):
+        return 2
+    return None
 
 
 def open_triples(sp: SpectrumSpace):

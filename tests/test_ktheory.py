@@ -27,6 +27,7 @@ from fkgraph.ktheory import (
     exactness_failures,
     k_data,
     open_triples,
+    pair_chains,
     sequence_key,
     six_term,
     verify_exactness,
@@ -507,6 +508,93 @@ def test_non_exact_sequence_is_reported():
     assert exactness_failures(_hand_built(levels, maps)) == [
         "image of iota0 differs from kernel of pi0",
         "image of partial differs from kernel of iota0"]
+
+
+def _six_spot_loop(st):
+    """Reference: each spot decided afresh, as before spots were memoised."""
+    edges = st.edges()
+    fails = []
+    for k in range(6):
+        f_name, f, _, mid = edges[k]
+        g_name, gm, _, tgt = edges[(k + 1) % 6]
+        img = image_lattice(mid, f)
+        killed = reduce_map(tgt, gm @ img).entries
+        if any(x for row in killed for x in row[f.cols:]):
+            fails.append(f"{g_name} does not kill source relations")
+            continue
+        if any(x for row in killed for x in row[:f.cols]):
+            fails.append(f"{g_name} after {f_name} is nonzero")
+            continue
+        if mid.ncoords == 0:
+            continue
+        if not lattice_contains(img, kernel_lattice(tgt, gm)):
+            fails.append(f"image of {f_name} differs from kernel of {g_name}")
+    return fails
+
+
+def _bumped(m):
+    rows = [list(r) for r in m.entries]
+    rows[0][0] += 1
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+def test_memoised_exactness_matches_six_spot_loop(row_finite_corpus, free_antichain, deep7):
+    # every sequence as built, and with one map's corner entry bumped so that
+    # the failing verdicts are compared too
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7)
+    failing = 0
+    for name, g in graphs.items():
+        sp = spectrum_of(g)
+        for chain in pair_chains(sp).values():
+            st = six_term(g, sp, *chain)
+            variants = [st] + [st._replace(**{n: _bumped(m)})
+                               for n, m, _, _ in st.edges() if m.rows and m.cols]
+            for v in variants:
+                want = _six_spot_loop(v)
+                assert exactness_failures(v) == want, (name, chain)
+                failing += bool(want)
+    assert failing > 100
+
+
+def test_spot_memo_keys_on_target_factors():
+    # iota0 = 2 and pi0 = 1 on Z: exact into Z/2, but 2 != 0 in Z/3; a memo
+    # blind to the target's factors would give one of the two the other's verdict
+    z = IntMatrix.zero
+    maps = {"iota0": IntMatrix.from_rows([[2]]), "pi0": IntMatrix.from_rows([[1]]),
+            "delta": z(0, 1), "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
+    got = []
+    for q in (2, 3):
+        st = _hand_built({"sub": ((0,), ()), "mid": ((0,), ()), "quot": ((q,), ())}, maps)
+        got.append(exactness_failures(st))
+        assert got[-1] == _six_spot_loop(st), q
+    assert got == [[], ["pi0 after iota0 is nonzero"]]
+
+
+def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):
+    # the memo is by value: lattice containment runs at most once per distinct
+    # spot, and not at all for an equal graph built separately
+    calls = []
+    real = ktheory.lattice_contains
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(ktheory, "lattice_contains", counting)
+    ktheory._spot_failure.cache_clear()
+    g = Graph(deep7.vertices, deep7.mult)
+    sp = spectrum_of(g)
+    assert verify_exactness(g, sp).passed
+    pairs = pair_chains(sp)
+    spots = set()
+    for chain in pairs.values():
+        edges = six_term(g, sp, *chain).edges()
+        spots.update((f, gm, mid.invariant_factors, tgt.invariant_factors)
+                     for (_, f, _, mid), (_, gm, _, tgt) in zip(edges, edges[1:] + edges[:1]))
+    assert 0 < len(calls) <= len(spots) < 6 * len(pairs)
+    calls.clear()
+    again = Graph(deep7.vertices, deep7.mult)
+    assert verify_exactness(again, spectrum_of(again)).passed
+    assert calls == []
 
 
 def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch):

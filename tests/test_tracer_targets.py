@@ -1,8 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 from fkgraph import intlinalg, invariant, ktheory, spectrum
 from fkgraph.graphs import graph_from_edges
@@ -28,6 +31,24 @@ def test_tracer_targets_resolve():
         fn = getattr(importlib.import_module(f"fkgraph.{module}"), name, None)
         assert callable(fn), (module, name)
         assert inspect.isgeneratorfunction(fn) == is_gen, (module, name)
+
+
+def test_cli_import_loads_every_target_module():
+    """A fresh `import fkgraph.cli` loads each module named in TARGETS.
+
+    tracer.py imports only fkgraph.cli and then looks every target's module
+    up in sys.modules, so importing one of them lazily would make each traced
+    op raise KeyError.  Once the tracer imports its targets itself, this test
+    may go.
+    """
+    code = "import sys, fkgraph.cli; print(*sorted(sys.modules))"
+    src = pathlib.Path(intlinalg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {f"fkgraph.{module}" for module, _, _ in _tracer_targets()} <= loaded
 
 
 def test_capped_spectrum_calls_rebindable_globals(monkeypatch):

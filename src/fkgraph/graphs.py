@@ -68,7 +68,8 @@ class Graph:
             for m in row:
                 if m is not INF and (not isinstance(m, int) or m < 0):
                     raise ValueError(f"bad multiplicity {m!r}")
-        self.__dict__.update(vertices=vertices, mult=mult)
+        # computed once: every K-layer memo is keyed by the graph
+        self.__dict__.update(vertices=vertices, mult=mult, _hash=hash((vertices, mult)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Graph.{name}")
@@ -77,16 +78,11 @@ class Graph:
         return type(other) is Graph and (self.vertices, self.mult) == (other.vertices, other.mult)
 
     def __hash__(self):
-        return hash((self.vertices, self.mult))
+        return self._hash
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def carrier_cache(self) -> dict:
-        """Memo for data fixed by a subquotient carrier; filled by `ktheory`."""
-        return {}
 
     @property
     def full_mask(self) -> int:

@@ -2,18 +2,20 @@
 
 `assemble` packages the spectrum, the K-data of every locally closed point
 set, and one six-term sequence per (sub, mid) pair of pointsets into one
-object.  `compare` decides whether two such objects can be matched by a
-homeomorphism of spectra together with a family of ordered group
-isomorphisms commuting with all the maps.  The verdict is three-valued: a
-mismatch that survives every homeomorphism is DISTINGUISHED, a fully
-certified family is COMPATIBLE, and an exhausted search budget (or an
-inconclusive cone membership) is UNKNOWN.  Witnesses are plain dicts,
-deterministic, and replayable.
+object, which builds the two K layers only when they are first read.
+`compare` decides whether two such objects can be matched by a homeomorphism
+of spectra together with a family of ordered group isomorphisms commuting
+with all the maps.  The verdict is three-valued: a mismatch that survives
+every homeomorphism is DISTINGUISHED, a fully certified family is
+COMPATIBLE, and an exhausted search budget (or an inconclusive cone
+membership) is UNKNOWN.  Witnesses are plain dicts, deterministic, and
+replayable.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import InternalInvariantError
@@ -42,8 +44,8 @@ DEFAULT_POINT_CAP = 7
 _NODE_CAP = 500_000
 
 
-class FilteredK(NamedTuple):
-    """Everything `compare` looks at, computed once per graph.
+class FilteredK:
+    """Everything `compare` looks at, each layer built when first read.
 
     kmap keys are exactly the locally closed pointsets of the space, in
     `locally_closed_sets` order; they are the slots of a family.  sequences
@@ -51,16 +53,36 @@ class FilteredK(NamedTuple):
     U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
     `ktheory.pair_chains` order.  Without row-finiteness the K layer cannot
     be built from the data at hand and both mappings are empty; k_complete
-    says which case we are in.
+    says which case we are in.  Read-only.
     """
 
-    space: SpectrumSpace
-    kmap: Mapping[int, KData]
-    sequences: Mapping[tuple[int, int], SixTerm]
+    def __init__(self, space: SpectrumSpace):
+        self.__dict__["space"] = space
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to FilteredK.{name}")
 
     @property
     def k_complete(self) -> bool:
         return self.space.graph.row_finite
+
+    @cached_property
+    def kmap(self) -> Mapping[int, KData]:
+        if not self.k_complete:
+            return {}
+        return {y.pointset: k_data(self.space.graph, y)
+                for y in locally_closed_sets(self.space)}
+
+    @cached_property
+    def sequences(self) -> Mapping[tuple[int, int], SixTerm]:
+        if not self.k_complete:
+            return {}
+        sp, sequences = self.space, {}
+        for key, chain in pair_chains(sp).items():
+            st = sequences[key] = six_term(sp.graph, sp, *chain)
+            if any(getattr(st, part) != self.kmap[mask] for part, mask in _parts(key).items()):
+                raise InternalInvariantError("triple groups drift from kmap")
+        return sequences
 
 
 class CompareVerdict(NamedTuple):
@@ -70,19 +92,10 @@ class CompareVerdict(NamedTuple):
 
 def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,
              vertex_cap: int = DEFAULT_VERTEX_CAP) -> FilteredK:
-    """Spectrum, per-pointset K-data, and one sequence per (sub, mid) pair."""
+    """The invariant of g; its spectrum, and so every cap error, comes first."""
     if point_cap < 1:
         raise ValueError("point cap must be >= 1")
-    sp = capped_spectrum(g, point_cap, vertex_cap)
-    if not g.row_finite:
-        return FilteredK(sp, {}, {})
-    kmap = {y.pointset: k_data(g, y) for y in locally_closed_sets(sp)}
-    sequences = {}
-    for key, chain in pair_chains(sp).items():
-        st = sequences[key] = six_term(g, sp, *chain)
-        if any(getattr(st, part) != kmap[mask] for part, mask in _parts(key).items()):
-            raise InternalInvariantError("triple groups drift from kmap")
-    return FilteredK(sp, kmap, sequences)
+    return FilteredK(capped_spectrum(g, point_cap, vertex_cap))
 
 
 def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):

@@ -14,14 +14,14 @@ exponential direction vanishes because vertex classes lift.  Inclusions of
 carriers are index selections: a map through the 0/1 inclusion of one
 carrier's vertices (or regular columns) into another's is a projection with
 columns selected, or a lift with rows selected, never a matrix product.
-Exactness, with each map killing its source relations, is checked once per
-distinct sequence (its groups and its six maps); a failing one raises on
-every call.  `assemble` builds one sequence per pair, on the chain
-`pair_chains` picks, while `check` still builds every chain.  K-data,
-presentation changes and exactness verdicts are cached per graph, in
-`Graph.carrier_cache`, so each is computed once however many chains use it;
-each exactness spot (a map f followed by gm) is decided once per process, by
-the value of the two maps and of the factors of the groups they land in.
+Each sequence is checked for exactness, with each map killing its source
+relations, as it is built; a failing one raises.  `FilteredK` builds one
+sequence per pair, on the chain `pair_chains` picks, while `check` still
+builds every chain.  Everything is memoised once per process, by value:
+K-data and presentation changes by the graph and the carriers (d, h_v), and
+each exactness spot (a map f followed by gm) by the two maps and the factors
+of the groups they land in, so each is computed once however many chains or
+equal graphs use it.
 """
 
 from __future__ import annotations
@@ -75,38 +75,31 @@ def k_matrix(gq: Graph) -> tuple[IntMatrix, list[int]]:
     return IntMatrix.from_rows(rows, cols=len(regs)), regs
 
 
-def _memo(g: Graph, key: tuple, build):
-    cache = g.carrier_cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+@cache
+def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, tuple[int, ...]]:
+    """K-data of the carrier d over h_v, with the vertices of g indexing its
+    matrix columns; memoised by value.
 
-
-def _k_data(g: Graph, y: LocallyClosedSet) -> tuple[KData, tuple[int, ...]]:
-    """Uncached K-data of y, with the vertices of g indexing its matrix columns."""
+    Keyed on h_v as well, so presentations differing only there stay
+    independent computations for verify_well_definedness.
+    """
     if not g.row_finite:
         raise ValueError("K-data requires a row-finite graph")
-    gq = subquotient_graph(g, y.d, y.h_v)
+    gq = subquotient_graph(g, d, h_v)
     b, regs = k_matrix(gq)
     k0 = cokernel(b)
     gens = tuple(
         k0.project_vec([1 if i == v else 0 for i in range(gq.n)]) for v in range(gq.n)
     )
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
-    verts = list(iter_bits(y.d))
+    verts = list(iter_bits(d))
     return (KData(gq.vertices, b, k0, gens, unit, kernel_group(b)),
             tuple(verts[p] for p in regs))
 
 
-def _carrier(g: Graph, y: LocallyClosedSet) -> tuple[KData, tuple[int, ...]]:
-    # keyed on h_v as well, so presentations differing only there stay
-    # independent computations for verify_well_definedness
-    return _memo(g, (y.d, y.h_v), lambda: _k_data(g, y))
-
-
 def k_data(g: Graph, y: LocallyClosedSet) -> KData:
     """K-data of the subquotient y, built once per carrier (d, h_v) of g."""
-    return _carrier(g, y)[0]
+    return _carrier(g, y.d, y.h_v)[0]
 
 
 # the six maps of a sequence in cyclic order:
@@ -161,8 +154,8 @@ def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
         raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
 
 
-def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
-                raw_y: LocallyClosedSet, raw_k: KData):
+@cache
+def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int):
     """Coordinate change from the canonical presentation into a larger one.
 
     The canonical carrier sits inside every presentation's carrier and
@@ -171,16 +164,12 @@ def _transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
     of matrices with their inverses, or None (the identity) when the
     carriers agree.
     """
-    key = (canon_y.d, canon_y.h_v, raw_y.d, raw_y.h_v)
-    return _memo(g, key, lambda: _build_transition(g, canon_y, canon_k, raw_y, raw_k))
-
-
-def _build_transition(g: Graph, canon_y: LocallyClosedSet, canon_k: KData,
-                      raw_y: LocallyClosedSet, raw_k: KData):
-    if canon_y.d == raw_y.d:
+    if canon_d == raw_d:
         return None
-    verts = _positions(list(iter_bits(raw_y.d)), iter_bits(canon_y.d))
-    regs = _positions(_carrier(g, raw_y)[1], _carrier(g, canon_y)[1])
+    canon_k, canon_regs = _carrier(g, canon_d, canon_h_v)
+    raw_k, raw_regs = _carrier(g, raw_d, raw_h_v)
+    verts = _positions(list(iter_bits(raw_d)), iter_bits(canon_d))
+    regs = _positions(raw_regs, canon_regs)
     n0 = reduce_map(raw_k.k0, raw_k.k0.project.select_cols(verts) @ canon_k.k0.lift)
     n1 = reduce_map(raw_k.k1, raw_k.k1.project.select_cols(regs) @ canon_k.k1.lift)
     inv0 = group_iso_inverse(raw_k.k0, n0)
@@ -216,11 +205,11 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     y_a = presentation(sp, u3, u1)
     ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
 
-    verts_a, regs_a = list(iter_bits(y_a.d)), _carrier(g, y_a)[1]
+    verts_a, regs_a = list(iter_bits(y_a.d)), _carrier(g, y_a.d, y_a.h_v)[1]
     rows_s = _positions(verts_a, iter_bits(y_s.d))
     rows_q = _positions(verts_a, iter_bits(y_q.d))
-    cols_s = _positions(regs_a, _carrier(g, y_s)[1])
-    cols_q = _positions(regs_a, _carrier(g, y_q)[1])
+    cols_s = _positions(regs_a, _carrier(g, y_s.d, y_s.h_v)[1])
+    cols_q = _positions(regs_a, _carrier(g, y_q.d, y_q.h_v)[1])
 
     # sub-block rows hit by quotient columns vanish by hereditarity of H2
     b_a = ka.matrix.entries
@@ -239,9 +228,9 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     cy_a = canonical_presentation(sp, y_a.pointset)
     cks, ckq, cka = k_data(g, cy_s), k_data(g, cy_q), k_data(g, cy_a)
     none = (None,) * 4
-    s0, s0i, s1, s1i = _transition(g, cy_s, cks, y_s, ks) or none
-    q0, q0i, q1, q1i = _transition(g, cy_q, ckq, y_q, kq) or none
-    a0, a0i, a1, a1i = _transition(g, cy_a, cka, y_a, ka) or none
+    s0, s0i, s1, s1i = _transition(g, cy_s.d, cy_s.h_v, y_s.d, y_s.h_v) or none
+    q0, q0i, q1, q1i = _transition(g, cy_q.d, cy_q.h_v, y_q.d, y_q.h_v) or none
+    a0, a0i, a1, a1i = _transition(g, cy_a.d, cy_a.h_v, y_a.d, y_a.h_v) or none
 
     st = SixTerm(
         cks, cka, ckq,
@@ -252,9 +241,7 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
         pi1=_pull(ckq.k1, q1i, pi1, a1),
         partial=_pull(cks.k0, s0i, partial, q1),
     )
-    # canonical carriers fix the three groups and st[3:] holds the six maps
-    key = (cy_s.d, cy_s.h_v, cy_q.d, cy_q.h_v, cy_a.d, cy_a.h_v, st[3:])
-    fails = _memo(g, key, lambda: exactness_failures(st))
+    fails = exactness_failures(st)
     if fails:
         raise ExactnessError("; ".join(fails))
     return st
@@ -376,7 +363,7 @@ def verify_well_definedness(g: Graph, sp: SpectrumSpace) -> Report:
             fails.append(f"K-groups drift under presentation ({u:#b},{v:#b})")
             continue
         try:
-            _transition(g, ref, want, alt, alt_k)
+            _transition(g, ref.d, ref.h_v, alt.d, alt.h_v)
         except InternalInvariantError:
             fails.append(f"no canonical K-isomorphism for presentation ({u:#b},{v:#b})")
     return Report("well-definedness", checks, tuple(fails))

@@ -13,6 +13,8 @@ from fkgraph import cli, invariant, ktheory
 from fkgraph.cli import main
 from fkgraph.invariant import DEFAULT_BUDGET
 
+from test_graphs import _json_mirror
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
 GRAPHS = ROOT / "graphs"
@@ -100,6 +102,13 @@ def test_k_rejections(capsys):
     assert code == 1 and "row-finite" in err
 
 
+def test_k_subquotient_input_errors(capsys):
+    assert run(capsys, "k", gpath("g4"), "--subquotient", "0,x") == (
+        1, "", "fk-graph: bad point index 'x'\n")
+    code, out, err = run(capsys, "k", gpath("g4"), "--subquotient", "0", "--all")
+    assert (code, out) == (1, "") and "not allowed with argument" in err
+
+
 def test_compare_examples(capsys):
     payload = run_json(capsys, "compare.schema.json", "compare",
                        gpath("g1"), gpath("o2"), "--format", "json")
@@ -112,6 +121,25 @@ def test_compare_examples(capsys):
                        gpath("g1"), gpath("cycle2"), "--no-unit",
                        "--format", "json")
     assert payload["outcome"] == "COMPATIBLE" and payload["unital"] is False
+
+
+def test_self_compare_is_by_graph_value(capsys, monkeypatch, tmp_path, corpus):
+    # a graph against its JSON mirror is a self-compare: one assembly, and
+    # the output of the self-compare of the text file
+    assembled = []
+    real = cli.assemble
+
+    def counting(g, **caps):
+        assembled.append(g)
+        return real(g, **caps)
+    monkeypatch.setattr(cli, "assemble", counting)
+    mirror = tmp_path / "mixed5.json"
+    mirror.write_text(json.dumps(_json_mirror(corpus["mixed5"])))
+    want = run(capsys, "compare", gpath("mixed5"), gpath("mixed5"), "--format", "json")
+    assert assembled == [corpus["mixed5"]]
+    assembled.clear()
+    assert run(capsys, "compare", gpath("mixed5"), str(mirror), "--format", "json") == want
+    assert assembled == [corpus["mixed5"]]
 
 
 def test_budget_sources(capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from fkgraph import invariant
+from fkgraph import cli, invariant
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
@@ -53,6 +53,31 @@ def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain
         assert list(calls) == keys, name
         assert set(calls.values()) == {1}, name
     assert (len(calls), len(chains)) == (81, 256)
+
+
+def test_compare_builds_sequences_only_when_needed(corpus, graph_dir, capsys, monkeypatch):
+    # the K layers are built when first read: a verdict the spectra or the
+    # pointwise K-groups decide builds no six-term sequence, and a
+    # self-compare builds one per (sub, mid) pair
+    calls = Counter()
+    build = invariant.six_term
+
+    def counting(g, sp, u1, u2, u3):
+        calls[sequence_key(u1, u2, u3)] += 1
+        return build(g, sp, u1, u2, u3)
+
+    monkeypatch.setattr(invariant, "six_term", counting)
+    for a, b, kind in (("mixed5", "g1", "no_homeomorphism"), ("g1", "o2", "pointwise"),
+                       ("g4", "g4", "family")):
+        calls.clear()
+        argv = ["compare", str(graph_dir / f"{a}.graph"), str(graph_dir / f"{b}.graph"),
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["kind"] == kind
+        if a != b:
+            assert not calls, (a, b)
+    sp = assemble(corpus["g4"]).space
+    assert calls == dict.fromkeys({sequence_key(*c) for c in open_triples(sp)}, 1)
 
 
 def test_assemble_caps(corpus):

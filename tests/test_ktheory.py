@@ -22,7 +22,6 @@ from fkgraph.intlinalg import (
 from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
     SixTerm,
-    _k_data,
     cone_contains,
     exactness_failures,
     k_data,
@@ -168,25 +167,21 @@ def test_cached_k_data_matches_fresh_build(row_finite_corpus):
                 continue
             y = presentation(sp, u, v)
             kd = k_data(g, y)
-            assert kd == _k_data(g, y)[0], (name, u, v)
+            assert kd == ktheory._carrier.__wrapped__(g, y.d, y.h_v)[0], (name, u, v)
             assert k_data(g, y) is kd, (name, u, v)
 
 
-def test_assemble_builds_each_carrier_once(row_finite_corpus, monkeypatch):
-    builds = Counter()
-    build = ktheory._k_data
-
-    def counting(g, y):
-        builds[(id(g), y.d, y.h_v)] += 1
-        return build(g, y)
-
-    monkeypatch.setattr(ktheory, "_k_data", counting)
-    fresh = [Graph(g.vertices, g.mult) for g in row_finite_corpus.values()]
-    for g in fresh:  # all kept alive, so no id is reused
-        fk = assemble(g)
-        lcs = locally_closed_sets(fk.space)
-        assert {(id(g), y.d, y.h_v) for y in lcs} <= set(builds), g.vertices
-    assert builds and max(builds.values()) == 1
+def test_assemble_builds_each_carrier_once(row_finite_corpus):
+    # the memo is by value: each carrier is built once, a miss that stays in
+    # the cache, and equal graphs built again are answered from it
+    ktheory._carrier.cache_clear()
+    for g in row_finite_corpus.values():
+        assert assemble(Graph(g.vertices, g.mult)).sequences
+    info = ktheory._carrier.cache_info()
+    assert info.misses == info.currsize > 0
+    for g in row_finite_corpus.values():
+        assert assemble(Graph(g.vertices, g.mult)).sequences
+    assert ktheory._carrier.cache_info().misses == info.misses
 
 
 def test_g4_triple_frozen_maps(corpus):
@@ -331,7 +326,8 @@ def _reference_transition(g, canon_y, canon_k, raw_y, raw_k):
         n1 = IntMatrix.identity(canon_k.k1.ncoords)
         return n0, n0, n1, n1
     e_vert = _indicator(list(iter_bits(raw_y.d)), list(iter_bits(canon_y.d)))
-    e_reg = _indicator(ktheory._carrier(g, raw_y)[1], ktheory._carrier(g, canon_y)[1])
+    e_reg = _indicator(ktheory._carrier(g, raw_y.d, raw_y.h_v)[1],
+                       ktheory._carrier(g, canon_y.d, canon_y.h_v)[1])
     n0 = reduce_map(raw_k.k0, raw_k.k0.project @ e_vert @ canon_k.k0.lift)
     n1 = reduce_map(raw_k.k1, raw_k.k1.project @ e_reg @ canon_k.k1.lift)
     inv0, inv1 = group_iso_inverse(raw_k.k0, n0), group_iso_inverse(raw_k.k1, n1)
@@ -345,7 +341,7 @@ def _reference_maps(g, sp, u1, u2, u3):
     y_s, y_q, y_a = presentation(sp, u2, u1), presentation(sp, u3, u2), presentation(sp, u3, u1)
     ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
     verts_s, verts_q, verts_a = (list(iter_bits(y.d)) for y in (y_s, y_q, y_a))
-    regs_a = ktheory._carrier(g, y_a)[1]
+    regs_a = ktheory._carrier(g, y_a.d, y_a.h_v)[1]
     regs_s = [v for v in regs_a if y_s.d >> v & 1]
     regs_q = [v for v in regs_a if y_q.d >> v & 1]
     c_block = ka.matrix.select_rows([verts_a.index(v) for v in verts_s]).select_cols(
@@ -401,9 +397,8 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
                 continue
             raw = presentation(sp, u, v)
             canon = canonical_presentation(sp, raw.pointset)
-            args = (g, canon, k_data(g, canon), raw, k_data(g, raw))
-            want = _reference_transition(*args)
-            got = ktheory._transition(*args)
+            want = _reference_transition(g, canon, k_data(g, canon), raw, k_data(g, raw))
+            got = ktheory._transition(g, canon.d, canon.h_v, raw.d, raw.h_v)
             assert (got is None) == (canon.d == raw.d), (name, u, v)
             assert got is None or got == want, (name, u, v)
             swaps[name] += got is not None and any(
@@ -627,10 +622,9 @@ def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch)
 
 
 def test_failing_sequence_raises_for_every_chain(free_antichain, monkeypatch):
-    # exactness is memoised per distinct sequence, failures included: each
-    # chain presenting a failing pair is still reported, and the check runs
-    # once per pair (a fresh graph, so no earlier verdict is cached)
-    g = Graph(free_antichain.vertices, free_antichain.mult)
+    # each chain presenting a failing pair is reported, and the check runs
+    # once per chain
+    g = free_antichain
     sp = spectrum_of(g)
     calls = []
 
@@ -644,7 +638,7 @@ def test_failing_sequence_raises_for_every_chain(free_antichain, monkeypatch):
     assert rep.checks == 6 * len(chains)
     assert rep.failures == tuple(f"triple ({u1:#b},{u2:#b},{u3:#b}): forced failure; "
                                  "second failure" for u1, u2, u3 in chains)
-    assert len(calls) == len({sequence_key(*chain) for chain in chains}) < len(chains)
+    assert len(calls) == len(chains)
 
 
 def test_cone_membership_basics(corpus, monkeypatch):

@@ -6,6 +6,10 @@ per-layer tracer rebinds (perfbench/tracer.py TARGETS).  A method must be
 called as `.name(` there, and a property read as `.name`.  Code that only
 tests call is deleted, not kept.  Dunder methods are called by the
 language, not by name, and are not checked.
+
+Uses are matched as text, so a member passes on the uses of any other
+class's member of the same name; `test_member_names_are_unambiguous` keeps
+the list of such shared names fixed, each one looked at by hand.
 """
 
 import ast
@@ -63,3 +67,29 @@ def test_no_test_only_api():
     exempt = set(fkgraph.__all__) | {name for _, name, _ in _tracer_targets()}
     found = [name for name in unreferenced() if name not in exempt]
     assert sorted(found) == sorted(ALLOWED)
+
+
+def shared_member_names() -> set[str]:
+    """Method, property and field names that two or more classes in src/ define."""
+    owners: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    owners.setdefault(name, set()).add(cls.name)
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_member_names_are_unambiguous():
+    # IdealLattice.graph and SpectrumSpace.graph, SmithDecomposition.rank and
+    # FgAbGroup.rank: each is read on both of its owners.  A new shared name
+    # could hide a member that only tests use from the check above.
+    assert shared_member_names() == {"graph", "rank"}

@@ -19,6 +19,7 @@ import pytest
 import fkgraph
 from fkgraph.graphs import Graph, graph_from_edges
 from fkgraph.intlinalg import IntMatrix, cokernel, smith_decomposition
+from fkgraph.invariant import FilteredK
 from fkgraph.ktheory import (k_data, open_triples, six_term,
                              verify_well_definedness)
 from fkgraph.lattice import enumerate_admissible_pairs
@@ -79,7 +80,7 @@ def test_record_fields_are_read_only():
     records = [(IntMatrix.identity(2), "rows"),
                (cokernel(IntMatrix.from_rows([[2]])), "invariant_factors"),
                (st.mid, "k0"), (st, "iota0"), (Report("r", 1), "failures"),
-               (g, "mult"), (sp, "points")]
+               (g, "mult"), (sp, "points"), (FilteredK(sp), "sequences")]
     for obj, name in records:
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
@@ -89,7 +90,7 @@ def test_record_fields_are_read_only():
 
 def test_well_definedness_compares_k_data_by_value(free_antichain):
     # a presentation with the canonical carrier but another h_v is its own
-    # carrier-cache entry, so its K-data is a separately built record; the
+    # K-data memo entry, so its K-data is a separately built record; the
     # suite must find it equal to the canonical one, not identical
     g = Graph(free_antichain.vertices, free_antichain.mult)
     sp = s_primes(enumerate_admissible_pairs(g))

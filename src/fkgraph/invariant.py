@@ -1,15 +1,15 @@
 """Whole-graph invariant assembly and bounded isomorphism search.
 
 `assemble` packages the spectrum, the K-data of every locally closed point
-set, and one six-term sequence per (sub, mid) pair of pointsets into one
-object, which builds the two K layers only when they are first read.
-`compare` decides whether two such objects can be matched by a homeomorphism
-of spectra together with a family of ordered group isomorphisms commuting
-with all the maps.  The verdict is three-valued: a mismatch that survives
-every homeomorphism is DISTINGUISHED, a fully certified family is
-COMPATIBLE, and an exhausted search budget (or an inconclusive cone
-membership) is UNKNOWN.  Witnesses are plain dicts, deterministic, and
-replayable.
+set, and the maps of one six-term sequence per (sub, mid) pair of pointsets,
+whose groups are read from that K-data, into one object, which builds the
+two K layers only when they are first read.  `compare` decides whether two
+such objects can be matched by a homeomorphism of spectra together with a
+family of ordered group isomorphisms commuting with all the maps.  The
+verdict is three-valued: a mismatch that survives every homeomorphism is
+DISTINGUISHED, a fully certified family is COMPATIBLE, and an exhausted
+search budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses
+are plain dicts, deterministic, and replayable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import itertools
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .errors import InternalInvariantError
 from .graphs import Graph, iter_bits, mask_of
 from .intlinalg import (
     IntMatrix,
@@ -27,8 +26,8 @@ from .intlinalg import (
     iso_search_complete,
     maps_equal,
 )
-from .ktheory import (SIX_EDGES, KData, SixTerm, cone_contains, k_data,
-                      pair_chains, six_term)
+from .ktheory import (CYCLE, KData, SixTerm, cone_contains, cycle_groups, k_data,
+                      pair_chains, pair_pointsets, six_term)
 from .lattice import DEFAULT_VERTEX_CAP
 from .report import Report
 from .spectrum import SpectrumSpace, capped_spectrum, locally_closed_sets
@@ -51,9 +50,10 @@ class FilteredK:
     `locally_closed_sets` order; they are the slots of a family.  sequences
     holds one `SixTerm` per (sub, mid) pair that an open chain
     U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
-    `ktheory.pair_chains` order.  Without row-finiteness the K layer cannot
-    be built from the data at hand and both mappings are empty; k_complete
-    says which case we are in.  Read-only.
+    `ktheory.pair_chains` order; its maps run between the kmap groups of the
+    pair's parts.  Without row-finiteness the K layer cannot be built from
+    the data at hand and both mappings are empty; k_complete says which case
+    we are in.  Read-only.
     """
 
     def __init__(self, space: SpectrumSpace):
@@ -77,12 +77,8 @@ class FilteredK:
     def sequences(self) -> Mapping[tuple[int, int], SixTerm]:
         if not self.k_complete:
             return {}
-        sp, sequences = self.space, {}
-        for key, chain in pair_chains(sp).items():
-            st = sequences[key] = six_term(sp.graph, sp, *chain)
-            if any(getattr(st, part) != self.kmap[mask] for part, mask in _parts(key).items()):
-                raise InternalInvariantError("triple groups drift from kmap")
-        return sequences
+        sp = self.space
+        return {key: six_term(sp.graph, sp, *chain) for key, chain in pair_chains(sp).items()}
 
 
 class CompareVerdict(NamedTuple):
@@ -119,24 +115,20 @@ def _map_mask(mask: int, perm) -> int:
     return mask_of(perm[k] for k in iter_bits(mask))
 
 
-def _parts(key):
-    sub, mid = key
-    return {"sub": sub, "mid": mid, "quot": mid & ~sub}
-
-
 def _squares(a: FilteredK, b: FilteredK, sigma, key):
     """The six commuting squares of a's pair key against its image under sigma.
 
     Each is (edge, source pointset, source level, target pointset, target
-    level, map of a, map of b, b's target group).
+    level, map of a, map of b, b's target group), the ends as `ktheory.CYCLE`
+    places them and b's groups read from b.kmap.
     """
-    st_a = a.sequences[key]
-    st_b = b.sequences[tuple(_map_mask(y, sigma) for y in key)]
-    parts = _parts(key)
-    for name, src, s_lv, tgt, t_lv in SIX_EDGES:
-        kb = getattr(st_b, tgt)
-        yield (name, parts[src], s_lv, parts[tgt], t_lv, getattr(st_a, name),
-               getattr(st_b, name), kb.k1 if t_lv else kb.k0)
+    key_b = tuple(_map_mask(y, sigma) for y in key)
+    parts = pair_pointsets(key)
+    groups = cycle_groups(*(b.kmap[z] for z in pair_pointsets(key_b)))
+    for k, (name, m_a, m_b) in enumerate(zip(SixTerm._fields, a.sequences[key],
+                                             b.sequences[key_b])):
+        (src, s_lv), (tgt, t_lv) = CYCLE[k], CYCLE[(k + 1) % 6]
+        yield name, parts[src], s_lv, parts[tgt], t_lv, m_a, m_b, groups[(k + 1) % 6]
 
 
 class _Budget(Exception):

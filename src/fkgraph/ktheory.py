@@ -8,8 +8,10 @@ vertex classes as distinguished cone generators, K1 the integer kernel.
 A six-term sequence belongs to a (sub, mid) pair of locally closed pointsets,
 an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
 (U2 \\ U1, U3 \\ U1) equal to the pair presents it, and `sequence_key` names
-that pair.  On a chain the matrix over D = H3 \\ H1 is block triangular; the
-connecting map feeds the off-diagonal block into the ideal's cokernel, and the
+that pair.  A `SixTerm` holds the six maps alone, between the K-data of the
+pair's parts in the cycle order it states; no other module knows that order.
+On a chain the matrix over D = H3 \\ H1 is block triangular; the connecting
+map feeds the off-diagonal block into the ideal's cokernel, and the
 exponential direction vanishes because vertex classes lift.  Inclusions of
 carriers are index selections: a map through the 0/1 inclusion of one
 carrier's vertices (or regular columns) into another's is a projection with
@@ -102,44 +104,25 @@ def k_data(g: Graph, y: LocallyClosedSet) -> KData:
     return _carrier(g, y.d, y.h_v)[0]
 
 
-# the six maps of a sequence in cyclic order:
-# (map, source part, source level, target part, target level)
-SIX_EDGES = (
-    ("iota0", "sub", 0, "mid", 0),
-    ("pi0", "mid", 0, "quot", 0),
-    ("delta", "quot", 0, "sub", 1),
-    ("iota1", "sub", 1, "mid", 1),
-    ("pi1", "mid", 1, "quot", 1),
-    ("partial", "quot", 1, "sub", 0),
-)
-
-
 class SixTerm(NamedTuple):
-    """Maps of the cyclic sequence of an ideal sub inside a subquotient mid.
+    """The six maps of the cyclic sequence of an ideal sub inside a subquotient mid.
 
-    sub/mid/quot carry the K-data of the pointsets sub, mid and mid \\ sub,
-    which a chain u1 <= u2 <= u3 presents as u2\\u1, u3\\u1, u3\\u2; the
-    maps do not depend on the chain.  Each map is a matrix between canonical
-    coordinates; delta (K0 of the quotient to K1 of the ideal) is
-    identically zero.
+    The sequence runs through K0(sub), K0(mid), K0(quot), K1(sub), K1(mid),
+    K1(quot), with quot = mid \\ sub, and field k maps position k to position
+    k + 1 (mod 6).  `CYCLE` gives the positions as (part, level) over
+    `pair_pointsets`, and `cycle_groups` lists the groups.  A chain
+    u1 <= u2 <= u3 presents the parts as u2\\u1, u3\\u1, u3\\u2, and the maps
+    do not depend on the chain.  Each map is a matrix between canonical
+    coordinates; delta (K0 of the quotient to K1 of the ideal) is identically
+    zero.
     """
 
-    sub: KData
-    mid: KData
-    quot: KData
     iota0: IntMatrix
     pi0: IntMatrix
     delta: IntMatrix
     iota1: IntMatrix
     pi1: IntMatrix
     partial: IntMatrix
-
-    def edges(self):
-        """The six maps as (name, matrix, source group, target group), as in SIX_EDGES."""
-        return [(name, getattr(self, name),
-                 getattr(self, src).k1 if s_lv else getattr(self, src).k0,
-                 getattr(self, tgt).k1 if t_lv else getattr(self, tgt).k0)
-                for name, src, s_lv, tgt, t_lv in SIX_EDGES]
 
 
 def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
@@ -233,7 +216,6 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     a0, a0i, a1, a1i = _transition(g, cy_a.d, cy_a.h_v, y_a.d, y_a.h_v) or none
 
     st = SixTerm(
-        cks, cka, ckq,
         iota0=_pull(cka.k0, a0i, iota0, s0),
         pi0=_pull(ckq.k0, q0i, pi0, a0),
         delta=IntMatrix.zero(cks.k1.ncoords, ckq.k0.ncoords),
@@ -241,7 +223,7 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
         pi1=_pull(ckq.k1, q1i, pi1, a1),
         partial=_pull(cks.k0, s0i, partial, q1),
     )
-    fails = exactness_failures(st)
+    fails = exactness_failures(st, cycle_groups(cks, cka, ckq))
     if fails:
         raise ExactnessError("; ".join(fails))
     return st
@@ -252,16 +234,16 @@ _SPOT_FAILURES = ("{g} does not kill source relations", "{g} after {f} is nonzer
                   "image of {f} differs from kernel of {g}")
 
 
-def exactness_failures(st: SixTerm) -> list[str]:
-    """Image-equals-kernel at all six spots: gm kills im f, and ker gm lies in im f."""
-    edges = st.edges()
+def exactness_failures(st: SixTerm, groups: Sequence[FgAbGroup]) -> list[str]:
+    """Image-equals-kernel at all six spots of st over its `cycle_groups`:
+    gm kills im f, and ker gm lies in im f."""
     fails = []
     for k in range(6):
-        f_name, f, _, mid = edges[k]
-        g_name, gm, _, tgt = edges[(k + 1) % 6]
-        failure = _spot_failure(f, gm, mid.invariant_factors, tgt.invariant_factors)
+        j = (k + 1) % 6
+        failure = _spot_failure(st[k], st[j], groups[j].invariant_factors,
+                                groups[(j + 1) % 6].invariant_factors)
         if failure is not None:
-            fails.append(_SPOT_FAILURES[failure].format(f=f_name, g=g_name))
+            fails.append(_SPOT_FAILURES[failure].format(f=st._fields[k], g=st._fields[j]))
     return fails
 
 
@@ -299,6 +281,22 @@ def sequence_key(u1: int, u2: int, u3: int) -> tuple[int, int]:
     return u2 & ~u1, u3 & ~u1
 
 
+# the positions of a `SixTerm`'s groups, as (part, level) over `pair_pointsets`
+CYCLE = tuple((part, level) for level in (0, 1) for part in range(3))
+
+
+def pair_pointsets(key: tuple[int, int]) -> tuple[int, int, int]:
+    """The parts sub, mid and quot = mid \\ sub of a (sub, mid) pair."""
+    sub, mid = key
+    return sub, mid, mid & ~sub
+
+
+def cycle_groups(sub: KData, mid: KData, quot: KData) -> list[FgAbGroup]:
+    """The groups at the six positions of the sequence over sub, mid and quot."""
+    parts = sub, mid, quot
+    return [parts[p].k1 if level else parts[p].k0 for p, level in CYCLE]
+
+
 def pair_chains(sp: SpectrumSpace) -> dict[tuple[int, int], tuple[int, int, int]]:
     """The first open chain presenting each (sub, mid) pair, in `open_triples` order."""
     first = {}
@@ -320,7 +318,7 @@ def verify_exactness(g: Graph, sp: SpectrumSpace) -> Report:
             fails.append(f"triple ({u1:#b},{u2:#b},{u3:#b}): {e}")
             continue
         (v1, v2, v3), ref = first.setdefault(sequence_key(*chain), (chain, st))
-        if [e[1] for e in st.edges()] != [e[1] for e in ref.edges()]:
+        if st != ref:
             fails.append(f"triple ({u1:#b},{u2:#b},{u3:#b}): maps differ from chain "
                          f"({v1:#b},{v2:#b},{v3:#b}) with the same subquotient pair")
     return Report("exactness", checks, tuple(fails))

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from fkgraph import cli, invariant
+from fkgraph import cli, invariant, ktheory
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
@@ -15,8 +15,9 @@ from fkgraph.invariant import (
     poset_isomorphisms,
     verify_compatible_witness,
 )
-from fkgraph.ktheory import open_triples, sequence_key
-from fkgraph.spectrum import locally_closed_sets
+from fkgraph.ktheory import (cycle_groups, exactness_failures, open_triples, pair_pointsets,
+                             sequence_key)
+from fkgraph.spectrum import canonical_presentation, locally_closed_sets
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,24 @@ def test_compare_builds_sequences_only_when_needed(corpus, graph_dir, capsys, mo
             assert not calls, (a, b)
     sp = assemble(corpus["g4"]).space
     assert calls == dict.fromkeys({sequence_key(*c) for c in open_triples(sp)}, 1)
+
+
+def test_sequences_run_between_kmap_groups(row_finite_corpus, free_antichain, deep7):
+    # a sequence holds only its maps, and compare and replay read its groups
+    # from kmap: kmap must be the canonical K-data, and each sequence must fit
+    # and be exact over kmap's groups in cycle order
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7)
+    for name, g in graphs.items():
+        fk = assemble(g)
+        for y, kd in fk.kmap.items():
+            cy = canonical_presentation(fk.space, y)
+            assert kd == ktheory._carrier.__wrapped__(g, cy.d, cy.h_v)[0], (name, y)
+        for key, st in fk.sequences.items():
+            groups = cycle_groups(*(fk.kmap[y] for y in pair_pointsets(key)))
+            for k, m in enumerate(st):
+                tgt, src = groups[(k + 1) % 6], groups[k]
+                assert (m.rows, m.cols) == (tgt.ncoords, src.ncoords), (name, key, k)
+            assert exactness_failures(st, groups) == [], (name, key)
 
 
 def test_assemble_caps(corpus):

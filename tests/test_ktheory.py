@@ -23,10 +23,12 @@ from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
     SixTerm,
     cone_contains,
+    cycle_groups,
     exactness_failures,
     k_data,
     open_triples,
     pair_chains,
+    pair_pointsets,
     sequence_key,
     six_term,
     verify_exactness,
@@ -52,6 +54,12 @@ def full_k(g):
     sp = spectrum_of(g)
     lc = [y for y in locally_closed_sets(sp) if y.pointset == sp.full][0]
     return k_data(g, lc)
+
+
+def canonical_parts(g, sp, chain):
+    """K-data of the chain's sub, mid and quot, canonically presented."""
+    return [k_data(g, canonical_presentation(sp, y))
+            for y in pair_pointsets(sequence_key(*chain))]
 
 
 def test_loop_counts_fix_k_groups(corpus):
@@ -191,7 +199,8 @@ def test_g4_triple_frozen_maps(corpus):
     st = six_term(g, sp, 0, u_mid, sp.full)
     one = IntMatrix.from_rows([[1]])
     zero = IntMatrix.from_rows([[0]])
-    assert st.sub.k0.invariant_factors == (0,)
+    sub, _, _ = canonical_parts(g, sp, (0, u_mid, sp.full))
+    assert sub.k0.invariant_factors == (0,)
     assert st.partial == one      # connecting map is an isomorphism
     assert st.pi1 == zero
     assert st.pi0 == one
@@ -205,7 +214,9 @@ def test_g3_triple_all_trivial(corpus):
     sp = spectrum_of(g)
     u_mid = sp.w_set(pair_index(sp.lattice, names_mask(g, ["v2"])))
     st = six_term(g, sp, 0, u_mid, sp.full)
-    for _, m, src, tgt in st.edges():
+    groups = cycle_groups(*canonical_parts(g, sp, (0, u_mid, sp.full)))
+    for k, m in enumerate(st):
+        src, tgt = groups[k], groups[(k + 1) % 6]
         assert src.invariant_factors == () and tgt.invariant_factors == ()
         assert m.rows == 0 and m.cols == 0
 
@@ -217,13 +228,15 @@ def test_degenerate_triples(row_finite_corpus):
             if u1 & ~u2:
                 continue
             st = six_term(g, sp, u1, u1, u2)
-            assert st.sub.k0.invariant_factors == () and st.sub.k1.invariant_factors == ()
-            assert st.pi0 == IntMatrix.identity(st.mid.k0.ncoords), name
-            assert st.pi1 == IntMatrix.identity(st.mid.k1.ncoords), name
+            sub, mid, _ = canonical_parts(g, sp, (u1, u1, u2))
+            assert sub.k0.invariant_factors == () and sub.k1.invariant_factors == ()
+            assert st.pi0 == IntMatrix.identity(mid.k0.ncoords), name
+            assert st.pi1 == IntMatrix.identity(mid.k1.ncoords), name
             st = six_term(g, sp, u1, u2, u2)
-            assert st.quot.k0.invariant_factors == () and st.quot.k1.invariant_factors == ()
-            assert st.iota0 == IntMatrix.identity(st.sub.k0.ncoords), name
-            assert st.iota1 == IntMatrix.identity(st.sub.k1.ncoords), name
+            sub, _, quot = canonical_parts(g, sp, (u1, u2, u2))
+            assert quot.k0.invariant_factors == () and quot.k1.invariant_factors == ()
+            assert st.iota0 == IntMatrix.identity(sub.k0.ncoords), name
+            assert st.iota1 == IntMatrix.identity(sub.k1.ncoords), name
 
 
 def test_six_term_rejects_non_chain(corpus):
@@ -279,9 +292,10 @@ def test_iota_functoriality(row_finite_corpus):
             inner = six_term(g, sp, u1, u2, u3)
             outer = six_term(g, sp, u1, u3, u4)
             direct = six_term(g, sp, u1, u2, u4)
-            assert maps_equal(direct.mid.k0, outer.iota0 @ inner.iota0,
+            _, mid, _ = canonical_parts(g, sp, (u1, u2, u4))
+            assert maps_equal(mid.k0, outer.iota0 @ inner.iota0,
                               direct.iota0), name
-            assert maps_equal(direct.mid.k1, outer.iota1 @ inner.iota1,
+            assert maps_equal(mid.k1, outer.iota1 @ inner.iota1,
                               direct.iota1), name
 
 
@@ -294,9 +308,10 @@ def test_pi_functoriality(row_finite_corpus):
             first = six_term(g, sp, u1, u2, u4)
             second = six_term(g, sp, u2, u3, u4)
             direct = six_term(g, sp, u1, u3, u4)
-            assert maps_equal(direct.quot.k0, second.pi0 @ first.pi0,
+            _, _, quot = canonical_parts(g, sp, (u1, u3, u4))
+            assert maps_equal(quot.k0, second.pi0 @ first.pi0,
                               direct.pi0), name
-            assert maps_equal(direct.quot.k1, second.pi1 @ first.pi1,
+            assert maps_equal(quot.k1, second.pi1 @ first.pi1,
                               direct.pi1), name
 
 
@@ -307,9 +322,9 @@ def test_chains_with_one_pair_share_their_maps(row_finite_corpus, free_antichain
         sp = spectrum_of(g)
         first = {}
         for chain in open_triples(sp):
-            st = six_term(g, sp, *chain)
-            ref = first.setdefault(sequence_key(*chain), st)
-            assert [e[1:] for e in st.edges()] == [e[1:] for e in ref.edges()], (name, chain)
+            seq = (six_term(g, sp, *chain), cycle_groups(*canonical_parts(g, sp, chain)))
+            ref = first.setdefault(sequence_key(*chain), seq)
+            assert seq == ref, (name, chain)
         if name == "free_antichain":  # 4**4 chains, 3**4 pairs
             assert len(first) == 81
 
@@ -390,7 +405,7 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
         sp = spectrum_of(g)
         chains = list(open_triples(sp))
         for chain in chains:
-            got = [e[1] for e in six_term(g, sp, *chain).edges()]
+            got = list(six_term(g, sp, *chain))
             assert got == _reference_maps(g, sp, *chain), (name, chain)
         for u, v in itertools.product(sp.opens, repeat=2):
             if v & ~u:
@@ -437,22 +452,28 @@ def _random_hom(rng, src, tgt):
 
 
 def _hand_built(levels, maps):
-    """A SixTerm over bare groups: levels[part] = (K0 factors, K1 factors)."""
+    """A SixTerm over bare groups, with its groups in cycle order:
+    levels[part] = (K0 factors, K1 factors)."""
     parts = {p: SimpleNamespace(k0=_group(k0), k1=_group(k1))
              for p, (k0, k1) in levels.items()}
-    return SixTerm(parts["sub"], parts["mid"], parts["quot"], **maps)
+    return SixTerm(**maps), cycle_groups(parts["sub"], parts["mid"], parts["quot"])
 
 
-def _two_sided_failures(st):
+def _spots(st, groups):
+    """Each spot f then gm as (f's name, f, mid, g's name, gm, tgt), where mid
+    and tgt are the groups f and gm land in."""
+    return [(st._fields[k], st[k], groups[(k + 1) % 6],
+             st._fields[(k + 1) % 6], st[(k + 1) % 6], groups[(k + 2) % 6])
+            for k in range(6)]
+
+
+def _two_sided_failures(st, groups):
     """Reference: image and kernel compared as lattices in both directions."""
     def lattices_equal(a, b):
         return lattice_contains(a, b) and lattice_contains(b, a)
 
-    edges = st.edges()
     fails = []
-    for k in range(6):
-        f_name, f, _, mid = edges[k]
-        g_name, gm, _, tgt = edges[(k + 1) % 6]
+    for f_name, f, mid, g_name, gm, tgt in _spots(st, groups):
         if not maps_equal(tgt, gm @ f, IntMatrix.zero(gm.rows, f.cols)):
             fails.append(f"{g_name} after {f_name} is nonzero")
             continue
@@ -469,12 +490,12 @@ def test_one_sided_exactness_matches_two_sided_reference():
     seen = Counter()
     for _ in range(400):
         levels = {p: (rng.choice(menu), rng.choice(menu)) for p in ("sub", "mid", "quot")}
-        probe = _hand_built(levels, {n: IntMatrix.zero(0, 0) for n in
-                                     ("iota0", "pi0", "delta", "iota1", "pi1", "partial")})
-        maps = {name: _random_hom(rng, src, tgt) for name, _, src, tgt in probe.edges()}
-        st = _hand_built(levels, maps)
-        want = _two_sided_failures(st)
-        assert exactness_failures(st) == want, (levels, maps)
+        _, groups = _hand_built(levels, {n: IntMatrix.zero(0, 0) for n in SixTerm._fields})
+        maps = {name: _random_hom(rng, groups[k], groups[(k + 1) % 6])
+                for k, name in enumerate(SixTerm._fields)}
+        st, groups = _hand_built(levels, maps)
+        want = _two_sided_failures(st, groups)
+        assert exactness_failures(st, groups) == want, (levels, maps)
         seen.update(w.split()[0] if w.startswith("image") else "nonzero" for w in want)
         seen["exact"] += 6 - len(want)
     # every branch of the test is exercised, with both verdicts
@@ -487,31 +508,28 @@ def test_non_exact_sequence_is_reported():
     z = IntMatrix.zero
     maps = {"iota0": IntMatrix.from_rows([[2]]), "pi0": z(0, 1), "delta": z(0, 0),
             "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
-    st = _hand_built(levels, maps)
-    assert exactness_failures(st) == ["image of iota0 differs from kernel of pi0"]
+    assert exactness_failures(*_hand_built(levels, maps)) == [
+        "image of iota0 differs from kernel of pi0"]
     levels["quot"] = ((0,), ())
     maps.update(iota0=IntMatrix.from_rows([[1]]), pi0=IntMatrix.from_rows([[1]]),
                 delta=z(0, 1))
-    assert "pi0 after iota0 is nonzero" in exactness_failures(_hand_built(levels, maps))
+    assert "pi0 after iota0 is nonzero" in exactness_failures(*_hand_built(levels, maps))
     # Z/2 --1--> Z is not well defined: iota0 sends the relation 2 to 2 != 0
     levels = {"sub": ((2,), ()), "mid": ((0,), ()), "quot": ((), ())}
     maps = {"iota0": IntMatrix.from_rows([[1]]), "pi0": z(0, 1), "delta": z(0, 0),
             "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
-    st = _hand_built(levels, maps)
-    assert exactness_failures(st) == ["iota0 does not kill source relations"]
+    assert exactness_failures(*_hand_built(levels, maps)) == [
+        "iota0 does not kill source relations"]
     maps["iota0"] = IntMatrix.from_rows([[0]])  # well defined, but not exact
-    assert exactness_failures(_hand_built(levels, maps)) == [
+    assert exactness_failures(*_hand_built(levels, maps)) == [
         "image of iota0 differs from kernel of pi0",
         "image of partial differs from kernel of iota0"]
 
 
-def _six_spot_loop(st):
+def _six_spot_loop(st, groups):
     """Reference: each spot decided afresh, as before spots were memoised."""
-    edges = st.edges()
     fails = []
-    for k in range(6):
-        f_name, f, _, mid = edges[k]
-        g_name, gm, _, tgt = edges[(k + 1) % 6]
+    for f_name, f, mid, g_name, gm, tgt in _spots(st, groups):
         img = image_lattice(mid, f)
         killed = reduce_map(tgt, gm @ img).entries
         if any(x for row in killed for x in row[f.cols:]):
@@ -542,11 +560,12 @@ def test_memoised_exactness_matches_six_spot_loop(row_finite_corpus, free_antich
         sp = spectrum_of(g)
         for chain in pair_chains(sp).values():
             st = six_term(g, sp, *chain)
+            groups = cycle_groups(*canonical_parts(g, sp, chain))
             variants = [st] + [st._replace(**{n: _bumped(m)})
-                               for n, m, _, _ in st.edges() if m.rows and m.cols]
+                               for n, m in zip(st._fields, st) if m.rows and m.cols]
             for v in variants:
-                want = _six_spot_loop(v)
-                assert exactness_failures(v) == want, (name, chain)
+                want = _six_spot_loop(v, groups)
+                assert exactness_failures(v, groups) == want, (name, chain)
                 failing += bool(want)
     assert failing > 100
 
@@ -559,9 +578,10 @@ def test_spot_memo_keys_on_target_factors():
             "delta": z(0, 1), "iota1": z(0, 0), "pi1": z(0, 0), "partial": z(1, 0)}
     got = []
     for q in (2, 3):
-        st = _hand_built({"sub": ((0,), ()), "mid": ((0,), ()), "quot": ((q,), ())}, maps)
-        got.append(exactness_failures(st))
-        assert got[-1] == _six_spot_loop(st), q
+        st, groups = _hand_built({"sub": ((0,), ()), "mid": ((0,), ()), "quot": ((q,), ())},
+                                 maps)
+        got.append(exactness_failures(st, groups))
+        assert got[-1] == _six_spot_loop(st, groups), q
     assert got == [[], ["pi0 after iota0 is nonzero"]]
 
 
@@ -582,9 +602,9 @@ def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):
     pairs = pair_chains(sp)
     spots = set()
     for chain in pairs.values():
-        edges = six_term(g, sp, *chain).edges()
+        groups = cycle_groups(*canonical_parts(g, sp, chain))
         spots.update((f, gm, mid.invariant_factors, tgt.invariant_factors)
-                     for (_, f, _, mid), (_, gm, _, tgt) in zip(edges, edges[1:] + edges[:1]))
+                     for _, f, mid, _, gm, tgt in _spots(six_term(g, sp, *chain), groups))
     assert 0 < len(calls) <= len(spots) < 6 * len(pairs)
     calls.clear()
     again = Graph(deep7.vertices, deep7.mult)
@@ -628,7 +648,7 @@ def test_failing_sequence_raises_for_every_chain(free_antichain, monkeypatch):
     sp = spectrum_of(g)
     calls = []
 
-    def failing(st):
+    def failing(st, groups):
         calls.append(st)
         return ["forced failure", "second failure"]
 

@@ -22,7 +22,7 @@ from test_tracer_targets import _tracer_targets
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fkgraph"
 
 # Condition (K) is acceptance criterion 8; its use in the package waits for
-# the opt-in per-graph report of ROADMAP item 6.
+# the opt-in per-graph report of ROADMAP item 7.
 ALLOWED = {"satisfies_condition_K"}
 
 

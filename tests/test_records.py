@@ -76,10 +76,12 @@ def _small_graph():
 def test_record_fields_are_read_only():
     g = _small_graph()
     sp = s_primes(enumerate_admissible_pairs(g))
-    st = six_term(g, sp, *next(c for c in open_triples(sp) if c[0] != c[2]))
+    u1, u2, u3 = next(c for c in open_triples(sp) if c[0] != c[2])
+    st = six_term(g, sp, u1, u2, u3)
+    mid = k_data(g, canonical_presentation(sp, u3 & ~u1))
     records = [(IntMatrix.identity(2), "rows"),
                (cokernel(IntMatrix.from_rows([[2]])), "invariant_factors"),
-               (st.mid, "k0"), (st, "iota0"), (Report("r", 1), "failures"),
+               (mid, "k0"), (st, "iota0"), (Report("r", 1), "failures"),
                (g, "mult"), (sp, "points"), (FilteredK(sp), "sequences")]
     for obj, name in records:
         with pytest.raises(AttributeError):

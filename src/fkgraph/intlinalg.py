@@ -7,7 +7,8 @@ arbitrary-precision integers; no floating point is used anywhere.
 
 Smith decompositions and kernels are memoised by value (`IntMatrix` is an
 immutable tuple record), so each distinct matrix is decomposed and checked
-once per process.
+once per process, and identities by size.  Shapes are checked where rows
+come in, by `IntMatrix.from_rows`; matrices computed here are built to shape.
 Group isomorphisms are generated lazily, row by row, under linear
 constraints A v = c: a row that breaks one is dropped before it is extended,
 and no automorphism group is ever built whole.
@@ -40,8 +41,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 class IntMatrix(NamedTuple):
     """Immutable integer matrix; `entries` is a tuple of row tuples.
 
-    The shape is checked where rows come in, in `from_rows`; products,
-    stacks and selections build their entries to shape.
+    The shape is checked where rows come in from outside this module, in
+    `from_rows`.  Products, stacks, selections, Smith decompositions,
+    cokernels and kernels build their entries to shape and wrap them directly.
     """
 
     rows: int
@@ -60,8 +62,9 @@ class IntMatrix(NamedTuple):
         return IntMatrix(len(rows), cols, rows)
 
     @staticmethod
+    @cache
     def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
 
     @staticmethod
     def zero(rows: int, cols: int) -> IntMatrix:
@@ -74,26 +77,27 @@ class IntMatrix(NamedTuple):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ocols = tuple(zip(*other.entries)) or ((),) * other.cols
-        return IntMatrix(self.rows, other.cols, tuple(
-            tuple(sum(map(mul, row, col)) for col in ocols) for row in self.entries))
+        return IntMatrix(self.rows, other.cols, tuple([
+            tuple([sum(map(mul, row, col)) for col in ocols]) for row in self.entries]))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        return tuple([sum(map(mul, row, vec)) for row in self.entries])
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
+                         tuple([r1 + r2 for r1, r2 in zip(self.entries, other.entries)]))
 
     def select_rows(self, idx: Sequence[int]) -> IntMatrix:
-        return IntMatrix(len(idx), self.cols, tuple(self.entries[i] for i in idx))
+        return IntMatrix(len(idx), self.cols, tuple([self.entries[i] for i in idx]))
 
     def select_cols(self, idx: Sequence[int]) -> IntMatrix:
-        return IntMatrix(self.rows, len(idx), tuple(tuple(r[j] for j in idx) for r in self.entries))
+        return IntMatrix(self.rows, len(idx),
+                         tuple([tuple([r[j] for j in idx]) for r in self.entries]))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -264,7 +268,7 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
         if D[i][i] < 0:
             negate_row(i)
 
-    dec = SmithDecomposition(*(IntMatrix.from_rows(X, cols=c)
+    dec = SmithDecomposition(*(IntMatrix(len(X), c, tuple(map(tuple, X)))
                                for X, c in ((D, n), (P, m), (Q, n), (Pi, m), (Qi, n))))
     _assert_smith(M, dec)
     return dec
@@ -354,9 +358,6 @@ class FgAbGroup(_Presentation):
             raise ValueError("coordinate length mismatch")
         return tuple(v % d if d else v for v, d in zip(vec, self.invariant_factors))
 
-    def project_vec(self, ambient: Sequence[int]) -> tuple[int, ...]:
-        return self.reduce(self.project.apply(ambient))
-
 
 def _sign_normalize(rows: list[list[int]], cosign: list[list[int]], free_idx: Iterable[int]) -> None:
     # flip a presentation row (and the matching section column) so its first
@@ -387,8 +388,8 @@ def cokernel(M: IntMatrix) -> FgAbGroup:
         if d:
             proj[k] = [x % d for x in proj[k]]
     _sign_normalize(proj, lift, [k for k, d in enumerate(factors) if d == 0])
-    return FgAbGroup(tuple(factors), IntMatrix.from_rows(proj, cols=M.rows),
-                     IntMatrix.from_rows(lift, cols=len(keep)))
+    return FgAbGroup(tuple(factors), IntMatrix(len(keep), M.rows, tuple(map(tuple, proj))),
+                     IntMatrix(M.rows, len(keep), tuple(map(tuple, lift))))
 
 
 @cache
@@ -407,8 +408,8 @@ def kernel_group(M: IntMatrix) -> FgAbGroup:
             for i in range(M.cols):
                 basis[i][k] = -basis[i][k]
             proj[k] = [-x for x in proj[k]]
-    return FgAbGroup((0,) * len(idx), IntMatrix.from_rows(proj, cols=M.cols),
-                     IntMatrix.from_rows(basis, cols=len(idx)))
+    return FgAbGroup((0,) * len(idx), IntMatrix(len(idx), M.cols, tuple(map(tuple, proj))),
+                     IntMatrix(M.cols, len(idx), tuple(map(tuple, basis))))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -570,12 +571,11 @@ def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
     """Canonical entries for a map into `target`: row i taken mod its factor."""
     if M.rows != target.ncoords:
         raise ValueError("shape mismatch")
-    if not target.torsion_factors:
+    if not target.relation_columns.cols:
         return M
-    rows = []
-    for i, d in enumerate(target.invariant_factors):
-        rows.append(tuple(x % d for x in M.entries[i]) if d else M.entries[i])
-    return IntMatrix(M.rows, M.cols, tuple(rows))
+    rows = zip(M.entries, target.invariant_factors)
+    return IntMatrix(M.rows, M.cols,
+                     tuple([tuple([x % d for x in r]) if d else r for r, d in rows]))
 
 
 def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:

@@ -23,7 +23,8 @@ builds every chain.  Everything is memoised once per process, by value:
 K-data and presentation changes by the graph and the carriers (d, h_v), and
 each exactness spot (a map f followed by gm) by the two maps and the factors
 of the groups they land in, so each is computed once however many chains or
-equal graphs use it.
+equal graphs use it, and its groups once per factor tuple.  Cone generators
+are the reduced columns of K0's projection.
 """
 
 from __future__ import annotations
@@ -90,9 +91,7 @@ def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, tuple[int, ...]]:
     gq = subquotient_graph(g, d, h_v)
     b, regs = k_matrix(gq)
     k0 = cokernel(b)
-    gens = tuple(
-        k0.project_vec([1 if i == v else 0 for i in range(gq.n)]) for v in range(gq.n)
-    )
+    gens = tuple(map(k0.reduce, zip(*k0.project.entries))) or ((),) * gq.n
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
     verts = list(iter_bits(d))
     return (KData(gq.vertices, b, k0, gens, unit, kernel_group(b)),
@@ -257,8 +256,7 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     gm @ [f | relations of mid] checks both that gm is well defined (it kills
     the relations of its source) and that gm after f is zero.
     """
-    mid, tgt = (FgAbGroup(d, IntMatrix.identity(len(d)), IntMatrix.identity(len(d)))
-                for d in (mid_factors, tgt_factors))
+    mid, tgt = _standard_group(mid_factors), _standard_group(tgt_factors)
     img = image_lattice(mid, f)
     killed = reduce_map(tgt, gm @ img).entries
     if any(x for row in killed for x in row[f.cols:]):
@@ -268,6 +266,13 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     if mid_factors and not lattice_contains(img, kernel_lattice(tgt, gm)):
         return 2
     return None
+
+
+@cache
+def _standard_group(factors: tuple[int, ...]) -> FgAbGroup:
+    """The group with these factors on its own coordinates, built once per factors."""
+    ident = IntMatrix.identity(len(factors))
+    return FgAbGroup(factors, ident, ident)
 
 
 def open_triples(sp: SpectrumSpace):

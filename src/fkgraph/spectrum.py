@@ -6,10 +6,10 @@ containing I.  Point subsets are bitmasks over the point list; opens are
 exactly the W(I), which is verified rather than assumed.
 
 Each `SpectrumSpace` keeps its own tables, filled on first use: phi of every
-open, the closure of each point subset asked for (always from its kernel, so
-the Kuratowski suite still tests kernels against unions), and the
-presentations of pointsets by pairs of opens.  Nothing is shared between
-spaces.
+open, gamma of every lattice element, the closure of each point subset asked
+for (always from its kernel, so the Kuratowski suite still tests kernels
+against unions), and the presentations of pointsets by pairs of opens.
+Nothing is shared between spaces.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class SpectrumSpace:
 
     def w_set(self, i: int) -> int:
         """Points whose pair does not lie above lattice element i."""
-        return _w_set(self.lattice, self.points, i)
+        return self._gammas[i]
 
     def is_open(self, mask: int) -> bool:
         return mask in self._phis
@@ -109,6 +109,10 @@ class SpectrumSpace:
     def _phis(self) -> dict[int, int]:
         """open -> its ideal; the keys are exactly the opens."""
         return {u: self.ker(self.full & ~u) for u in self.opens}
+
+    @cached_property
+    def _gammas(self) -> tuple[int, ...]:
+        return tuple(_w_set(self.lattice, self.points, i) for i in range(self.lattice.size))
 
 
 def _w_set(lat: IdealLattice, points: tuple[int, ...], i: int) -> int:

@@ -147,6 +147,36 @@ def test_smith_inverse_tracking():
         assert (dec.Q @ dec.Q_inv).entries == IntMatrix.identity(n).entries
 
 
+def _well_formed(X: IntMatrix) -> bool:
+    """Entries are a tuple of `rows` tuples of `cols` plain ints each."""
+    return (type(X.entries) is tuple and len(X.entries) == X.rows
+            and all(type(r) is tuple and len(r) == X.cols for r in X.entries)
+            and all(type(x) is int for r in X.entries for x in r))
+
+
+def test_derived_matrices_hold_ints_in_their_shape():
+    # Smith decompositions, cokernels and kernels wrap the rows they compute
+    # without the from_rows check, so they must build them to shape
+    rng = random.Random(20261019)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)]
+    shapes += [(rng.randrange(0, 5), rng.randrange(0, 5)) for _ in range(120)]
+    for m, n in shapes:
+        M = IntMatrix.from_rows([[rng.randrange(-7, 8) for _ in range(n)] for _ in range(m)],
+                                cols=n)
+        dec = smith_decomposition(M)
+        for X, shape in zip(dec, [(m, n), (m, m), (n, n), (m, m), (n, n)]):
+            assert (X.rows, X.cols) == shape and _well_formed(X), (M, X)
+        for G in (cokernel(M), kernel_group(M)):
+            assert _well_formed(G.project) and _well_formed(G.lift), (M, G)
+
+
+def test_identity_is_built_once_per_size():
+    for n in range(4):
+        assert IntMatrix.identity(n) is IntMatrix.identity(n)
+        assert IntMatrix.identity(n) == IntMatrix.from_rows(
+            [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
 # ------------------------------------------------------------------- det
 
 
@@ -187,7 +217,7 @@ def test_solve_exact_no_solution():
 def test_cokernel_of_zero_1x1_is_Z():
     G = cokernel(IntMatrix.from_rows([[0]]))
     assert G.invariant_factors == (0,)
-    assert G.project_vec([1]) == (1,)
+    assert G.reduce(G.project.apply([1])) == (1,)
 
 
 def test_cokernel_of_unit_is_trivial():
@@ -200,8 +230,8 @@ def test_cokernel_shifted_basis():
     M = IntMatrix.from_rows([[0, 0], [1, 0]])
     G = cokernel(M)
     assert G.invariant_factors == (0,)
-    assert G.project_vec([1, 0]) == (1,)
-    assert G.project_vec([0, 1]) == (0,)
+    assert G.reduce(G.project.apply([1, 0])) == (1,)
+    assert G.reduce(G.project.apply([0, 1])) == (0,)
     K = kernel_group(M).lift
     assert K.cols == 1
     assert M @ K == IntMatrix.zero(M.rows, 1)
@@ -210,7 +240,7 @@ def test_cokernel_shifted_basis():
 def test_cokernel_torsion():
     G = cokernel(IntMatrix.from_rows([[6]]))
     assert G.invariant_factors == (6,)
-    assert G.project_vec([1]) in {(1,), (5,)}
+    assert G.reduce(G.project.apply([1])) in {(1,), (5,)}
     assert G.reduce([7]) == (1,)
 
 

@@ -179,6 +179,26 @@ def test_cached_k_data_matches_fresh_build(row_finite_corpus):
             assert k_data(g, y) is kd, (name, u, v)
 
 
+def test_cone_generators_are_projected_vertex_classes(row_finite_corpus, free_antichain,
+                                                       deep7):
+    # reference: the class of vertex v is project @ e_v, reduced, on every
+    # (U, V) presentation; trivial K0 on a nonempty carrier included
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7)
+    trivial = 0
+    for name, g in graphs.items():
+        sp = spectrum_of(g)
+        for u, v in itertools.product(sp.opens, repeat=2):
+            if v & ~u:
+                continue
+            kd = k_data(g, presentation(sp, u, v))
+            n, k0 = len(kd.vertices), kd.k0
+            want = tuple(k0.reduce(k0.project.apply([int(i == j) for i in range(n)]))
+                         for j in range(n))
+            assert kd.cone_generators == want, (name, u, v)
+            trivial += n > 0 and k0.ncoords == 0
+    assert trivial > 0
+
+
 def test_assemble_builds_each_carrier_once(row_finite_corpus):
     # the memo is by value: each carrier is built once, a miss that stays in
     # the cache, and equal graphs built again are answered from it
@@ -583,6 +603,14 @@ def test_spot_memo_keys_on_target_factors():
         got.append(exactness_failures(st, groups))
         assert got[-1] == _six_spot_loop(st, groups), q
     assert got == [[], ["pi0 after iota0 is nonzero"]]
+
+
+def test_standard_groups_are_built_once_per_factors():
+    for factors in [(), (0,), (2, 0), (2, 4, 0, 0)]:
+        G = ktheory._standard_group(factors)
+        assert ktheory._standard_group(tuple(list(factors))) is G
+        ident = IntMatrix.identity(len(factors))
+        assert G == FgAbGroup(factors, ident, ident)
 
 
 def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):

@@ -163,6 +163,9 @@ def test_tables_match_fresh_computation(corpus, free_antichain):
         for _ in range(2):   # the second pass reads the tables
             for u in sp.opens:
                 assert sp.phi(u) == _fresh_ker(sp, sp.full & ~u), (name, u)
+            for i in range(lat.size):
+                want = sum(1 << k for k, p in enumerate(sp.points) if not lat.leq(i, p))
+                assert sp.w_set(i) == want, (name, i)
             for t in range(1 << sp.npoints):
                 kt = _fresh_ker(sp, t)
                 want = sum(1 << k for k, p in enumerate(sp.points) if lat.leq(kt, p))
@@ -177,8 +180,13 @@ def test_tables_match_fresh_computation(corpus, free_antichain):
 
 
 def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch):
-    kers, builds, hulls = [], Counter(), Counter()
+    kers, gammas, builds, hulls = [], [], Counter(), Counter()
     real_ker, real_hull = SpectrumSpace.ker, SpectrumSpace.min_open_containing
+    real_gamma = spectrum._w_set
+
+    def gamma(lat, points, i):
+        gammas.append(i)
+        return real_gamma(lat, points, i)
 
     def ker(self, tmask):
         kers.append(tmask)
@@ -195,6 +203,7 @@ def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch
     monkeypatch.setattr(SpectrumSpace, "ker", ker)
     monkeypatch.setattr(SpectrumSpace, "min_open_containing", hull)
     monkeypatch.setattr(spectrum, "LocallyClosedSet", lcs)
+    monkeypatch.setattr(spectrum, "_w_set", gamma)
     lat = enumerate_admissible_pairs(free_antichain)
     spaces = [s_primes(lat), s_primes(lat)]   # equal, but each has its own tables
     assert spaces[0] == spaces[1]
@@ -209,6 +218,11 @@ def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch
             for t in range(1 << sp.npoints):
                 sp.closure(t)
         assert sorted(kers) == list(range(1 << sp.npoints))
+        gammas.clear()
+        for _ in range(3):
+            for i in range(lat.size):
+                sp.w_set(i)
+        assert sorted(gammas) == list(range(lat.size))
         kers.clear()
         for _ in range(3):
             for u, v in itertools.product(sp.opens, repeat=2):

@@ -541,9 +541,10 @@ def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2,
                                 + tuple((0,) * kt + F[i] for i in range(kf)))
 
 
-def iso_search_complete(G: FgAbGroup, budget: int = 2) -> bool:
-    """True when group_isos(G, G, budget) provably enumerates every isomorphism."""
-    return budget >= 1 and G.rank <= 1
+def iso_search_complete(G: FgAbGroup) -> bool:
+    """True when group_isos(G, G, budget) provably enumerates every isomorphism,
+    at every budget it accepts."""
+    return G.rank <= 1
 
 
 def group_iso_inverse(G: FgAbGroup, A: IntMatrix) -> IntMatrix | None:

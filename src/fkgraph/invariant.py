@@ -159,10 +159,6 @@ class _Search:
         self.index = {y: k for k, y in enumerate(self.slots)}
         self.alpha0: list[IntMatrix | None] = [None] * len(self.slots)
         self.alpha1: list[IntMatrix | None] = [None] * len(self.slots)
-        self.complete = all(
-            iso_search_complete(a.kmap[y].k0, budget)
-            and iso_search_complete(a.kmap[y].k1, budget)
-            for y in self.slots)
         self.kd = [(a.kmap[y], b.kmap[_map_mask(y, sigma)]) for y in self.slots]
         self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
         self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
@@ -176,8 +172,8 @@ class _Search:
                 else:
                     self.out_of[si].append((s_lv, ti, t_lv, m_a, m_b, grp))
 
-    def _in_cone(self, k: int, forward: bool, kd: KData, x) -> bool:
-        key = (k, forward, tuple(x))
+    def _in_cone(self, k: int, forward: bool, kd: KData, x: tuple[int, ...]) -> bool:
+        key = (k, forward, x)
         hit = self._cone_cache.get(key)
         if hit is None:
             found, sure = cone_contains(kd, x)
@@ -302,10 +298,12 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
             "homeomorphism": list(homeos[0]), "unital": unital, "slots": [],
         })
 
+    # every slot stream of every search enumerates a's groups exhaustively
+    complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
+                   for k in a.kmap.values())
     first_failure = None
     counter = [0]
-    all_complete = True
-    inconclusive = False
+    searched = inconclusive = False
     capped = False
     for sigma in homeos:
         mismatch = _necessary_mismatch(a, b, sigma)
@@ -322,10 +320,10 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
         if family is not None:
             return CompareVerdict(
                 COMPATIBLE, _family_witness(a, sigma, family, unital))
-        all_complete &= search.complete
+        searched = True
         inconclusive |= search.inconclusive
 
-    if capped or not all_complete or inconclusive:
+    if capped or (searched and not complete) or inconclusive:
         return CompareVerdict(UNKNOWN, {
             "kind": "budget_exhausted",
             "budget": budget,

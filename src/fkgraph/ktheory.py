@@ -10,26 +10,28 @@ an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
 (U2 \\ U1, U3 \\ U1) equal to the pair presents it, and `sequence_key` names
 that pair.  A `SixTerm` holds the six maps alone, between the K-data of the
 pair's parts in the cycle order it states; no other module knows that order.
-On a chain the matrix over D = H3 \\ H1 is block triangular; the connecting
-map feeds the off-diagonal block into the ideal's cokernel, and the
-exponential direction vanishes because vertex classes lift.  Inclusions of
-carriers are index selections: a map through the 0/1 inclusion of one
-carrier's vertices (or regular columns) into another's is a projection with
-columns selected, or a lift with rows selected, never a matrix product.
-Each sequence is checked for exactness, with each map killing its source
-relations, as it is built; a failing one raises.  `FilteredK` builds one
-sequence per pair, on the chain `pair_chains` picks, while `check` still
-builds every chain.  Everything is memoised once per process, by value:
-K-data and presentation changes by the graph and the carriers (d, h_v), and
-each exactness spot (a map f followed by gm) by the two maps and the factors
-of the groups they land in, so each is computed once however many chains or
-equal graphs use it, and its groups once per factor tuple.  Cone generators
-are the reduced columns of K0's projection.
+Every presentation's K-groups are framed in the one coordinate frame of its
+pointset, the canonical presentation's.  On a chain the matrix over
+D = H3 \\ H1 is block triangular; the connecting map feeds the off-diagonal
+block into the ideal's cokernel, and the exponential direction vanishes
+because vertex classes lift.  Inclusions of carriers are index selections: a
+map through the 0/1 inclusion of one carrier's vertices (or regular columns)
+into another's is a projection with columns selected, or a lift with rows
+selected, never a matrix product.  Each sequence is checked for exactness,
+with each map killing its source relations, as it is built; a failing one
+raises.  `FilteredK` builds one sequence per pair, on the chain `pair_chains`
+picks, while `check` still builds every chain.  Everything is memoised once
+per process, by value: K-data and framed groups by the graph and the
+carriers (d, h_v), and each exactness spot (a map f followed by gm) by the
+two maps and the factors of the groups they land in, so each is computed
+once however many chains or equal graphs use it, and its groups once per
+factor tuple.  Cone generators are the reduced columns of K0's projection.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -138,54 +140,50 @@ def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
 
 @cache
 def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int):
-    """Coordinate change from the canonical presentation into a larger one.
+    """K0 and K1 of a presentation, framed in its pointset's canonical coordinates.
 
     The canonical carrier sits inside every presentation's carrier and
     saturates to all of it, so zero-extension of representatives and of
-    kernel vectors induces isomorphisms on both K-groups.  Returns the pair
-    of matrices with their inverses, or None (the identity) when the
-    carriers agree.
+    kernel vectors induces isomorphisms n on both K-groups.  A framed group
+    keeps the raw ambient, projecting through n^-1 (reduced) and lifting
+    through n; it is the raw group itself when the carriers agree.
     """
-    if canon_d == raw_d:
-        return None
-    canon_k, canon_regs = _carrier(g, canon_d, canon_h_v)
     raw_k, raw_regs = _carrier(g, raw_d, raw_h_v)
+    if canon_d == raw_d:
+        return raw_k.k0, raw_k.k1
+    canon_k, canon_regs = _carrier(g, canon_d, canon_h_v)
     verts = _positions(list(iter_bits(raw_d)), iter_bits(canon_d))
     regs = _positions(raw_regs, canon_regs)
-    n0 = reduce_map(raw_k.k0, raw_k.k0.project.select_cols(verts) @ canon_k.k0.lift)
-    n1 = reduce_map(raw_k.k1, raw_k.k1.project.select_cols(regs) @ canon_k.k1.lift)
-    inv0 = group_iso_inverse(raw_k.k0, n0)
-    inv1 = group_iso_inverse(raw_k.k1, n1)
-    if inv0 is None or inv1 is None:
-        raise InternalInvariantError("presentation change is not a K-isomorphism")
-    return n0, inv0, n1, inv1
-
-
-def _pull(target: FgAbGroup, inv: IntMatrix | None, m: IntMatrix,
-          fwd: IntMatrix | None) -> IntMatrix:
-    """inv @ m @ fwd reduced into target; a None factor is an identity, skipped."""
-    if inv is not None:
-        m = inv @ m
-    if fwd is not None:
-        m = m @ fwd
-    return reduce_map(target, m)
+    framed = []
+    for raw, canon, cols in ((raw_k.k0, canon_k.k0, verts), (raw_k.k1, canon_k.k1, regs)):
+        n = reduce_map(raw, raw.project.select_cols(cols) @ canon.lift)
+        inv = group_iso_inverse(raw, n)
+        if inv is None:
+            raise InternalInvariantError("presentation change is not a K-isomorphism")
+        framed.append(FgAbGroup(raw.invariant_factors, reduce_map(raw, inv @ raw.project),
+                                raw.lift @ n))
+    return tuple(framed)
 
 
 def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     """Six-term data for the chain, exactness-checked before returning.
 
-    The maps are computed on the chain's own presentations, by selecting the
-    ideal's and the quotient's vertices and regular columns inside the
-    middle carrier, and then pulled onto the canonical coordinates of each
-    pointset, so matrices from different triples compose.
+    Each map is one selection product between the chain's framed groups
+    (`_transition`), reduced once, so it lands in the canonical coordinates
+    of each pointset and matrices from different triples compose.
     """
     for a, b in ((u1, u2), (u2, u3)):
         if a & ~b:
             raise ValueError("opens must form a chain")
-    y_s = presentation(sp, u2, u1)
-    y_q = presentation(sp, u3, u2)
-    y_a = presentation(sp, u3, u1)
-    ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
+    # sub, mid and quot, as `pair_pointsets` orders them
+    ys = y_s, y_a, y_q = (presentation(sp, u2, u1), presentation(sp, u3, u1),
+                          presentation(sp, u3, u2))
+    ka = [k_data(g, y) for y in ys][1]  # each part's carrier is built as K-data
+    frames = []
+    for y in ys:
+        c = canonical_presentation(sp, y.pointset)
+        frames.append(_transition(g, c.d, c.h_v, y.d, y.h_v))
+    (s0, s1), (a0, a1), (q0, q1) = frames
 
     verts_a, regs_a = list(iter_bits(y_a.d)), _carrier(g, y_a.d, y_a.h_v)[1]
     rows_s = _positions(verts_a, iter_bits(y_s.d))
@@ -199,30 +197,15 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
         raise InternalInvariantError("ideal columns leak into the quotient block")
     c_block = ka.matrix.select_rows(rows_s).select_cols(cols_q)
 
-    iota0 = reduce_map(ka.k0, ka.k0.project.select_cols(rows_s) @ ks.k0.lift)
-    pi0 = reduce_map(kq.k0, kq.k0.project @ ka.k0.lift.select_rows(rows_q))
-    iota1 = reduce_map(ka.k1, ka.k1.project.select_cols(cols_s) @ ks.k1.lift)
-    pi1 = reduce_map(kq.k1, kq.k1.project @ ka.k1.lift.select_rows(cols_q))
-    partial = reduce_map(ks.k0, ks.k0.project @ c_block @ kq.k1.lift)
-
-    cy_s = canonical_presentation(sp, y_s.pointset)
-    cy_q = canonical_presentation(sp, y_q.pointset)
-    cy_a = canonical_presentation(sp, y_a.pointset)
-    cks, ckq, cka = k_data(g, cy_s), k_data(g, cy_q), k_data(g, cy_a)
-    none = (None,) * 4
-    s0, s0i, s1, s1i = _transition(g, cy_s.d, cy_s.h_v, y_s.d, y_s.h_v) or none
-    q0, q0i, q1, q1i = _transition(g, cy_q.d, cy_q.h_v, y_q.d, y_q.h_v) or none
-    a0, a0i, a1, a1i = _transition(g, cy_a.d, cy_a.h_v, y_a.d, y_a.h_v) or none
-
     st = SixTerm(
-        iota0=_pull(cka.k0, a0i, iota0, s0),
-        pi0=_pull(ckq.k0, q0i, pi0, a0),
-        delta=IntMatrix.zero(cks.k1.ncoords, ckq.k0.ncoords),
-        iota1=_pull(cka.k1, a1i, iota1, s1),
-        pi1=_pull(ckq.k1, q1i, pi1, a1),
-        partial=_pull(cks.k0, s0i, partial, q1),
+        iota0=reduce_map(a0, a0.project.select_cols(rows_s) @ s0.lift),
+        pi0=reduce_map(q0, q0.project @ a0.lift.select_rows(rows_q)),
+        delta=IntMatrix.zero(s1.ncoords, q0.ncoords),
+        iota1=reduce_map(a1, a1.project.select_cols(cols_s) @ s1.lift),
+        pi1=reduce_map(q1, q1.project @ a1.lift.select_rows(cols_q)),
+        partial=reduce_map(s0, s0.project @ c_block @ q1.lift),
     )
-    fails = exactness_failures(st, cycle_groups(cks, cka, ckq))
+    fails = exactness_failures(st, [frames[part][level] for part, level in CYCLE])
     if fails:
         raise ExactnessError("; ".join(fails))
     return st
@@ -234,8 +217,8 @@ _SPOT_FAILURES = ("{g} does not kill source relations", "{g} after {f} is nonzer
 
 
 def exactness_failures(st: SixTerm, groups: Sequence[FgAbGroup]) -> list[str]:
-    """Image-equals-kernel at all six spots of st over its `cycle_groups`:
-    gm kills im f, and ker gm lies in im f."""
+    """Image-equals-kernel at all six spots of st over the groups at its
+    `CYCLE` positions: gm kills im f, and ker gm lies in im f."""
     fails = []
     for k in range(6):
         j = (k + 1) % 6
@@ -388,9 +371,8 @@ def cone_contains(k: KData, x) -> tuple[bool, bool]:
     if all(c == 0 for c in x):
         return True, True
     free_idx = [i for i, d in enumerate(k0.invariant_factors) if d == 0]
-    gens = [k0.reduce(gv) for gv in k.cone_generators]
-    free_g = [g for g in gens if any(g[i] for i in free_idx)]
-    tors_g = [g for g in gens if not any(g[i] for i in free_idx)]
+    free_g = [g for g in k.cone_generators if any(g[i] for i in free_idx)]
+    tors_g = [g for g in k.cone_generators if not any(g[i] for i in free_idx)]
     memb = IntMatrix.from_rows(
         [[g[i] for g in tors_g] for i in range(k0.ncoords)], cols=len(tors_g)
     ).hstack(k0.relation_columns)
@@ -418,16 +400,10 @@ def cone_contains(k: KData, x) -> tuple[bool, bool]:
             cap = _CONE_BOUND
             covered = False
         caps.append(cap)
-    total = 1
-    for cap in caps:
-        total *= cap + 1
-    while total > 200_000:
+    while math.prod(cap + 1 for cap in caps) > 200_000:
         j = caps.index(max(caps))
         caps[j] //= 2
         covered = False
-        total = 1
-        for cap in caps:
-            total *= cap + 1
 
     for coeffs in itertools.product(*(range(c + 1) for c in caps)):
         resid = list(x)

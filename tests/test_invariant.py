@@ -186,6 +186,11 @@ def test_rank_two_slots_exhaust_to_unknown(fks):
     assert v.outcome == COMPATIBLE
     rep = verify_compatible_witness(fks["fanout"], loops, v.witness)
     assert rep.passed, rep.failures
+    # a pointwise mismatch under every homeomorphism needs no search, so
+    # the incomplete enumeration does not stand in the way of its proof
+    mixed = assemble(graph_from_edges(["a", "c"], [("a", "a", 1), ("c", "c", 2)]))
+    v = compare(fks["fanout"], mixed)
+    assert v.outcome == DISTINGUISHED and v.witness["kind"] == "pointwise"
 
 
 def _sinks(feeders: list[int]):

@@ -404,9 +404,9 @@ def _reference_maps(g, sp, u1, u2, u3):
 
 
 # Saturation enlarges some presentations' carriers so that the canonical
-# coordinates come out permuted: the pull-backs multiply by swaps, on K0 only
-# in the first graph and on K0 and K1 in the second.  In the corpus every
-# presentation change is an identity matrix.
+# coordinates come out permuted: the framed groups differ from the raw ones by
+# swaps, on K0 only in the first graph and on K0 and K1 in the second.  In the
+# corpus every presentation change is an identity matrix.
 SWAPPED = {
     "source_into_sinks": graph_from_edges(
         ["v0", "v1", "v2", "v3"], [("v2", "v0", 2), ("v2", "v3", 1)]),
@@ -417,8 +417,10 @@ SWAPPED = {
 
 
 def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichain, deep7):
-    # index selections and skipped identity pull-backs give the matrices the
-    # 0/1 inclusion products give, on every chain and every presentation change
+    # selections between framed groups give the matrices that 0/1 inclusion
+    # products pulled back in full give, on every chain; every presentation's
+    # framed groups are the reference change's, and the raw groups themselves
+    # when the carriers agree
     graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7, **SWAPPED)
     swaps = Counter()
     for name, g in graphs.items():
@@ -432,12 +434,16 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
                 continue
             raw = presentation(sp, u, v)
             canon = canonical_presentation(sp, raw.pointset)
-            want = _reference_transition(g, canon, k_data(g, canon), raw, k_data(g, raw))
+            raw_k = k_data(g, raw)
             got = ktheory._transition(g, canon.d, canon.h_v, raw.d, raw.h_v)
-            assert (got is None) == (canon.d == raw.d), (name, u, v)
-            assert got is None or got == want, (name, u, v)
-            swaps[name] += got is not None and any(
-                m != IntMatrix.identity(m.rows) for m in got)
+            n0, inv0, n1, inv1 = _reference_transition(g, canon, k_data(g, canon), raw, raw_k)
+            want = tuple(FgAbGroup(k.invariant_factors, reduce_map(k, inv @ k.project),
+                                   k.lift @ n)
+                         for k, n, inv in ((raw_k.k0, n0, inv0), (raw_k.k1, n1, inv1)))
+            assert got == want, (name, u, v)
+            if canon.d == raw.d:
+                assert got == (raw_k.k0, raw_k.k1), (name, u, v)
+            swaps[name] += got != (raw_k.k0, raw_k.k1)
         if name == "deep7":  # the 7-point check-deep shape: 525 chains
             assert sp.npoints == 7 and len(chains) == 525
     assert +swaps == {name: 1 for name in SWAPPED}
@@ -711,6 +717,8 @@ def test_cone_membership_synthetic():
     kd = lambda k0, gens: type("K", (), {"k0": k0, "cone_generators": gens})()
     assert cone_contains(kd(tors, ((2,),)), (2,)) == (True, True)
     assert cone_contains(kd(tors, ((2,),)), (1,)) == (False, True)
+    # an unreduced torsion generator reaches what its reduction reaches
+    assert cone_contains(kd(tors, ((6,),)), (2,)) == (True, True)
     free = FgAbGroup((0,), ident, ident)
     assert cone_contains(kd(free, ((2,), (-2,))), (4,)) == (True, True)
     # mixed signs defeat the bound: a miss is honest but not conclusive

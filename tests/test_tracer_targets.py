@@ -117,4 +117,4 @@ def test_exactness_suite_calls_rebindable_globals(monkeypatch):
     assert len(pairs) < len(chains)
     assert seen.count("six_term") == len(chains)
     assert seen.count("exactness_failures") == len(chains)
-    assert seen.count("k_data") == 6 * len(chains)
+    assert seen.count("k_data") == 3 * len(chains)

@@ -7,8 +7,10 @@ arbitrary-precision integers; no floating point is used anywhere.
 
 Smith decompositions and kernels are memoised by value (`IntMatrix` is an
 immutable tuple record), so each distinct matrix is decomposed and checked
-once per process, and identities by size.  Shapes are checked where rows
-come in, by `IntMatrix.from_rows`; matrices computed here are built to shape.
+once per process, and identities by size.  The check recomputes P M = S Q^-1
+and both inverse identities row by row, and the diagonal of S in full.
+Shapes are checked where rows come in, by `IntMatrix.from_rows`; matrices
+computed here are built to shape.
 Group isomorphisms are generated lazily, row by row, under linear
 constraints A v = c: a row that breaks one is dropped before it is extended,
 and no automorphism group is ever built whole.
@@ -76,9 +78,7 @@ class IntMatrix(NamedTuple):
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = tuple(zip(*other.entries)) or ((),) * other.cols
-        return IntMatrix(self.rows, other.cols, tuple([
-            tuple([sum(map(mul, row, col)) for col in ocols]) for row in self.entries]))
+        return IntMatrix(self.rows, other.cols, _product_entries(self, other))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -91,13 +91,6 @@ class IntMatrix(NamedTuple):
             raise ValueError("row count mismatch")
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple([r1 + r2 for r1, r2 in zip(self.entries, other.entries)]))
-
-    def select_rows(self, idx: Sequence[int]) -> IntMatrix:
-        return IntMatrix(len(idx), self.cols, tuple([self.entries[i] for i in idx]))
-
-    def select_cols(self, idx: Sequence[int]) -> IntMatrix:
-        return IntMatrix(self.rows, len(idx),
-                         tuple([tuple([r[j] for j in idx]) for r in self.entries]))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -274,21 +267,30 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
     return dec
 
 
+def _product_entries(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of A @ B, with no matrix built around them."""
+    cols = tuple(zip(*B.entries)) or ((),) * B.cols
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in A.entries])
+
+
 def _assert_smith(M: IntMatrix, dec: SmithDecomposition) -> None:
-    # recompute the defining identity; cheap at the scales this package runs at
-    if (dec.P @ M @ dec.Q).entries != dec.S.entries:
-        raise AssertionError("smith decomposition identity failed")
-    if (dec.P @ dec.P_inv).entries != IntMatrix.identity(M.rows).entries:
-        raise AssertionError("P inverse drifted")
-    if (dec.Q_inv @ dec.Q).entries != IntMatrix.identity(M.cols).entries:
-        raise AssertionError("Q inverse drifted")
+    # recompute the defining identities; cheap at the scales this package
+    # runs at.  S is checked diagonal first, so row i of S @ Q_inv is d_i
+    # times row i of Q_inv, and P @ M = S @ Q_inv is P @ M @ Q = S because
+    # Q_inv @ Q = I is checked too.
     diag = dec.diagonal
-    for i, d in enumerate(diag):
-        if d < 0:
-            raise AssertionError("negative invariant factor")
-        for j in range(M.cols):
-            if j != i and dec.S.entries[i][j] != 0:
-                raise AssertionError("off-diagonal junk")
+    for i, row in enumerate(dec.S.entries):
+        if any(x for j, x in enumerate(row) if j != i):
+            raise AssertionError("off-diagonal junk")
+    want = tuple([tuple([d * x for x in r]) for d, r in zip(diag, dec.Q_inv.entries)])
+    if _product_entries(dec.P, M) != want + ((0,) * M.cols,) * (M.rows - len(diag)):
+        raise AssertionError("smith decomposition identity failed")
+    if _product_entries(dec.P, dec.P_inv) != IntMatrix.identity(M.rows).entries:
+        raise AssertionError("P inverse drifted")
+    if _product_entries(dec.Q_inv, dec.Q) != IntMatrix.identity(M.cols).entries:
+        raise AssertionError("Q inverse drifted")
+    if any(d < 0 for d in diag):
+        raise AssertionError("negative invariant factor")
     nz = [d for d in diag if d != 0]
     if any(nz[i + 1] % nz[i] != 0 for i in range(len(nz) - 1)):
         raise AssertionError("divisibility chain broken")
@@ -582,32 +584,3 @@ def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
 def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:
     """Equality of maps into `target`, i.e. entrywise mod the target factors."""
     return reduce_map(target, A).entries == reduce_map(target, B).entries
-
-
-def image_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
-    """Column generators of the subgroup im(M) of `target`, relations included."""
-    if M.rows != target.ncoords:
-        raise ValueError("map does not land in target coordinates")
-    return M.hstack(target.relation_columns)
-
-
-def kernel_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
-    """Column generators of {x : M x = 0 in target}.
-
-    Solutions are x with M x in the relation lattice; they form the projection
-    of the integer kernel of the block [M | relations].
-    """
-    if M.rows != target.ncoords:
-        raise ValueError("map does not land in target coordinates")
-    block = M.hstack(target.relation_columns)
-    return kernel_group(block).lift.select_rows(range(M.cols))
-
-
-def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
-    """Whether every column of B is an integer combination of columns of A."""
-    if A.rows != B.rows:
-        raise ValueError("ambient dimension mismatch")
-    if B.cols == 0:
-        return True
-    dec = smith_decomposition(A)
-    return all(dec.solve(B.col(j)) is not None for j in range(B.cols))

@@ -17,13 +17,16 @@ block into the ideal's cokernel, and the exponential direction vanishes
 because vertex classes lift.  Inclusions of carriers are index selections: a
 map through the 0/1 inclusion of one carrier's vertices (or regular columns)
 into another's is a projection with columns selected, or a lift with rows
-selected, never a matrix product.  Each sequence is checked for exactness,
-with each map killing its source relations, as it is built; a failing one
-raises.  `FilteredK` builds one sequence per pair, on the chain `pair_chains`
-picks, while `check` still builds every chain.  Everything is memoised once
-per process, by value: K-data and framed groups by the graph and the
-carriers (d, h_v), and each exactness spot (a map f followed by gm) by the
-two maps and the factors of the groups they land in, so each is computed
+selected, never a matrix product; each carrier keeps the row and the column
+of every vertex, and each map is selected, multiplied and reduced in one
+pass.  Each sequence is checked for exactness, with each map killing its
+source relations, as it is built; a failing one raises.  A spot f then gm
+is decided from two Smith decompositions, of [gm | relations] for the kernel
+and of [f | relations] for the image.  `FilteredK` builds one sequence per
+pair, on the chain `pair_chains` picks, while `check` still builds every
+chain.  Everything is memoised once per process, by value: K-data and framed
+groups by the graph and the carriers (d, h_v), and each exactness spot by
+the two maps and the factors of the groups they land in, so each is computed
 once however many chains or equal graphs use it, and its groups once per
 factor tuple.  Cone generators are the reduced columns of K0's projection.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
@@ -42,11 +46,9 @@ from .intlinalg import (
     IntMatrix,
     cokernel,
     group_iso_inverse,
-    image_lattice,
     kernel_group,
-    kernel_lattice,
-    lattice_contains,
     reduce_map,
+    smith_decomposition,
     solve_exact,
 )
 from .report import Report
@@ -81,9 +83,9 @@ def k_matrix(gq: Graph) -> tuple[IntMatrix, list[int]]:
 
 
 @cache
-def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, tuple[int, ...]]:
-    """K-data of the carrier d over h_v, with the vertices of g indexing its
-    matrix columns; memoised by value.
+def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, dict[int, int], dict[int, int]]:
+    """K-data of the carrier d over h_v, with the row and the column of its
+    matrix that each vertex of g indexes; memoised by value.
 
     Keyed on h_v as well, so presentations differing only there stay
     independent computations for verify_well_definedness.
@@ -97,7 +99,7 @@ def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, tuple[int, ...]]:
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
     verts = list(iter_bits(d))
     return (KData(gq.vertices, b, k0, gens, unit, kernel_group(b)),
-            tuple(verts[p] for p in regs))
+            {v: i for i, v in enumerate(verts)}, {verts[p]: j for j, p in enumerate(regs)})
 
 
 def k_data(g: Graph, y: LocallyClosedSet) -> KData:
@@ -126,14 +128,13 @@ class SixTerm(NamedTuple):
     partial: IntMatrix
 
 
-def _positions(within: Sequence[int], items: Iterable[int]) -> list[int]:
-    """Index in `within` of each item: a 0/1 inclusion matrix as a selection.
+def _positions(index: dict[int, int], items: Iterable[int]) -> list[int]:
+    """Where `index` puts each item: a 0/1 inclusion matrix as a selection.
 
-    An item missing from `within` would have been a zero column of that matrix.
+    An item missing from `index` would have been a zero column of that matrix.
     """
-    pos = {v: i for i, v in enumerate(within)}
     try:
-        return [pos[v] for v in items]
+        return [index[v] for v in items]
     except KeyError:
         raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
 
@@ -148,15 +149,15 @@ def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int
     keeps the raw ambient, projecting through n^-1 (reduced) and lifting
     through n; it is the raw group itself when the carriers agree.
     """
-    raw_k, raw_regs = _carrier(g, raw_d, raw_h_v)
+    raw_k, raw_rows, raw_cols = _carrier(g, raw_d, raw_h_v)
     if canon_d == raw_d:
         return raw_k.k0, raw_k.k1
-    canon_k, canon_regs = _carrier(g, canon_d, canon_h_v)
-    verts = _positions(list(iter_bits(raw_d)), iter_bits(canon_d))
-    regs = _positions(raw_regs, canon_regs)
+    canon_k, canon_rows, canon_cols = _carrier(g, canon_d, canon_h_v)
+    verts = _positions(raw_rows, canon_rows)
+    regs = _positions(raw_cols, canon_cols)
     framed = []
     for raw, canon, cols in ((raw_k.k0, canon_k.k0, verts), (raw_k.k1, canon_k.k1, regs)):
-        n = reduce_map(raw, raw.project.select_cols(cols) @ canon.lift)
+        n = _map(raw, raw.project, canon.lift, cols=cols)
         inv = group_iso_inverse(raw, n)
         if inv is None:
             raise InternalInvariantError("presentation change is not a K-isomorphism")
@@ -165,12 +166,27 @@ def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int
     return tuple(framed)
 
 
+def _map(target: FgAbGroup, left: IntMatrix, right: IntMatrix,
+         cols: Sequence[int] | None = None, rows: Sequence[int] | None = None) -> IntMatrix:
+    """left @ right as a map into `target`, in one pass that selects the
+    columns `cols` of left or the rows `rows` of right, multiplies, and
+    reduces each row mod its factor."""
+    lrows = left.entries if cols is None else [[r[i] for i in cols] for r in left.entries]
+    rcols = tuple(zip(*(right.entries if rows is None else [right.entries[i] for i in rows])))
+    rcols = rcols or ((),) * right.cols   # no rows: right.cols empty columns
+    return IntMatrix(target.ncoords, right.cols, tuple([
+        tuple([sum(map(mul, row, col)) % d for col in rcols]) if d
+        else tuple([sum(map(mul, row, col)) for col in rcols])
+        for row, d in zip(lrows, target.invariant_factors)]))
+
+
 def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     """Six-term data for the chain, exactness-checked before returning.
 
-    Each map is one selection product between the chain's framed groups
-    (`_transition`), reduced once, so it lands in the canonical coordinates
-    of each pointset and matrices from different triples compose.
+    Each map is built in one pass over the chain's framed groups
+    (`_transition`), selecting, multiplying and reducing, so it lands in the
+    canonical coordinates of each pointset and matrices from different
+    triples compose.
     """
     for a, b in ((u1, u2), (u2, u3)):
         if a & ~b:
@@ -179,31 +195,29 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     ys = y_s, y_a, y_q = (presentation(sp, u2, u1), presentation(sp, u3, u1),
                           presentation(sp, u3, u2))
     ka = [k_data(g, y) for y in ys][1]  # each part's carrier is built as K-data
-    frames = []
-    for y in ys:
-        c = canonical_presentation(sp, y.pointset)
-        frames.append(_transition(g, c.d, c.h_v, y.d, y.h_v))
+    frames = [_transition(g, c.d, c.h_v, y.d, y.h_v)
+              for y in ys for c in [canonical_presentation(sp, y.pointset)]]
     (s0, s1), (a0, a1), (q0, q1) = frames
-
-    verts_a, regs_a = list(iter_bits(y_a.d)), _carrier(g, y_a.d, y_a.h_v)[1]
-    rows_s = _positions(verts_a, iter_bits(y_s.d))
-    rows_q = _positions(verts_a, iter_bits(y_q.d))
-    cols_s = _positions(regs_a, _carrier(g, y_s.d, y_s.h_v)[1])
-    cols_q = _positions(regs_a, _carrier(g, y_q.d, y_q.h_v)[1])
+    # the vertex rows and regular columns of each part's carrier
+    (verts_s, regs_s), (verts_a, regs_a), (verts_q, regs_q) = (
+        _carrier(g, y.d, y.h_v)[1:] for y in ys)
+    rows_s, rows_q = _positions(verts_a, verts_s), _positions(verts_a, verts_q)
+    cols_s, cols_q = _positions(regs_a, regs_s), _positions(regs_a, regs_q)
 
     # sub-block rows hit by quotient columns vanish by hereditarity of H2
     b_a = ka.matrix.entries
     if any(b_a[r][c] for r in rows_q for c in cols_s):
         raise InternalInvariantError("ideal columns leak into the quotient block")
-    c_block = ka.matrix.select_rows(rows_s).select_cols(cols_q)
+    c_block = IntMatrix(len(rows_s), len(cols_q),
+                        tuple([tuple([b_a[r][c] for c in cols_q]) for r in rows_s]))
 
     st = SixTerm(
-        iota0=reduce_map(a0, a0.project.select_cols(rows_s) @ s0.lift),
-        pi0=reduce_map(q0, q0.project @ a0.lift.select_rows(rows_q)),
+        iota0=_map(a0, a0.project, s0.lift, cols=rows_s),
+        pi0=_map(q0, q0.project, a0.lift, rows=rows_q),
         delta=IntMatrix.zero(s1.ncoords, q0.ncoords),
-        iota1=reduce_map(a1, a1.project.select_cols(cols_s) @ s1.lift),
-        pi1=reduce_map(q1, q1.project @ a1.lift.select_rows(cols_q)),
-        partial=reduce_map(s0, s0.project @ c_block @ q1.lift),
+        iota1=_map(a1, a1.project, s1.lift, cols=cols_s),
+        pi1=_map(q1, q1.project, a1.lift, rows=cols_q),
+        partial=_map(s0, s0.project, c_block @ q1.lift),
     )
     fails = exactness_failures(st, [frames[part][level] for part, level in CYCLE])
     if fails:
@@ -237,17 +251,30 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     The groups enter only through their factors, so a spot shared by several
     sequences or graphs is decided once per process.  One product
     gm @ [f | relations of mid] checks both that gm is well defined (it kills
-    the relations of its source) and that gm after f is zero.
+    the relations of its source) and that gm after f is zero.  ker gm lies
+    in im f iff each kernel vector v, the trailing Q columns of
+    [gm | relations of tgt] cut to mid's coordinates, has row i of P v
+    divisible by the i-th Smith factor of [f | relations of mid] = P^-1 S Q^-1
+    (zero past the diagonal).
     """
     mid, tgt = _standard_group(mid_factors), _standard_group(tgt_factors)
-    img = image_lattice(mid, f)
+    img = f.hstack(mid.relation_columns)
     killed = reduce_map(tgt, gm @ img).entries
     if any(x for row in killed for x in row[f.cols:]):
         return 0
     if any(x for row in killed for x in row[:f.cols]):
         return 1
-    if mid_factors and not lattice_contains(img, kernel_lattice(tgt, gm)):
-        return 2
+    if not mid_factors:
+        return None
+    ker = smith_decomposition(gm.hstack(tgt.relation_columns))
+    basis = [col[:img.rows] for col in list(zip(*ker.Q.entries))[ker.rank:]]
+    if not basis:
+        return None
+    dec = smith_decomposition(img)
+    diag = dec.diagonal + (0,) * (img.rows - len(dec.diagonal))
+    for row, d in zip(dec.P.entries, diag):
+        if any(y % d if d else y for y in (sum(map(mul, row, v)) for v in basis)):
+            return 2
     return None
 
 

@@ -1,7 +1,10 @@
 """Independent oracles used to derive expected values in the test suite.
 
 Everything here is written from the definitions, favoring brute force over
-cleverness, and shares no code paths with the package implementation.
+cleverness, and shares no code paths with the package implementation, except
+the lattice helpers at the end: they build subgroups as column lattices on the
+package's Smith decompositions and kernels, and compare them two-sided, the
+reference that the one-sided exactness check of `ktheory` is tested against.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from fkgraph.graphs import INF, Graph
+from fkgraph.intlinalg import FgAbGroup, IntMatrix, kernel_group, smith_decomposition
 
 
 def bfs_reaches(g: Graph, src: int, dst: int) -> bool:
@@ -149,3 +153,36 @@ def names_mask(g: Graph, names) -> int:
 def pair_index(lat, h: int, s: int = 0) -> int:
     """Position of the admissible pair (h, s) in the lattice's pair list."""
     return [(p.h, p.s) for p in lat.pairs].index((h, s))
+
+
+# ------------------------------------------------------------ lattices
+
+
+def image_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
+    """Column generators of the subgroup im(M) of `target`, relations included."""
+    if M.rows != target.ncoords:
+        raise ValueError("map does not land in target coordinates")
+    return M.hstack(target.relation_columns)
+
+
+def kernel_lattice(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
+    """Column generators of {x : M x = 0 in target}.
+
+    Solutions are x with M x in the relation lattice; they form the projection
+    of the integer kernel of the block [M | relations].
+    """
+    if M.rows != target.ncoords:
+        raise ValueError("map does not land in target coordinates")
+    block = M.hstack(target.relation_columns)
+    lift = kernel_group(block).lift
+    return IntMatrix(M.cols, lift.cols, lift.entries[:M.cols])
+
+
+def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
+    """Whether every column of B is an integer combination of columns of A."""
+    if A.rows != B.rows:
+        raise ValueError("ambient dimension mismatch")
+    if B.cols == 0:
+        return True
+    dec = smith_decomposition(A)
+    return all(dec.solve(B.col(j)) is not None for j in range(B.cols))

@@ -24,13 +24,13 @@ from fkgraph.intlinalg import (
     group_isos,
     iso_search_complete,
     kernel_group,
-    lattice_contains,
     maps_equal,
     reduce_map,
     smith_decomposition,
     solve_exact,
     xgcd,
 )
+from oracles import lattice_contains
 
 
 # ---------------------------------------------------------------- oracles
@@ -514,6 +514,48 @@ def test_smith_and_kernel_memoised_by_value(monkeypatch):
     assert checked == [A, B]
     assert (dec.P @ A @ dec.Q).entries == dec.S.entries
     assert A @ kernel_group(A).lift == IntMatrix.zero(A.rows, kernel_group(A).ncoords)
+
+
+def _poke(m: IntMatrix, i: int, j: int, value: int) -> IntMatrix:
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = value
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+def test_assert_smith_rejects_each_corruption():
+    # real decompositions, each corrupted in one component; a corrupted S is
+    # tried against the original M, where an identity breaks, and against
+    # P^-1 S Q^-1, where every identity holds and only a diagonal check can
+    # catch it
+    mats = [IntMatrix.from_rows(r) for r in (
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],    # factors 2, 6, 12
+        [[2, 0], [0, 3], [4, 6]],                   # 3 x 2: a row past the diagonal
+        [[0, 2, 4, 6], [0, 3, 6, 9]],               # rank 1, zero factor trailing
+    )]
+    for M in mats:
+        dec = smith_decomposition(M)
+        intlinalg._assert_smith(M, dec)
+        for name in ("P", "Q", "P_inv", "Q_inv"):
+            X = getattr(dec, name)
+            for i, j in product(range(X.rows), range(X.cols)):
+                bad = dec._replace(**{name: _poke(X, i, j, X.entries[i][j] + 1)})
+                with pytest.raises(AssertionError):
+                    intlinalg._assert_smith(M, bad)
+        S = dec.S
+        d = dec.diagonal
+        bad_s = [_poke(S, i, j, 1) for i, j in product(range(S.rows), range(S.cols))
+                 if i != j]                                    # off-diagonal junk
+        bad_s.append(_poke(S, 0, 0, -d[0]))                    # a negative factor
+        if len(d) > 1 and d[1]:
+            bad_s.append(_poke(S, 0, 0, 0))                    # an interior zero
+            bad_s.append(_poke(S, 0, 0, d[1] + 1))             # divisibility broken
+        for S2 in bad_s:
+            with pytest.raises(AssertionError):
+                intlinalg._assert_smith(M, dec._replace(S=S2))
+            M2 = dec.P_inv @ S2 @ dec.Q_inv
+            assert (dec.P @ M2 @ dec.Q).entries == S2.entries
+            with pytest.raises(AssertionError):
+                intlinalg._assert_smith(M2, dec._replace(S=S2))
 
 
 def test_group_iso_inverse_rejects_non_iso():

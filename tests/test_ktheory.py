@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cache
 from math import gcd
 from types import SimpleNamespace
 
@@ -13,9 +14,6 @@ from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
     group_iso_inverse,
-    image_lattice,
-    kernel_lattice,
-    lattice_contains,
     maps_equal,
     reduce_map,
 )
@@ -43,7 +41,7 @@ from fkgraph.spectrum import (
     s_primes,
 )
 
-from oracles import names_mask, pair_index
+from oracles import image_lattice, kernel_lattice, lattice_contains, names_mask, pair_index
 
 
 def spectrum_of(g):
@@ -361,8 +359,8 @@ def _reference_transition(g, canon_y, canon_k, raw_y, raw_k):
         n1 = IntMatrix.identity(canon_k.k1.ncoords)
         return n0, n0, n1, n1
     e_vert = _indicator(list(iter_bits(raw_y.d)), list(iter_bits(canon_y.d)))
-    e_reg = _indicator(ktheory._carrier(g, raw_y.d, raw_y.h_v)[1],
-                       ktheory._carrier(g, canon_y.d, canon_y.h_v)[1])
+    e_reg = _indicator(list(ktheory._carrier(g, raw_y.d, raw_y.h_v)[2]),
+                       list(ktheory._carrier(g, canon_y.d, canon_y.h_v)[2]))
     n0 = reduce_map(raw_k.k0, raw_k.k0.project @ e_vert @ canon_k.k0.lift)
     n1 = reduce_map(raw_k.k1, raw_k.k1.project @ e_reg @ canon_k.k1.lift)
     inv0, inv1 = group_iso_inverse(raw_k.k0, n0), group_iso_inverse(raw_k.k1, n1)
@@ -376,11 +374,12 @@ def _reference_maps(g, sp, u1, u2, u3):
     y_s, y_q, y_a = presentation(sp, u2, u1), presentation(sp, u3, u2), presentation(sp, u3, u1)
     ks, kq, ka = k_data(g, y_s), k_data(g, y_q), k_data(g, y_a)
     verts_s, verts_q, verts_a = (list(iter_bits(y.d)) for y in (y_s, y_q, y_a))
-    regs_a = ktheory._carrier(g, y_a.d, y_a.h_v)[1]
+    regs_a = list(ktheory._carrier(g, y_a.d, y_a.h_v)[2])
     regs_s = [v for v in regs_a if y_s.d >> v & 1]
     regs_q = [v for v in regs_a if y_q.d >> v & 1]
-    c_block = ka.matrix.select_rows([verts_a.index(v) for v in verts_s]).select_cols(
-        [regs_a.index(v) for v in regs_q])
+    c_block = IntMatrix.from_rows(
+        [[ka.matrix.entries[verts_a.index(v)][regs_a.index(w)] for w in regs_q]
+         for v in verts_s], cols=len(regs_q))
     raw = {
         "iota0": reduce_map(ka.k0, ka.k0.project @ _indicator(verts_a, verts_s) @ ks.k0.lift),
         "pi0": reduce_map(kq.k0, kq.k0.project @ _indicator(verts_q, verts_a) @ ka.k0.lift),
@@ -451,8 +450,8 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
 
 def test_carrier_escape_raises_instead_of_a_zero_column():
     with pytest.raises(InternalInvariantError):
-        ktheory._positions([0, 2, 5], [2, 3])
-    assert ktheory._positions([0, 2, 5], [5, 0]) == [2, 0]
+        ktheory._positions({0: 0, 2: 1, 5: 2}, [2, 3])
+    assert ktheory._positions({0: 0, 2: 1, 5: 2}, [5, 0]) == [2, 0]
 
 
 def _group(factors):
@@ -620,16 +619,15 @@ def test_standard_groups_are_built_once_per_factors():
 
 
 def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):
-    # the memo is by value: lattice containment runs at most once per distinct
+    # the memo is by value: a spot is decided at most once per distinct
     # spot, and not at all for an equal graph built separately
     calls = []
-    real = ktheory.lattice_contains
+    real = ktheory._spot_failure.__wrapped__
 
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-    monkeypatch.setattr(ktheory, "lattice_contains", counting)
-    ktheory._spot_failure.cache_clear()
+    def deciding(*spot):
+        calls.append(spot)
+        return real(*spot)
+    monkeypatch.setattr(ktheory, "_spot_failure", cache(deciding))
     g = Graph(deep7.vertices, deep7.mult)
     sp = spectrum_of(g)
     assert verify_exactness(g, sp).passed

@@ -85,6 +85,15 @@ DEEP = {
 }
 
 
+# The two `SWAPPED` graphs of test_ktheory.py: saturation enlarges a
+# presentation's carrier so that its canonical coordinates come out permuted.
+# They are the only graphs here whose presentation changes are not identities.
+SWAPPED = {
+    "source_into_sinks": [[0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 1], [0, 0, 0, 0]],
+    "source_into_loops": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0]],
+}
+
+
 def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
     """Name -> argv; the files of PAIRS and DEEP are written into `tmp`."""
     out = {}
@@ -113,6 +122,11 @@ def invocations(tmp: pathlib.Path) -> dict[str, list[str]]:
         path.write_text(_graph_text(mult))
         out[f"check/deep-{name}"] = ["check", str(path), "--format", "json"]
         out[f"k-all/deep-{name}"] = ["k", str(path), "--all", "--format", "json"]
+    for name, mult in SWAPPED.items():
+        path = tmp / f"swapped-{name}.graph"
+        path.write_text(_graph_text(mult))
+        out[f"check/swapped-{name}"] = ["check", str(path), "--format", "json"]
+        out[f"k-all/swapped-{name}"] = ["k", str(path), "--all", "--format", "json"]
     return out
 
 
@@ -267,6 +281,10 @@ DIGESTS = {
     "k-all/deep-6pt": (0, "dc0021fe772303311241da9acbba9c2d8fa1f24b20f71e8975ad8760a64bb63f"),
     "check/deep-7pt": (0, "67f7eff21e34815ef56608d384ff9bf2e814995d8a176fa7d50634d8cfaa200d"),
     "k-all/deep-7pt": (0, "fc8b36250266f23cc9c1c53a48de8541e38a2428f8d8e185704536776e3effd7"),
+    "check/swapped-source_into_sinks": (0, "8da09f0f59ac3b251d7a154298ef3e2d74c93074ca438748c0548997fe6235a6"),
+    "k-all/swapped-source_into_sinks": (0, "266eb157922e4c31f757c131bdc358d8d055868fafb1b929e236580c6189d447"),
+    "check/swapped-source_into_loops": (0, "8da09f0f59ac3b251d7a154298ef3e2d74c93074ca438748c0548997fe6235a6"),
+    "k-all/swapped-source_into_loops": (0, "a6058f4bd3433336bae1d72b259d4d2d16c65a27981d0240eb657867115473b4"),
 }
 
 

@@ -87,13 +87,18 @@ def test_rebound_smith_decomposition_sees_every_caller(monkeypatch):
     def spy(M):
         seen.append(M)
         return real(M)
-    monkeypatch.setattr(intlinalg, "smith_decomposition", spy)
-    mats = [fresh(2, 3), fresh(3, 2), fresh(2, 2), fresh(2, 2), fresh(3, 3)]
+    for module in (intlinalg, ktheory):   # every module holding the name
+        monkeypatch.setattr(module, "smith_decomposition", spy)
+    # an exactness spot on Z^2: f = (a, b), gm = (b, -a), so gm after f is
+    # zero and the spot decomposes gm, then f, for the kernel of gm in im f
+    (a, b), = fresh(1, 2).entries
+    f, gm = IntMatrix.from_rows([[a], [b]]), IntMatrix.from_rows([[b, -a]])
+    mats = [fresh(2, 3), fresh(3, 2), gm, f, fresh(2, 2), fresh(3, 3)]
     intlinalg.cokernel(mats[0])
     intlinalg.kernel_group(mats[1])
-    intlinalg.lattice_contains(mats[2], fresh(2, 1))
-    intlinalg.group_iso_inverse(free2, mats[3])
-    intlinalg.solve_exact(mats[4], (1, 2, 3))
+    ktheory._spot_failure(f, gm, (0, 0), (0,))
+    intlinalg.group_iso_inverse(free2, mats[4])
+    intlinalg.solve_exact(mats[5], (1, 2, 3))
     assert seen == mats
 
 

@@ -57,7 +57,8 @@ def _covers(n: int, leq) -> list[tuple[int, int]]:
 def _hasse_dot(name: str, prefix: str, labels: list[str], cov) -> str:
     """A Hasse diagram in DOT, bottom up: node k is `{prefix}{k}`."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    lines += [f'  {prefix}{k} [label="{label}"];' for k, label in enumerate(labels)]
+    esc = str.maketrans({"\\": "\\\\", '"': '\\"'})   # DOT quoted strings
+    lines += [f'  {prefix}{k} [label="{label.translate(esc)}"];' for k, label in enumerate(labels)]
     lines += [f"  {prefix}{i} -> {prefix}{j};" for i, j in cov]
     return "\n".join(lines + ["}"]) + "\n"
 

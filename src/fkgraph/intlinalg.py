@@ -1,19 +1,18 @@
 """Exact integer matrix algebra.
 
 Smith normal form with tracked unimodular transforms, cokernels and kernels
-as finitely generated abelian groups in canonical presentation, and a bounded
-enumeration of group isomorphisms.  Everything runs on Python's
-arbitrary-precision integers; no floating point is used anywhere.
+as finitely generated abelian groups in canonical presentation, maps into
+such groups, and a bounded enumeration of group isomorphisms.  Everything
+runs on Python's arbitrary-precision integers; no floating point is used.
 
 Smith decompositions and kernels are memoised by value (`IntMatrix` is an
 immutable tuple record), so each distinct matrix is decomposed and checked
-once per process, and identities by size.  The check recomputes P M = S Q^-1
-and both inverse identities row by row, and the diagonal of S in full.
-Shapes are checked where rows come in, by `IntMatrix.from_rows`; matrices
-computed here are built to shape.
-Group isomorphisms are generated lazily, row by row, under linear
-constraints A v = c: a row that breaks one is dropped before it is extended,
-and no automorphism group is ever built whole.
+(P M = S Q^-1, both inverses, the diagonal of S) once per process, and
+identities by size.  `IntMatrix.from_rows` checks the shape of rows that
+come in; matrices computed here are built to shape.  `map_into` is the one
+place a map into a group is formed: it selects, multiplies and reduces each
+row mod the target's factor in one pass.  Group isomorphisms are generated
+lazily, row by row, under linear constraints A v = c.
 """
 
 from __future__ import annotations
@@ -555,32 +554,31 @@ def group_iso_inverse(G: FgAbGroup, A: IntMatrix) -> IntMatrix | None:
     if A.rows != k or A.cols != k:
         raise ValueError("shape mismatch")
     aug = smith_decomposition(A.hstack(G.relation_columns))
+    ident = IntMatrix.identity(k)
     cols = []
-    for i in range(k):
-        e = [1 if j == i else 0 for j in range(k)]
+    for e in ident.entries:
         sol = aug.solve(e)
         if sol is None:
             return None
-        cols.append(sol[:k])
-    B = IntMatrix(k, k, tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
-    B = reduce_map(G, B)
-    ident = IntMatrix.identity(k)
-    if not (maps_equal(G, A @ B, ident) and maps_equal(G, B @ A, ident)):
+        cols.append(G.reduce(sol[:k]))
+    B = IntMatrix(k, k, tuple(zip(*cols)))
+    if map_into(G, A, B) != ident or map_into(G, B, A) != ident:
         return None
     return B
 
 
-def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
-    """Canonical entries for a map into `target`: row i taken mod its factor."""
-    if M.rows != target.ncoords:
+def map_into(target: FgAbGroup, left: IntMatrix, right: IntMatrix,
+             cols: Sequence[int] | None = None, rows: Sequence[int] | None = None) -> IntMatrix:
+    """left @ right as a map into `target`, with canonical entries: row i
+    taken mod the i-th factor.  One pass selects the columns `cols` of left
+    or the rows `rows` of right, multiplies and reduces; the one place a map
+    into a group is reduced."""
+    lrows = left.entries if cols is None else [[r[i] for i in cols] for r in left.entries]
+    rrows = right.entries if rows is None else [right.entries[i] for i in rows]
+    if left.rows != target.ncoords or (left.cols if cols is None else len(cols)) != len(rrows):
         raise ValueError("shape mismatch")
-    if not target.relation_columns.cols:
-        return M
-    rows = zip(M.entries, target.invariant_factors)
-    return IntMatrix(M.rows, M.cols,
-                     tuple([tuple([x % d for x in r]) if d else r for r, d in rows]))
-
-
-def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:
-    """Equality of maps into `target`, i.e. entrywise mod the target factors."""
-    return reduce_map(target, A).entries == reduce_map(target, B).entries
+    rcols = tuple(zip(*rrows)) or ((),) * right.cols   # no rows: right.cols empty columns
+    return IntMatrix(target.ncoords, right.cols, tuple([
+        tuple([sum(map(mul, row, col)) % d for col in rcols]) if d
+        else tuple([sum(map(mul, row, col)) for col in rcols])
+        for row, d in zip(lrows, target.invariant_factors)]))

@@ -24,7 +24,7 @@ from .intlinalg import (
     group_iso_inverse,
     group_isos,
     iso_search_complete,
-    maps_equal,
+    map_into,
 )
 from .ktheory import (CYCLE, KData, SixTerm, cone_contains, cycle_groups, k_data,
                       pair_chains, pair_pointsets, six_term)
@@ -222,7 +222,7 @@ class _Search:
         for s_lv, ti, t_lv, m_a, m_b, grp in self.out_of[k]:
             a_src = (self.alpha1 if s_lv else self.alpha0)[k]
             a_tgt = (self.alpha1 if t_lv else self.alpha0)[ti]
-            if not maps_equal(grp, a_tgt @ m_a, m_b @ a_src):
+            if map_into(grp, a_tgt, m_a) != map_into(grp, m_b, a_src):
                 return False
         return True
 
@@ -245,17 +245,15 @@ class _Search:
 
 
 def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
-    for y in a.kmap:
-        z = _map_mask(y, sigma)
-        kb = b.kmap.get(z)
-        if kb is None or a.kmap[y].factor_summary() != kb.factor_summary():
+    for y, ka in a.kmap.items():
+        fa, fb = ka.factor_summary(), b.kmap[_map_mask(y, sigma)].factor_summary()
+        if fa != fb:
             return {
                 "kind": "pointwise",
                 "homeomorphism": list(sigma),
                 "pointset": list(iter_bits(y)),
-                "a_factors": [list(f) for f in a.kmap[y].factor_summary()],
-                "b_factors": ([list(f) for f in kb.factor_summary()]
-                              if kb is not None else None),
+                "a_factors": [list(f) for f in fa],
+                "b_factors": [list(f) for f in fb],
             }
     return None
 
@@ -418,6 +416,6 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
     for key in a.sequences:
         for name, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
             checks += 1
-            if not maps_equal(grp, alpha[tgt][t_lv] @ m_a, m_b @ alpha[src][s_lv]):
+            if map_into(grp, alpha[tgt][t_lv], m_a) != map_into(grp, m_b, alpha[src][s_lv]):
                 fails.append(f"{name} square fails at pair {key}")
     return Report("witness", checks, tuple(fails))

@@ -3,7 +3,8 @@
 For a subquotient carried by a vertex set D the presenting matrix B has rows
 indexed by all vertices of the restricted graph and columns by its regular
 vertices, B[w][v] = mult(v -> w) - delta_{vw}.  K0 is the cokernel with the
-vertex classes as distinguished cone generators, K1 the integer kernel.
+vertex classes as distinguished cone generators, the reduced columns of its
+projection, and K1 the integer kernel.
 
 A six-term sequence belongs to a (sub, mid) pair of locally closed pointsets,
 an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
@@ -14,21 +15,17 @@ Every presentation's K-groups are framed in the one coordinate frame of its
 pointset, the canonical presentation's.  On a chain the matrix over
 D = H3 \\ H1 is block triangular; the connecting map feeds the off-diagonal
 block into the ideal's cokernel, and the exponential direction vanishes
-because vertex classes lift.  Inclusions of carriers are index selections: a
-map through the 0/1 inclusion of one carrier's vertices (or regular columns)
-into another's is a projection with columns selected, or a lift with rows
-selected, never a matrix product; each carrier keeps the row and the column
-of every vertex, and each map is selected, multiplied and reduced in one
-pass.  Each sequence is checked for exactness, with each map killing its
-source relations, as it is built; a failing one raises.  A spot f then gm
-is decided from two Smith decompositions, of [gm | relations] for the kernel
-and of [f | relations] for the image.  `FilteredK` builds one sequence per
-pair, on the chain `pair_chains` picks, while `check` still builds every
-chain.  Everything is memoised once per process, by value: K-data and framed
-groups by the graph and the carriers (d, h_v), and each exactness spot by
-the two maps and the factors of the groups they land in, so each is computed
-once however many chains or equal graphs use it, and its groups once per
-factor tuple.  Cone generators are the reduced columns of K0's projection.
+because vertex classes lift.  Each map is built by `intlinalg.map_into` on
+framed groups, in which the inclusion of one carrier's vertices (or regular
+columns) into another's is an index selection: each carrier keeps the row
+and the column of every vertex.  Each sequence is checked for exactness,
+with each map killing its source relations, as it is built; a failing one
+raises.  A spot f then gm is decided from two Smith decompositions, of
+[gm | relations] for the kernel and of [f | relations] for the image.
+`FilteredK` builds one sequence per pair, on the chain `pair_chains` picks;
+`check` builds every chain.  K-data and framed groups are memoised once per
+process by the graph and the carriers (d, h_v), and each exactness spot by
+its two maps and the factors of the groups they land in.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from .intlinalg import (
     cokernel,
     group_iso_inverse,
     kernel_group,
-    reduce_map,
+    map_into,
     smith_decomposition,
     solve_exact,
 )
@@ -157,36 +154,21 @@ def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int
     regs = _positions(raw_cols, canon_cols)
     framed = []
     for raw, canon, cols in ((raw_k.k0, canon_k.k0, verts), (raw_k.k1, canon_k.k1, regs)):
-        n = _map(raw, raw.project, canon.lift, cols=cols)
+        n = map_into(raw, raw.project, canon.lift, cols=cols)
         inv = group_iso_inverse(raw, n)
         if inv is None:
             raise InternalInvariantError("presentation change is not a K-isomorphism")
-        framed.append(FgAbGroup(raw.invariant_factors, reduce_map(raw, inv @ raw.project),
+        framed.append(FgAbGroup(raw.invariant_factors, map_into(raw, inv, raw.project),
                                 raw.lift @ n))
     return tuple(framed)
-
-
-def _map(target: FgAbGroup, left: IntMatrix, right: IntMatrix,
-         cols: Sequence[int] | None = None, rows: Sequence[int] | None = None) -> IntMatrix:
-    """left @ right as a map into `target`, in one pass that selects the
-    columns `cols` of left or the rows `rows` of right, multiplies, and
-    reduces each row mod its factor."""
-    lrows = left.entries if cols is None else [[r[i] for i in cols] for r in left.entries]
-    rcols = tuple(zip(*(right.entries if rows is None else [right.entries[i] for i in rows])))
-    rcols = rcols or ((),) * right.cols   # no rows: right.cols empty columns
-    return IntMatrix(target.ncoords, right.cols, tuple([
-        tuple([sum(map(mul, row, col)) % d for col in rcols]) if d
-        else tuple([sum(map(mul, row, col)) for col in rcols])
-        for row, d in zip(lrows, target.invariant_factors)]))
 
 
 def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     """Six-term data for the chain, exactness-checked before returning.
 
-    Each map is built in one pass over the chain's framed groups
-    (`_transition`), selecting, multiplying and reducing, so it lands in the
-    canonical coordinates of each pointset and matrices from different
-    triples compose.
+    Each map is built by `map_into` on the chain's framed groups
+    (`_transition`), so it lands in the canonical coordinates of each
+    pointset and matrices from different triples compose.
     """
     for a, b in ((u1, u2), (u2, u3)):
         if a & ~b:
@@ -208,16 +190,16 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     b_a = ka.matrix.entries
     if any(b_a[r][c] for r in rows_q for c in cols_s):
         raise InternalInvariantError("ideal columns leak into the quotient block")
-    c_block = IntMatrix(len(rows_s), len(cols_q),
-                        tuple([tuple([b_a[r][c] for c in cols_q]) for r in rows_s]))
 
     st = SixTerm(
-        iota0=_map(a0, a0.project, s0.lift, cols=rows_s),
-        pi0=_map(q0, q0.project, a0.lift, rows=rows_q),
+        iota0=map_into(a0, a0.project, s0.lift, cols=rows_s),
+        pi0=map_into(q0, q0.project, a0.lift, rows=rows_q),
         delta=IntMatrix.zero(s1.ncoords, q0.ncoords),
-        iota1=_map(a1, a1.project, s1.lift, cols=cols_s),
-        pi1=_map(q1, q1.project, a1.lift, rows=cols_q),
-        partial=_map(s0, s0.project, c_block @ q1.lift),
+        iota1=map_into(a1, a1.project, s1.lift, cols=cols_s),
+        pi1=map_into(q1, q1.project, a1.lift, rows=cols_q),
+        # the block of ideal rows and quotient columns, projected, then lifted
+        partial=map_into(s0, map_into(s0, s0.project, ka.matrix, rows=rows_s), q1.lift,
+                         cols=cols_q),
     )
     fails = exactness_failures(st, [frames[part][level] for part, level in CYCLE])
     if fails:
@@ -249,17 +231,17 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     """Index in _SPOT_FAILURES of the spot's failure, or None (memoised by value).
 
     The groups enter only through their factors, so a spot shared by several
-    sequences or graphs is decided once per process.  One product
-    gm @ [f | relations of mid] checks both that gm is well defined (it kills
-    the relations of its source) and that gm after f is zero.  ker gm lies
-    in im f iff each kernel vector v, the trailing Q columns of
+    sequences or graphs is decided once per process.  One map
+    gm [f | relations of mid] into tgt checks both that gm is well defined
+    (it kills the relations of its source) and that gm after f is zero.
+    ker gm lies in im f iff each kernel vector v, the trailing Q columns of
     [gm | relations of tgt] cut to mid's coordinates, has row i of P v
     divisible by the i-th Smith factor of [f | relations of mid] = P^-1 S Q^-1
     (zero past the diagonal).
     """
     mid, tgt = _standard_group(mid_factors), _standard_group(tgt_factors)
     img = f.hstack(mid.relation_columns)
-    killed = reduce_map(tgt, gm @ img).entries
+    killed = map_into(tgt, gm, img).entries
     if any(x for row in killed for x in row[f.cols:]):
         return 0
     if any(x for row in killed for x in row[:f.cols]):

@@ -2,7 +2,9 @@
 
 Everything here is written from the definitions, favoring brute force over
 cleverness, and shares no code paths with the package implementation, except
-the lattice helpers at the end: they build subgroups as column lattices on the
+the helpers at the end.  The map helpers reduce a finished `IntMatrix`
+product into a group, the reference that `intlinalg.map_into` is tested
+against.  The lattice helpers build subgroups as column lattices on the
 package's Smith decompositions and kernels, and compare them two-sided, the
 reference that the one-sided exactness check of `ktheory` is tested against.
 """
@@ -153,6 +155,23 @@ def names_mask(g: Graph, names) -> int:
 def pair_index(lat, h: int, s: int = 0) -> int:
     """Position of the admissible pair (h, s) in the lattice's pair list."""
     return [(p.h, p.s) for p in lat.pairs].index((h, s))
+
+
+# ------------------------------------------------------------ maps
+
+
+def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
+    """Canonical entries for a map into `target`: row i taken mod its factor."""
+    if M.rows != target.ncoords:
+        raise ValueError("shape mismatch")
+    return IntMatrix(M.rows, M.cols, tuple(
+        tuple(x % d for x in r) if d else r
+        for r, d in zip(M.entries, target.invariant_factors)))
+
+
+def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:
+    """Equality of maps into `target`, i.e. entrywise mod the target factors."""
+    return reduce_map(target, A).entries == reduce_map(target, B).entries
 
 
 # ------------------------------------------------------------ lattices

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tomllib
@@ -64,6 +65,19 @@ def test_lattice_outputs(capsys):
     code, out, _ = run(capsys, "lattice", gpath("g4"), "--dot")
     assert code == 0
     assert "i0 -> i1;" in out and "i1 -> i2;" in out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "lattice"])
+def test_dot_labels_are_escaped(capsys, tmp_path, command):
+    path = tmp_path / "quoted.graph"
+    # a chain x -> a"b -> c\d of looped vertices: both names label a prime
+    path.write_text('vertex x\nvertex a"b\nvertex c\\d\nedge x x 2\nedge x a"b\n'
+                    'edge a"b a"b 2\nedge a"b c\\d\nedge c\\d c\\d 2\n')
+    code, out, _ = run(capsys, command, str(path), "--dot")
+    assert code == 0
+    labels = re.findall(r"\[label=(.*)\];$", out, re.M)
+    assert labels and all(re.fullmatch(r'"(?:[^"\\]|\\.)*"', lab) for lab in labels), out
+    assert 'a\\"b' in out and "c\\\\d" in out
 
 
 def test_k_full_space_default(capsys):

@@ -24,13 +24,12 @@ from fkgraph.intlinalg import (
     group_isos,
     iso_search_complete,
     kernel_group,
-    maps_equal,
-    reduce_map,
+    map_into,
     smith_decomposition,
     solve_exact,
     xgcd,
 )
-from oracles import lattice_contains
+from oracles import lattice_contains, maps_equal, reduce_map
 
 
 # ---------------------------------------------------------------- oracles
@@ -620,14 +619,48 @@ def test_shared_decomposition_matches_per_column_solves():
     assert hits["torsion"] and hits["invertible"] and hits["singular"]
 
 
-def test_reduce_map_and_equality():
+def _random_matrix(rng, rows, cols):
+    return IntMatrix(rows, cols, tuple(tuple(rng.randint(-9, 9) for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+def test_map_into_matches_the_reduced_product():
+    # map_into against the oracle: select, multiply with @, then reduce
+    rng = random.Random(18)
+    hits = Counter()
+    factor_tuples = [(), (0,), (2,), (2, 0), (3, 6), (0, 0)]
+    for case in range(300):
+        factors = factor_tuples[case % len(factor_tuples)]
+        ident = IntMatrix.identity(len(factors))
+        G = FgAbGroup(factors, ident, ident)
+        inner, outer = rng.randint(0, 3), rng.randint(0, 3)
+        mode = rng.choice(("plain", "cols", "rows", "both"))
+        width = inner + (rng.randint(0, 2) if mode in ("cols", "both") else 0)
+        height = inner + (rng.randint(0, 2) if mode in ("rows", "both") else 0)
+        L, R = _random_matrix(rng, len(factors), width), _random_matrix(rng, height, outer)
+        cols = rng.sample(range(width), inner) if mode in ("cols", "both") else None
+        rows = rng.sample(range(height), inner) if mode in ("rows", "both") else None
+        L_sel = L if cols is None else IntMatrix(L.rows, inner, tuple(
+            tuple(r[i] for i in cols) for r in L.entries))
+        R_sel = R if rows is None else IntMatrix(inner, outer, tuple(
+            R.entries[i] for i in rows))
+        assert map_into(G, L, R, cols=cols, rows=rows) == reduce_map(G, L_sel @ R_sel), (
+            G, L, R, cols, rows)
+        hits[factors] += 1
+        hits[mode] += 1
+        hits["inner 0"] += not inner
+        hits["outer 0"] += not outer
+    assert len(hits) == len(factor_tuples) + 6 and min(hits.values()) >= 10, hits
+
     G = cokernel(IntMatrix.from_rows([[3, 0], [0, 0]]))
     A = IntMatrix.from_rows([[4, 1], [0, 2]])
-    B = IntMatrix.from_rows([[1, 2], [0, 2]])
-    assert reduce_map(G, A).entries == ((1, 1), (0, 2))
-    assert maps_equal(G, A, IntMatrix.from_rows([[7, -2], [0, 2]]))
-    assert not maps_equal(G, A, B)
-    assert not maps_equal(G, A, IntMatrix.from_rows([[4, 1], [0, -2]]))
+    assert map_into(G, A, IntMatrix.identity(2)).entries == ((1, 1), (0, 2))
+    with pytest.raises(ValueError):
+        map_into(G, IntMatrix.identity(3), IntMatrix.identity(3))
+    with pytest.raises(ValueError):
+        map_into(G, A, IntMatrix.identity(3))
+    with pytest.raises(ValueError):
+        map_into(G, A, IntMatrix.identity(2), cols=[0])
 
 
 def test_from_rows_checks_the_shape():

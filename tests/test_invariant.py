@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -114,6 +115,18 @@ def test_poset_isomorphism_counts(fks):
     assert len(list(poset_isomorphisms(one("g3"), one("fanout")))) == 0
     assert len(list(poset_isomorphisms(one("fanout"), one("fanout")))) == 2
     assert len(list(poset_isomorphisms(one("g1"), one("g3")))) == 0
+
+
+def test_homeomorphisms_carry_slots_onto_slots(fks, row_finite_corpus):
+    # a homeomorphism of finite T0 spaces maps locally closed sets onto
+    # locally closed sets, so the pointwise check may index b.kmap directly
+    maps = 0
+    for name_a, name_b in itertools.product(row_finite_corpus, repeat=2):
+        a, b = fks[name_a], fks[name_b]
+        for sigma in poset_isomorphisms(a.space, b.space):
+            assert {invariant._map_mask(y, sigma) for y in a.kmap} == set(b.kmap)
+            maps += 1
+    assert maps > len(row_finite_corpus)
 
 
 def test_distinguished_fixtures(fks):

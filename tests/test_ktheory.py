@@ -14,8 +14,6 @@ from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
     group_iso_inverse,
-    maps_equal,
-    reduce_map,
 )
 from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
@@ -41,7 +39,8 @@ from fkgraph.spectrum import (
     s_primes,
 )
 
-from oracles import image_lattice, kernel_lattice, lattice_contains, names_mask, pair_index
+from oracles import (image_lattice, kernel_lattice, lattice_contains, maps_equal, names_mask,
+                     pair_index, reduce_map)
 
 
 def spectrum_of(g):

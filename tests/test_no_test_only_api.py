@@ -9,7 +9,9 @@ language, not by name, and are not checked.
 
 Uses are matched as text, so a member passes on the uses of any other
 class's member of the same name; `test_member_names_are_unambiguous` keeps
-the list of such shared names fixed, each one looked at by hand.
+the list of such shared names fixed, each one looked at by hand.  An import
+is such a text use too, so `test_no_unused_imports` requires every imported
+name to be read in its module.
 """
 
 import ast
@@ -93,3 +95,28 @@ def test_member_names_are_unambiguous():
     # FgAbGroup.rank: each is read on both of its owners.  A new shared name
     # could hide a member that only tests use from the check above.
     assert shared_member_names() == {"graph", "rank"}
+
+
+def unused_imports() -> list[str]:
+    """`module: name` for each name a module-level import binds in src/ and
+    the module never reads; `__init__.py` re-exports and `__future__` aside."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{path.stem}: {name}")
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

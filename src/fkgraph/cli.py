@@ -37,6 +37,17 @@ def _names(g: Graph, mask: int) -> list[str]:
     return [g.vertices[i] for i in iter_bits(mask)]
 
 
+def _shown(name: str) -> str:
+    """A vertex name in text and DOT output: bare, or a JSON string if it could be misread."""
+    if name and not any(c.isspace() or c in ',{}[]"\\' for c in name):
+        return name
+    return json.dumps(name)
+
+
+def _set_text(names: list[str]) -> str:
+    return "{" + ",".join(map(_shown, names)) + "}"
+
+
 def _load(path: str) -> Graph:
     with open(path, encoding="utf-8") as fh:
         return parse_graph_auto(fh.read())
@@ -86,8 +97,7 @@ def _run_spectrum(cfg) -> int:
 
     lines = [f"points: {sp.npoints}"]
     for p in points:
-        lines.append(f"p{p['index']}: H={{{','.join(p['h'])}}}"
-                     f" S={{{','.join(p['s'])}}}")
+        lines.append(f"p{p['index']}: H={_set_text(p['h'])} S={_set_text(p['s'])}")
     lines.append("specializations: "
                  + (" ".join(f"p{i}->p{j}" for i, j in spec) or "none"))
     lines.append(f"opens: {len(opens)}")
@@ -95,7 +105,7 @@ def _run_spectrum(cfg) -> int:
         lines.append("  {" + ",".join(f"p{k}" for k in u) + "}")
     text = "\n".join(lines) + "\n"
 
-    labels = [f"p{p['index']}: {{{','.join(p['h'])}}}" for p in points]
+    labels = [f"p{p['index']}: {_set_text(p['h'])}" for p in points]
     dot = _hasse_dot("spectrum", "p", labels, _covers(sp.npoints, sp.specializes))
     _emit(payload, text, dot, cfg)
     return 0
@@ -114,12 +124,11 @@ def _run_lattice(cfg) -> int:
 
     lines = [f"pairs: {lat.size}"]
     for p in pairs:
-        lines.append(f"i{p['index']}: H={{{','.join(p['h'])}}}"
-                     f" S={{{','.join(p['s'])}}}")
+        lines.append(f"i{p['index']}: H={_set_text(p['h'])} S={_set_text(p['s'])}")
     lines.append("covers: " + (" ".join(f"i{i}<i{j}" for i, j in cov) or "none"))
     text = "\n".join(lines) + "\n"
 
-    labels = [f"H={{{','.join(p['h'])}}} S={{{','.join(p['s'])}}}" for p in pairs]
+    labels = [f"H={_set_text(p['h'])} S={_set_text(p['s'])}" for p in pairs]
     _emit(payload, text, _hasse_dot("lattice", "i", labels, cov), cfg)
     return 0
 
@@ -180,11 +189,11 @@ def _run_k(cfg) -> int:
     for e in entries:
         pts = ",".join(f"p{k}" for k in e["pointset"])
         lines.append(f"subquotient {{{pts}}}: vertices "
-                     + (",".join(e["vertices"]) or "none"))
+                     + (",".join(map(_shown, e["vertices"])) or "none"))
         lines.append("  K0 factors: "
                      + (",".join(map(str, e["k0"]["invariant_factors"])) or "-"))
         for v, gen in zip(e["vertices"], e["k0"]["cone_generators"]):
-            lines.append(f"  [{v}] = {tuple(gen)}")
+            lines.append(f"  [{_shown(v)}] = {tuple(gen)}")
         lines.append(f"  unit = {tuple(e['k0']['unit_class'])}")
         lines.append("  K1 factors: "
                      + (",".join(map(str, e["k1"]["invariant_factors"])) or "-"))

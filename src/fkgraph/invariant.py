@@ -5,11 +5,13 @@ set, and the maps of one six-term sequence per (sub, mid) pair of pointsets,
 whose groups are read from that K-data, into one object, which builds the
 two K layers only when they are first read.  `compare` decides whether two
 such objects can be matched by a homeomorphism of spectra together with a
-family of ordered group isomorphisms commuting with all the maps.  The
-verdict is three-valued: a mismatch that survives every homeomorphism is
+family of ordered group isomorphisms commuting with all the maps, in one
+search per compare: a's commuting squares are filed once, each cone
+membership is decided once, and each homeomorphism re-binds only b's side.
+The verdict is three-valued: a mismatch that survives every homeomorphism is
 DISTINGUISHED, a fully certified family is COMPATIBLE, and an exhausted
-search budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses
-are plain dicts, deterministic, and replayable.
+budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses are plain
+dicts, deterministic, and replayable.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .intlinalg import (
     iso_search_complete,
     map_into,
 )
-from .ktheory import (CYCLE, KData, SixTerm, cone_contains, cycle_groups, k_data,
-                      pair_chains, pair_pointsets, six_term)
+from .ktheory import (CYCLE, KData, SixTerm, cone_contains, k_data, pair_chains,
+                      pair_pointsets, six_term)
 from .lattice import DEFAULT_VERTEX_CAP
 from .report import Report
 from .spectrum import SpectrumSpace, capped_spectrum, locally_closed_sets
@@ -115,20 +117,19 @@ def _map_mask(mask: int, perm) -> int:
     return mask_of(perm[k] for k in iter_bits(mask))
 
 
-def _squares(a: FilteredK, b: FilteredK, sigma, key):
-    """The six commuting squares of a's pair key against its image under sigma.
+def _squares(a: FilteredK):
+    """a's commuting squares, six per (sub, mid) pair in `a.sequences` order.
 
-    Each is (edge, source pointset, source level, target pointset, target
-    level, map of a, map of b, b's target group), the ends as `ktheory.CYCLE`
-    places them and b's groups read from b.kmap.
+    Each is (pair, edge, source pointset, source level, target pointset,
+    target level, map of a), the ends as `ktheory.CYCLE` places them.  A
+    homeomorphism sigma matches it with b's map `b.sequences[sigma(pair)][edge]`
+    into b's group at sigma(target).
     """
-    key_b = tuple(_map_mask(y, sigma) for y in key)
-    parts = pair_pointsets(key)
-    groups = cycle_groups(*(b.kmap[z] for z in pair_pointsets(key_b)))
-    for k, (name, m_a, m_b) in enumerate(zip(SixTerm._fields, a.sequences[key],
-                                             b.sequences[key_b])):
-        (src, s_lv), (tgt, t_lv) = CYCLE[k], CYCLE[(k + 1) % 6]
-        yield name, parts[src], s_lv, parts[tgt], t_lv, m_a, m_b, groups[(k + 1) % 6]
+    for key, seq in a.sequences.items():
+        parts = pair_pointsets(key)
+        for edge, m_a in enumerate(seq):
+            (src, s_lv), (tgt, t_lv) = CYCLE[edge], CYCLE[(edge + 1) % 6]
+            yield key, edge, parts[src], s_lv, parts[tgt], t_lv, m_a
 
 
 class _Budget(Exception):
@@ -136,77 +137,63 @@ class _Budget(Exception):
 
 
 class _Search:
-    """Backtracking over per-slot (K0, K1) isomorphism candidates.
+    """Backtracking over per-slot (K0, K1) isomorphism candidates, one per compare.
 
-    Slots are assigned in order, K0 before K1.  Each commuting square is
-    filed once.  A square whose source is assigned before its target fixes
-    alpha of the target on the columns of a's map, as the unit class does at
-    the full slot, so it goes into `group_isos` as a constraint and no
-    candidate breaking it is built.  Every other square is filed under its
-    source slot and checked once that slot is assigned.  Each survivor's
-    cone conditions and invertibility are vetted once per slot.  Every
-    candidate a slot stream yields counts against `_NODE_CAP`.
+    Slots are assigned in order, K0 before K1.  a's squares are filed once:
+    one whose source is assigned before its target fixes alpha of the target
+    on the columns of a's map, as the unit class does at the full slot, so it
+    goes into `group_isos` as a constraint and no candidate breaking it is
+    built; every other one is filed under its source slot and checked once
+    that slot is assigned.  `run(sigma)` re-binds only b's side: slot K-data,
+    b's maps, alpha and the per-slot vetting of cone conditions and
+    invertibility.  Cone memberships are memoised per compare, by value.
+    Every candidate a stream yields, under any sigma, counts against `_NODE_CAP`.
     """
 
-    def __init__(self, a: FilteredK, b: FilteredK, sigma, unital: bool,
-                 budget: int, counter: list[int]):
-        self.a, self.b, self.sigma = a, b, sigma
-        self.unital = unital
-        self.budget = budget
-        self.counter = counter
-        self.inconclusive = False
+    def __init__(self, a: FilteredK, b: FilteredK, unital: bool, budget: int):
+        self.a, self.b = a, b
+        self.unital, self.budget = unital, budget
+        self.nodes = 0
         self.slots = list(a.kmap)
-        self.index = {y: k for k, y in enumerate(self.slots)}
-        self.alpha0: list[IntMatrix | None] = [None] * len(self.slots)
-        self.alpha1: list[IntMatrix | None] = [None] * len(self.slots)
-        self.kd = [(a.kmap[y], b.kmap[_map_mask(y, sigma)]) for y in self.slots]
-        self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
-        self._cone_cache: dict[tuple[int, int, tuple[int, ...]], bool] = {}
+        index = {y: k for k, y in enumerate(self.slots)}
+        self._cones: dict[tuple[KData, tuple[int, ...]], tuple[bool, bool]] = {}
         self.into = [([], []) for _ in self.slots]
         self.out_of = [[] for _ in self.slots]
-        for key in a.sequences:
-            for _, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
-                si, ti = self.index[src], self.index[tgt]
-                if (si, s_lv) < (ti, t_lv):
-                    self.into[ti][t_lv].append((si, s_lv, m_a, m_b))
-                else:
-                    self.out_of[si].append((s_lv, ti, t_lv, m_a, m_b, grp))
+        for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a):
+            si, ti = index[src], index[tgt]
+            if (si, s_lv) < (ti, t_lv):
+                self.into[ti][t_lv].append((si, s_lv, key, edge, m_a))
+            else:
+                self.out_of[si].append((s_lv, ti, t_lv, key, edge, m_a))
 
-    def _in_cone(self, k: int, forward: bool, kd: KData, x: tuple[int, ...]) -> bool:
-        key = (k, forward, x)
-        hit = self._cone_cache.get(key)
+    def _in_cone(self, kd: KData, x: tuple[int, ...]) -> bool:
+        hit = self._cones.get((kd, x))
         if hit is None:
-            found, sure = cone_contains(kd, x)
-            if not (found or sure):
-                self.inconclusive = True
-            hit = self._cone_cache[key] = found
-        return hit
+            hit = self._cones[kd, x] = cone_contains(kd, x)
+        found, sure = hit
+        self.inconclusive |= not (found or sure)
+        return found
 
-    def _admissible(self, k: int, ka: KData, kb: KData, m0: IntMatrix) -> bool:
-        for gen in ka.cone_generators:
-            if not self._in_cone(k, True, kb, m0.apply(gen)):
-                return False
-        inv0 = group_iso_inverse(ka.k0, m0)
-        if inv0 is None:
+    def _admissible(self, ka: KData, kb: KData, m0: IntMatrix) -> bool:
+        if not all(self._in_cone(kb, m0.apply(gen)) for gen in ka.cone_generators):
             return False
-        for gen in kb.cone_generators:
-            if not self._in_cone(k, False, ka, inv0.apply(gen)):
-                return False
-        return True
+        inv0 = group_iso_inverse(ka.k0, m0)
+        return inv0 is not None and all(self._in_cone(ka, inv0.apply(gen))
+                                        for gen in kb.cone_generators)
 
     def _stream(self, k: int, lv: int):
         """Slot k's level-lv isomorphisms meeting every square from an assigned slot."""
         ka, kb = self.kd[k]
         cons = []
-        for si, s_lv, m_a, m_b in self.into[k][lv]:
-            img = m_b @ (self.alpha1 if s_lv else self.alpha0)[si]
+        for si, s_lv, key, edge, m_a in self.into[k][lv]:
+            img = self.b_maps[key][edge] @ self.alpha[s_lv][si]
             cons += [(m_a.col(j), img.col(j)) for j in range(m_a.cols)]
         if not lv and self.unital and self.slots[k] == self.a.space.full:
             cons.append((ka.unit_class, kb.unit_class))
         for m in group_isos(*((ka.k1, kb.k1) if lv else (ka.k0, kb.k0)),
                             self.budget, cons):
-            self.counter[0] += 1
-            if self.counter[0] > _NODE_CAP:
+            self.nodes += 1
+            if self.nodes > _NODE_CAP:
                 raise _Budget
             yield m
 
@@ -214,31 +201,39 @@ class _Search:
         vetted = self._vetted[k]
         for m0 in self._stream(k, 0):
             if m0 not in vetted:
-                vetted[m0] = self._admissible(k, *self.kd[k], m0)
+                vetted[m0] = self._admissible(*self.kd[k], m0)
             if vetted[m0]:
                 yield m0
 
     def _commutes(self, k: int) -> bool:
-        for s_lv, ti, t_lv, m_a, m_b, grp in self.out_of[k]:
-            a_src = (self.alpha1 if s_lv else self.alpha0)[k]
-            a_tgt = (self.alpha1 if t_lv else self.alpha0)[ti]
-            if map_into(grp, a_tgt, m_a) != map_into(grp, m_b, a_src):
+        alpha = self.alpha
+        for s_lv, ti, t_lv, key, edge, m_a in self.out_of[k]:
+            kb = self.kd[ti][1]
+            grp = kb.k1 if t_lv else kb.k0
+            if (map_into(grp, alpha[t_lv][ti], m_a)
+                    != map_into(grp, self.b_maps[key][edge], alpha[s_lv][k])):
                 return False
         return True
 
-    def run(self) -> list[tuple[IntMatrix, IntMatrix]] | None:
-        if self._extend(0):
-            return [(self.alpha0[k], self.alpha1[k])
-                    for k in range(len(self.slots))]
-        return None
+    def run(self, sigma) -> list[tuple[IntMatrix, IntMatrix]] | None:
+        """A family over sigma, or None; `inconclusive` then says whether a
+        cone membership this run met was undecided."""
+        b = self.b
+        self.kd = [(ka, b.kmap[_map_mask(y, sigma)]) for y, ka in self.a.kmap.items()]
+        self.b_maps = {key: b.sequences[tuple(_map_mask(y, sigma) for y in key)]
+                       for key in self.a.sequences}
+        self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
+        self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
+        self.inconclusive = False
+        return list(zip(*self.alpha)) if self._extend(0) else None
 
     def _extend(self, k: int) -> bool:
         if k == len(self.slots):
             return True
         for m0 in self._cands0(k):
-            self.alpha0[k] = m0   # the level-1 stream reads it
+            self.alpha[0][k] = m0   # the level-1 stream reads it
             for m1 in self._stream(k, 1):
-                self.alpha1[k] = m1
+                self.alpha[1][k] = m1
                 if self._commutes(k) and self._extend(k + 1):
                     return True
         return False
@@ -299,19 +294,18 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
     # every slot stream of every search enumerates a's groups exhaustively
     complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
                    for k in a.kmap.values())
-    first_failure = None
-    counter = [0]
-    searched = inconclusive = False
-    capped = False
+    first_failure = search = None
+    searched = inconclusive = capped = False
     for sigma in homeos:
         mismatch = _necessary_mismatch(a, b, sigma)
         if mismatch is not None:
             if first_failure is None:
                 first_failure = mismatch
             continue
-        search = _Search(a, b, sigma, unital, budget, counter)
+        if search is None:
+            search = _Search(a, b, unital, budget)
         try:
-            family = search.run()
+            family = search.run(sigma)
         except _Budget:
             capped = True
             break
@@ -413,9 +407,11 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             checks += 1
             if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:
                 fails.append("unit class is not preserved")
-    for key in a.sequences:
-        for name, src, s_lv, tgt, t_lv, m_a, m_b, grp in _squares(a, b, sigma, key):
-            checks += 1
-            if map_into(grp, alpha[tgt][t_lv], m_a) != map_into(grp, m_b, alpha[src][s_lv]):
-                fails.append(f"{name} square fails at pair {key}")
+    for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a):
+        checks += 1
+        m_b = b.sequences[tuple(_map_mask(y, sigma) for y in key)][edge]
+        kb = b.kmap[_map_mask(tgt, sigma)]
+        grp = kb.k1 if t_lv else kb.k0
+        if map_into(grp, alpha[tgt][t_lv], m_a) != map_into(grp, m_b, alpha[src][s_lv]):
+            fails.append(f"{SixTerm._fields[edge]} square fails at pair {key}")
     return Report("witness", checks, tuple(fails))

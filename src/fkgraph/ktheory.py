@@ -110,11 +110,10 @@ class SixTerm(NamedTuple):
     The sequence runs through K0(sub), K0(mid), K0(quot), K1(sub), K1(mid),
     K1(quot), with quot = mid \\ sub, and field k maps position k to position
     k + 1 (mod 6).  `CYCLE` gives the positions as (part, level) over
-    `pair_pointsets`, and `cycle_groups` lists the groups.  A chain
-    u1 <= u2 <= u3 presents the parts as u2\\u1, u3\\u1, u3\\u2, and the maps
-    do not depend on the chain.  Each map is a matrix between canonical
-    coordinates; delta (K0 of the quotient to K1 of the ideal) is identically
-    zero.
+    `pair_pointsets`.  A chain u1 <= u2 <= u3 presents the parts as u2\\u1,
+    u3\\u1, u3\\u2, and the maps do not depend on the chain.  Each map is a
+    matrix between canonical coordinates; delta (K0 of the quotient to K1 of
+    the ideal) is identically zero.
     """
 
     iota0: IntMatrix
@@ -286,12 +285,6 @@ def pair_pointsets(key: tuple[int, int]) -> tuple[int, int, int]:
     """The parts sub, mid and quot = mid \\ sub of a (sub, mid) pair."""
     sub, mid = key
     return sub, mid, mid & ~sub
-
-
-def cycle_groups(sub: KData, mid: KData, quot: KData) -> list[FgAbGroup]:
-    """The groups at the six positions of the sequence over sub, mid and quot."""
-    parts = sub, mid, quot
-    return [parts[p].k1 if level else parts[p].k0 for p, level in CYCLE]
 
 
 def pair_chains(sp: SpectrumSpace) -> dict[tuple[int, int], tuple[int, int, int]]:

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions, favoring brute force over
 cleverness, and shares no code paths with the package implementation, except
-the helpers at the end.  The map helpers reduce a finished `IntMatrix`
+the helpers at the end.  `cycle_groups` lists the six groups of a sequence in
+the package's `CYCLE` order.  The map helpers reduce a finished `IntMatrix`
 product into a group, the reference that `intlinalg.map_into` is tested
 against.  The lattice helpers build subgroups as column lattices on the
 package's Smith decompositions and kernels, and compare them two-sided, the
@@ -11,10 +12,12 @@ reference that the one-sided exactness check of `ktheory` is tested against.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from fkgraph.graphs import INF, Graph
 from fkgraph.intlinalg import FgAbGroup, IntMatrix, kernel_group, smith_decomposition
+from fkgraph.ktheory import CYCLE, KData
 
 
 def bfs_reaches(g: Graph, src: int, dst: int) -> bool:
@@ -144,6 +147,16 @@ def oracle_admissible_pairs(g: Graph) -> list[tuple[frozenset[int], frozenset[in
     return out
 
 
+def relabel_reorder(g: Graph, seed: int) -> Graph:
+    """g with fresh vertex names, listed in a shuffled order: the same graph
+    up to isomorphism, so every invariant must match g's."""
+    rng = random.Random(seed)
+    order = rng.sample(range(g.n), g.n)
+    names = [f"r{k}" for k in rng.sample(range(10 * g.n), g.n)]
+    return Graph(tuple(names[i] for i in order),
+                 tuple(tuple(g.mult[i][j] for j in order) for i in order))
+
+
 def names_mask(g: Graph, names) -> int:
     """Bitmask of the named vertices, by position in the vertex tuple."""
     mask = 0
@@ -155,6 +168,15 @@ def names_mask(g: Graph, names) -> int:
 def pair_index(lat, h: int, s: int = 0) -> int:
     """Position of the admissible pair (h, s) in the lattice's pair list."""
     return [(p.h, p.s) for p in lat.pairs].index((h, s))
+
+
+# ------------------------------------------------------------ sequences
+
+
+def cycle_groups(sub: KData, mid: KData, quot: KData) -> list[FgAbGroup]:
+    """The groups at the six positions of the sequence over sub, mid and quot."""
+    parts = sub, mid, quot
+    return [parts[p].k1 if level else parts[p].k0 for p, level in CYCLE]
 
 
 # ------------------------------------------------------------ maps

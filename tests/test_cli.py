@@ -77,7 +77,24 @@ def test_dot_labels_are_escaped(capsys, tmp_path, command):
     assert code == 0
     labels = re.findall(r"\[label=(.*)\];$", out, re.M)
     assert labels and all(re.fullmatch(r'"(?:[^"\\]|\\.)*"', lab) for lab in labels), out
-    assert 'a\\"b' in out and "c\\\\d" in out
+    # each name as text output prints it, a JSON string here, then DOT-escaped
+    dot = str.maketrans({"\\": "\\\\", '"': '\\"'})
+    assert all(json.dumps(v).translate(dot) in out for v in ('a"b', "c\\d")), out
+
+
+def test_text_output_quotes_names_that_need_it(capsys, tmp_path):
+    # vertices `a,b` and `c` must not read as three vertices a, b and c;
+    # a plain name stays bare.  Looped x feeds the looped sinks a,b and c.
+    path = tmp_path / "names.json"
+    edges = [("a,b", "a,b", 3), ("c", "c", 3), ("x", "x", 2), ("x", "a,b", 1), ("x", "c", 1)]
+    path.write_text(json.dumps({"vertices": ["a,b", "c", "x"], "edges": [
+        {"src": v, "dst": w, "mult": m} for v, w, m in edges]}))
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0 and 'p2: H={"a,b",c} S={}\n' in out, out
+    code, out, _ = run(capsys, "lattice", str(path))
+    assert code == 0 and 'i3: H={"a,b",c} S={}\n' in out, out
+    code, out, _ = run(capsys, "k", str(path), "--all")
+    assert code == 0 and 'vertices "a,b",c\n' in out and '  ["a,b"] = (1,)\n' in out, out
 
 
 def test_k_full_space_default(capsys):

@@ -16,9 +16,9 @@ from fkgraph.invariant import (
     poset_isomorphisms,
     verify_compatible_witness,
 )
-from fkgraph.ktheory import (cycle_groups, exactness_failures, open_triples, pair_pointsets,
-                             sequence_key)
+from fkgraph.ktheory import exactness_failures, open_triples, pair_pointsets, sequence_key
 from fkgraph.spectrum import canonical_presentation, locally_closed_sets
+from oracles import cycle_groups, relabel_reorder
 
 
 @pytest.fixture(scope="module")
@@ -296,20 +296,117 @@ def test_search_checks_backward_squares(monkeypatch):
 
 
 def test_search_files_each_square_once(fks, monkeypatch):
+    # one search per compare, built at the first homeomorphism that passes
+    # the pointwise check: it files a's six squares of each pair once, and
+    # every later homeomorphism only re-binds b's side; the unital sinks
+    # compare, last, searches all six homeomorphisms of the 3-point antichain
     pairs = [(fk, fk) for fk in fks.values() if fk.k_complete]
-    pairs.append((_linked_blocks("a1"), _linked_blocks("a0")))
-    searches = []
-    real = invariant._Search.__init__
+    pairs += [(_linked_blocks("a1"), _linked_blocks("a0")),
+              (_sinks([0, 0, 0]), _sinks([0, 0, 1]))]
+    builds, walks, runs = [], [], []
+    real_init, real_run, real_squares = (invariant._Search.__init__, invariant._Search.run,
+                                         invariant._squares)
 
-    def spy(self, a, *args):
-        real(self, a, *args)
+    def init(self, a, *args):
+        real_init(self, a, *args)
         filed = sum(len(sq) for lists in self.into for sq in lists)
-        searches.append((filed + sum(map(len, self.out_of)), 6 * len(a.sequences)))
-    monkeypatch.setattr(invariant._Search, "__init__", spy)
+        builds.append((filed + sum(map(len, self.out_of)), 6 * len(a.sequences)))
+
+    def run(self, sigma):
+        runs.append(sigma)
+        return real_run(self, sigma)
+
+    def squares(a):
+        walks.append(a)
+        return real_squares(a)
+    monkeypatch.setattr(invariant._Search, "__init__", init)
+    monkeypatch.setattr(invariant._Search, "run", run)
+    monkeypatch.setattr(invariant, "_squares", squares)
     for a, b in pairs:
-        for unital in (True, False):
+        for unital in (False, True):
+            builds.clear(), walks.clear(), runs.clear()
             compare(a, b, unital=unital)
-    assert searches and all(filed == squares for filed, squares in searches)
+            assert len(builds) == 1 and builds[0][0] == builds[0][1], (builds, unital)
+            assert walks == [a]
+    assert runs == list(poset_isomorphisms(a.space, b.space)) and len(runs) == 6
+
+
+def _swap(k: int, d: int):
+    """k one-vertex Z/d blocks v0, v1, ... of unit 1 against the same with v0
+    swapped for the two-vertex Z/d block x, y of unit 2."""
+    loops = [(f"v{i}", f"v{i}", d + 1) for i in range(1, k)]
+    a = graph_from_edges([f"v{i}" for i in range(k)], [("v0", "v0", d + 1), *loops])
+    b = graph_from_edges(["x", "y", *(f"v{i}" for i in range(1, k))],
+                         [("x", "x", 1), ("x", "y", d), ("y", "x", 1), ("y", "y", d), *loops])
+    return assemble(a), assemble(b)
+
+
+def _undecided(monkeypatch):
+    """Leave one cone membership undecided, [v1] in the K0 cone of block v1,
+    and count every membership `compare` decides."""
+    decided = Counter()
+    real = invariant.cone_contains
+
+    def cone_contains(kd, x):
+        decided[kd, x] += 1
+        return (False, False) if (kd.vertices, x) == (("v1",), (1,)) else real(kd, x)
+    monkeypatch.setattr(invariant, "cone_contains", cone_contains)
+    return decided
+
+
+def test_inconclusive_cone_makes_the_verdict_unknown(monkeypatch):
+    # under both homeomorphisms of the 2-block Z/2 swap a complete search
+    # fails, so the verdict is a proof; one undecided membership, met under
+    # both, leaves it UNKNOWN instead
+    a, b = _swap(2, 2)
+    assert compare(a, b).witness == {"kind": "no_family", "budget": 2}
+    _undecided(monkeypatch)
+    v = compare(a, b)
+    assert v.outcome == UNKNOWN
+    assert v.witness == {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": True}
+
+
+def test_cone_memberships_decided_once_per_compare(monkeypatch):
+    # the 3-block Z/2 swap searches all six homeomorphisms; each membership
+    # is decided once however many of them meet it, and one left undecided
+    # still makes the verdict UNKNOWN
+    a, b = _swap(3, 2)
+    seen = Counter()
+    real = invariant.cone_contains
+
+    def counting(kd, x):
+        seen[kd, x] += 1
+        return real(kd, x)
+    monkeypatch.setattr(invariant, "cone_contains", counting)
+    assert compare(a, b).outcome == DISTINGUISHED
+    assert len(seen) == 14 and set(seen.values()) == {1}
+    monkeypatch.setattr(invariant, "cone_contains", real)
+    decided = _undecided(monkeypatch)
+    flags, real_run = [], invariant._Search.run
+
+    def run(self, sigma):
+        family = real_run(self, sigma)
+        flags.append(self.inconclusive)
+        return family
+    monkeypatch.setattr(invariant._Search, "run", run)
+    v = compare(a, b)
+    assert v.witness == {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": True}
+    # decided in one run, looked up in the others, and flagged by each
+    assert set(decided.values()) == {1} and flags.count(True) > 1, flags
+
+
+def test_names_and_file_order_do_not_matter(fks, corpus):
+    # a relabelled, reordered copy of a graph is the same graph: it matches
+    # the original with a family that replays, and it meets every other
+    # graph with the original's outcome
+    moved = {name: assemble(relabel_reorder(g, seed))
+             for seed, (name, g) in enumerate(sorted(corpus.items()))}
+    for name, fk in fks.items():
+        v = compare(fk, moved[name])
+        assert v.outcome == COMPATIBLE, name
+        assert verify_compatible_witness(fk, moved[name], v.witness).passed, name
+    for x, y in itertools.product(fks, repeat=2):
+        assert compare(moved[x], fks[y]).outcome == compare(fks[x], fks[y]).outcome, (x, y)
 
 
 def test_spectrum_only_mode(fks):
@@ -421,18 +518,20 @@ def test_witness_replay_reports_broken_square(fks):
 def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     complete = {name: fk for name, fk in fks.items() if fk.k_complete}
     witnesses = {name: compare(fk, fk).witness for name, fk in complete.items()}
-    calls = Counter()
+    walks, calls = [], Counter()
     squares = invariant._squares
 
-    def counting(a, b, sigma, key):
-        calls[key] += 1
-        return squares(a, b, sigma, key)
+    def counting(a):
+        walks.append(a)
+        for square in squares(a):
+            calls[square[0]] += 1
+            yield square
 
     monkeypatch.setattr(invariant, "_squares", counting)
     for name, fk in complete.items():
-        calls.clear()
+        walks.clear(), calls.clear()
         assert verify_compatible_witness(fk, fk, witnesses[name]).passed, name
-        assert calls == dict.fromkeys(fk.sequences, 1), name
+        assert walks == [fk] and calls == dict.fromkeys(fk.sequences, 6), name
     # more chains than pairs, so a replay walking chains fails above
     mixed5 = complete["mixed5"]
     assert len(list(open_triples(mixed5.space))) > len(mixed5.sequences)

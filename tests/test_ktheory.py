@@ -19,7 +19,6 @@ from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
     SixTerm,
     cone_contains,
-    cycle_groups,
     exactness_failures,
     k_data,
     open_triples,
@@ -39,8 +38,8 @@ from fkgraph.spectrum import (
     s_primes,
 )
 
-from oracles import (image_lattice, kernel_lattice, lattice_contains, maps_equal, names_mask,
-                     pair_index, reduce_map)
+from oracles import (cycle_groups, image_lattice, kernel_lattice, lattice_contains, maps_equal,
+                     names_mask, pair_index, reduce_map)
 
 
 def spectrum_of(g):

@@ -7,11 +7,12 @@ two K layers only when they are first read.  `compare` decides whether two
 such objects can be matched by a homeomorphism of spectra together with a
 family of ordered group isomorphisms commuting with all the maps, in one
 search per compare: a's commuting squares are filed once, each cone
-membership is decided once, and each homeomorphism re-binds only b's side.
-The verdict is three-valued: a mismatch that survives every homeomorphism is
-DISTINGUISHED, a fully certified family is COMPATIBLE, and an exhausted
-budget (or an inconclusive cone membership) is UNKNOWN.  Witnesses are plain
-dicts, deterministic, and replayable.
+membership is decided once, and each homeomorphism re-binds only b's side;
+after one fails, a search on one connected component refutes every later
+homeomorphism that agrees with it there.  The verdict is three-valued: a
+mismatch that survives every homeomorphism is DISTINGUISHED, a fully
+certified family is COMPATIBLE, and an exhausted budget (or an inconclusive
+cone membership) is UNKNOWN.  Witnesses are plain dicts, deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -132,6 +133,21 @@ def _squares(a: FilteredK):
             yield key, edge, parts[src], s_lv, parts[tgt], t_lv, m_a
 
 
+def _components(space: SpectrumSpace) -> list[int]:
+    """The connected components: the minimal nonempty clopen pointsets."""
+    found = []
+    for u in space.opens:   # by size: a component comes before every clopen it lies in
+        if u and space.is_open(space.full & ~u) and not any(u & x for x in found):
+            found.append(u)
+    return found
+
+
+def _unit(fk: FilteredK, x: int) -> tuple[int, ...]:
+    """The unit class's image under pi0 of (full \\ x, full), the identity if x is full."""
+    full = fk.space.full
+    return fk.kmap[x].k0.reduce(fk.sequences[full & ~x, full].pi0.apply(fk.kmap[full].unit_class))
+
+
 class _Budget(Exception):
     pass
 
@@ -139,15 +155,14 @@ class _Budget(Exception):
 class _Search:
     """Backtracking over per-slot (K0, K1) isomorphism candidates, one per compare.
 
-    Slots are assigned in order, K0 before K1.  a's squares are filed once:
-    one whose source is assigned before its target fixes alpha of the target
-    on the columns of a's map, as the unit class does at the full slot, so it
-    goes into `group_isos` as a constraint and no candidate breaking it is
-    built; every other one is filed under its source slot and checked once
-    that slot is assigned.  `run(sigma)` re-binds only b's side: slot K-data,
-    b's maps, alpha and the per-slot vetting of cone conditions and
-    invertibility.  Cone memberships are memoised per compare, by value.
-    Every candidate a stream yields, under any sigma, counts against `_NODE_CAP`.
+    `run(sigma, within)` assigns the slots inside the clopen `within` (by
+    default the whole space) in order, K0 before K1, under a's squares of the
+    pairs whose mid lies in `within`, filed once per pointset: one whose source
+    is assigned first constrains `group_isos` on the columns of a's map, as the
+    image of the unit does at slot `within`; any other is checked once its
+    source is assigned.  A run re-binds only b's side.  Cone memberships are
+    memoised per compare by the values `cone_contains` reads.  Every candidate
+    a stream yields, in any run, counts against `_NODE_CAP`.
     """
 
     def __init__(self, a: FilteredK, b: FilteredK, unital: bool, budget: int):
@@ -155,21 +170,47 @@ class _Search:
         self.unital, self.budget = unital, budget
         self.nodes = 0
         self.slots = list(a.kmap)
+        self._squares = list(_squares(a))
+        self._filed: dict[int, tuple] = {}
+        self._cones: dict[tuple, tuple[bool, bool]] = {}
+        self._refuted: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+    def _file(self, within: int):
+        """The slots inside `within`, and per slot the squares it constrains and checks."""
         index = {y: k for k, y in enumerate(self.slots)}
-        self._cones: dict[tuple[KData, tuple[int, ...]], tuple[bool, bool]] = {}
-        self.into = [([], []) for _ in self.slots]
-        self.out_of = [[] for _ in self.slots]
-        for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a):
+        into = [([], []) for _ in self.slots]
+        out_of = [[] for _ in self.slots]
+        for key, edge, src, s_lv, tgt, t_lv, m_a in self._squares:
+            if key[1] & ~within:
+                continue
             si, ti = index[src], index[tgt]
             if (si, s_lv) < (ti, t_lv):
-                self.into[ti][t_lv].append((si, s_lv, key, edge, m_a))
+                into[ti][t_lv].append((si, s_lv, key, edge, m_a))
             else:
-                self.out_of[si].append((s_lv, ti, t_lv, key, edge, m_a))
+                out_of[si].append((s_lv, ti, t_lv, key, edge, m_a))
+        return [k for k, y in enumerate(self.slots) if not y & ~within], into, out_of
+
+    @cached_property
+    def components(self) -> list[int]:
+        """a's components, if several, whose slots all enumerate completely."""
+        return [x for x in _components(self.a.space) if x != self.a.space.full and all(
+            iso_search_complete(kd.k0) and iso_search_complete(kd.k1)
+            for y, kd in self.a.kmap.items() if not y & ~x)]
+
+    def refutes(self, sigma) -> bool:
+        """Whether a run on one of `components` fails conclusively, memoised by sigma there."""
+        for x in self.components:
+            key = x, tuple(sigma[p] for p in iter_bits(x))
+            if key not in self._refuted:
+                self._refuted[key] = self.run(sigma, x) is None and not self.inconclusive
+            if self._refuted[key]:
+                return True
+        return False
 
     def _in_cone(self, kd: KData, x: tuple[int, ...]) -> bool:
-        hit = self._cones.get((kd, x))
+        hit = self._cones.get(key := (kd.k0, kd.cone_generators, x))
         if hit is None:
-            hit = self._cones[kd, x] = cone_contains(kd, x)
+            hit = self._cones[key] = cone_contains(kd, x)
         found, sure = hit
         self.inconclusive |= not (found or sure)
         return found
@@ -188,8 +229,8 @@ class _Search:
         for si, s_lv, key, edge, m_a in self.into[k][lv]:
             img = self.b_maps[key][edge] @ self.alpha[s_lv][si]
             cons += [(m_a.col(j), img.col(j)) for j in range(m_a.cols)]
-        if not lv and self.unital and self.slots[k] == self.a.space.full:
-            cons.append((ka.unit_class, kb.unit_class))
+        if not lv and self.unital and self.slots[k] == self.within:
+            cons.append(self.units)
         for m in group_isos(*((ka.k1, kb.k1) if lv else (ka.k0, kb.k0)),
                             self.budget, cons):
             self.nodes += 1
@@ -215,26 +256,32 @@ class _Search:
                 return False
         return True
 
-    def run(self, sigma) -> list[tuple[IntMatrix, IntMatrix]] | None:
-        """A family over sigma, or None; `inconclusive` then says whether a
-        cone membership this run met was undecided."""
-        b = self.b
-        self.kd = [(ka, b.kmap[_map_mask(y, sigma)]) for y, ka in self.a.kmap.items()]
+    def run(self, sigma, within: int | None = None) -> list[tuple[IntMatrix, IntMatrix]] | None:
+        """A family over sigma on the slots inside `within` (None on the others),
+        or None; `inconclusive` then says whether a cone membership it met was undecided."""
+        a, b = self.a, self.b
+        self.within = within = a.space.full if within is None else within
+        if within not in self._filed:
+            self._filed[within] = self._file(within)
+        self.order, self.into, self.out_of = self._filed[within]
+        self.kd = [(ka, b.kmap[_map_mask(y, sigma)]) for y, ka in a.kmap.items()]
         self.b_maps = {key: b.sequences[tuple(_map_mask(y, sigma) for y in key)]
-                       for key in self.a.sequences}
+                       for key in a.sequences if not key[1] & ~within}
+        self.units = _unit(a, within), _unit(b, _map_mask(within, sigma))
         self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
         self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
         self.inconclusive = False
         return list(zip(*self.alpha)) if self._extend(0) else None
 
-    def _extend(self, k: int) -> bool:
-        if k == len(self.slots):
+    def _extend(self, i: int) -> bool:
+        if i == len(self.order):
             return True
+        k = self.order[i]
         for m0 in self._cands0(k):
             self.alpha[0][k] = m0   # the level-1 stream reads it
             for m1 in self._stream(k, 1):
                 self.alpha[1][k] = m1
-                if self._commutes(k) and self._extend(k + 1):
+                if self._commutes(k) and self._extend(i + 1):
                     return True
         return False
 
@@ -243,24 +290,15 @@ def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
     for y, ka in a.kmap.items():
         fa, fb = ka.factor_summary(), b.kmap[_map_mask(y, sigma)].factor_summary()
         if fa != fb:
-            return {
-                "kind": "pointwise",
-                "homeomorphism": list(sigma),
-                "pointset": list(iter_bits(y)),
-                "a_factors": [list(f) for f in fa],
-                "b_factors": [list(f) for f in fb],
-            }
+            return {"kind": "pointwise", "homeomorphism": list(sigma),
+                    "pointset": list(iter_bits(y)), "a_factors": [list(f) for f in fa],
+                    "b_factors": [list(f) for f in fb]}
     return None
 
 
 def _family_witness(a: FilteredK, sigma, family, unital: bool) -> dict:
-    slots = []
-    for y, (m0, m1) in zip(a.kmap, family):
-        slots.append({
-            "pointset": list(iter_bits(y)),
-            "alpha0": [list(r) for r in m0.entries],
-            "alpha1": [list(r) for r in m1.entries],
-        })
+    slots = [{"pointset": list(iter_bits(y)), "alpha0": [list(r) for r in m0.entries],
+              "alpha1": [list(r) for r in m1.entries]} for y, (m0, m1) in zip(a.kmap, family)]
     return {"kind": "family", "homeomorphism": list(sigma),
             "unital": unital, "slots": slots}
 
@@ -269,20 +307,20 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
             budget: int = DEFAULT_BUDGET) -> CompareVerdict:
     """Bounded decision: DISTINGUISHED, COMPATIBLE, or UNKNOWN.
 
-    DISTINGUISHED requires a proof: either no homeomorphism of spectra, or a
-    pointwise K-group mismatch under every homeomorphism, or an exhausted
-    search whose per-slot enumerations were provably complete.  COMPATIBLE
-    carries the certified family.  Everything else is UNKNOWN.
+    DISTINGUISHED requires a proof: no homeomorphism of spectra, or each one,
+    sigma, refuted by a pointwise K-group mismatch, by an exhausted search whose
+    per-slot enumerations were provably complete, or by a complete search that
+    fails on one connected component X under sigma's restriction (a family
+    restricts to X and commutes with pi0 of (full \\ X, full), so slot X sends
+    a's image of the unit to b's).  COMPATIBLE carries the certified family,
+    found by a whole-space search.  Everything else is UNKNOWN.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     homeos = list(poset_isomorphisms(a.space, b.space))
     if not homeos:
         return CompareVerdict(DISTINGUISHED, {
-            "kind": "no_homeomorphism",
-            "a_points": a.space.npoints,
-            "b_points": b.space.npoints,
-        })
+            "kind": "no_homeomorphism", "a_points": a.space.npoints, "b_points": b.space.npoints})
     if not (a.k_complete and b.k_complete):
         # K layer unavailable on at least one side: certify the spectrum
         # match only, and say so in the witness
@@ -291,11 +329,11 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
             "homeomorphism": list(homeos[0]), "unital": unital, "slots": [],
         })
 
-    # every slot stream of every search enumerates a's groups exhaustively
+    # every slot stream of every whole-space search enumerates a's groups exhaustively
     complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
                    for k in a.kmap.values())
     first_failure = search = None
-    searched = inconclusive = capped = False
+    failed = unrefuted = inconclusive = False
     for sigma in homeos:
         mismatch = _necessary_mismatch(a, b, sigma)
         if mismatch is not None:
@@ -305,22 +343,24 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
         if search is None:
             search = _Search(a, b, unital, budget)
         try:
+            if failed and search.refutes(sigma):
+                continue
             family = search.run(sigma)
+            if family is not None:
+                return CompareVerdict(
+                    COMPATIBLE, _family_witness(a, sigma, family, unital))
+            inconclusive |= search.inconclusive
+            # no proof: the components were tried before this run, or fail to refute now
+            if (not complete or search.inconclusive) and (failed or not search.refutes(sigma)):
+                unrefuted = True
+            failed = True
         except _Budget:
-            capped = True
+            unrefuted = True
             break
-        if family is not None:
-            return CompareVerdict(
-                COMPATIBLE, _family_witness(a, sigma, family, unital))
-        searched = True
-        inconclusive |= search.inconclusive
 
-    if capped or (searched and not complete) or inconclusive:
+    if unrefuted:
         return CompareVerdict(UNKNOWN, {
-            "kind": "budget_exhausted",
-            "budget": budget,
-            "inconclusive_cone": inconclusive,
-        })
+            "kind": "budget_exhausted", "budget": budget, "inconclusive_cone": inconclusive})
     if first_failure is not None:
         return CompareVerdict(DISTINGUISHED, first_failure)
     return CompareVerdict(DISTINGUISHED, {"kind": "no_family", "budget": budget})

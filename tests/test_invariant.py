@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -186,15 +187,38 @@ def test_feeder_vertex_changes_unit(fks):
     assert compare(fks["g1"], fed, unital=False).outcome == COMPATIBLE
 
 
+def _rank_one(u: list[int]):
+    """One point: each vertex v has a loop and u[w] edges to every w, so the
+    presenting matrix has rank one; for primitive u, K0 = K1 = Z^(n-1), the
+    cone is all of K0 and the unit class is (1, ..., 1) modulo u."""
+    vs = [f"v{i}" for i in range(len(u))]
+    return assemble(graph_from_edges(vs, [(v, w, m + (v == w))
+                                          for v in vs for w, m in zip(vs, u)]))
+
+
 def test_rank_two_slots_exhaust_to_unknown(fks):
-    # same spectrum, same factors everywhere, units (2,0) vs (1,1); free
-    # rank 2 makes the iso enumeration incomplete, so no DISTINGUISHED claim
-    loops = assemble(graph_from_edges(
-        ["a", "c"], [("a", "a", 1), ("c", "c", 1)]))
-    v = compare(fks["fanout"], loops)
+    # one point with K0 = Z^2 and units 0 and (0, 1): no isomorphism meets
+    # the units, but free rank 2 makes the iso enumeration incomplete and a
+    # connected spectrum has no component to decide on, so no DISTINGUISHED
+    a, b = _rank_one([1, 1, 1]), _rank_one([1, 1, 2])
+    assert a.space.npoints == 1 and a.kmap[1].factor_summary() == ((0, 0), (0, 0))
+    assert (a.kmap[1].unit_class, b.kmap[1].unit_class) == ((0, 0), (0, 1))
+    v = compare(a, b)
     assert v.outcome == UNKNOWN
     assert v.witness == {"kind": "budget_exhausted", "budget": 2,
                          "inconclusive_cone": False}
+    v = compare(a, b, unital=False)
+    assert v.outcome == COMPATIBLE
+    assert verify_compatible_witness(a, b, v.witness).passed
+    # fanout against two loops, rank 2 at the top as well: both spectra are
+    # two points with K0 = Z and cone N, whose order isomorphisms are
+    # permutations, and in fanout [b] = [a] + [c], so the unit's images on
+    # the points are (2, 2) against (1, 1): no permutation matches them, and
+    # the complete searches on the components prove it
+    loops = assemble(graph_from_edges(
+        ["a", "c"], [("a", "a", 1), ("c", "c", 1)]))
+    assert compare(fks["fanout"], loops).witness == {"kind": "no_family", "budget": 2}
+    assert compare(loops, fks["fanout"]).witness == {"kind": "no_family", "budget": 2}
     v = compare(fks["fanout"], loops, unital=False)
     assert v.outcome == COMPATIBLE
     rep = verify_compatible_witness(fks["fanout"], loops, v.witness)
@@ -206,13 +230,16 @@ def test_rank_two_slots_exhaust_to_unknown(fks):
     assert v.outcome == DISTINGUISHED and v.witness["kind"] == "pointwise"
 
 
-def _sinks(feeders: list[int]):
+def _sinks(feeders: list[int], hub: bool = False):
     """One sink per entry, fed by that many extra vertices: K0 = Z^n with
-    cone N^n, unit class (1 + feeders[0], ...)."""
-    verts, edges = [], []
+    cone N^n, unit class (1 + feeders[0], ...), on an antichain of n points.
+    With `hub`, a vertex c with two loops and an edge into every sink adds a
+    point that every sink's point is comparable with, so the spectrum is
+    connected."""
+    verts, edges = (["c"], [("c", "c", 2)]) if hub else ([], [])
     for i, n in enumerate(feeders):
         verts += [f"s{i}", *(f"t{i}_{j}" for j in range(n))]
-        edges += [(f"t{i}_{j}", f"s{i}", 1) for j in range(n)]
+        edges += [(f"t{i}_{j}", f"s{i}", 1) for j in range(n)] + [("c", f"s{i}", 1)] * hub
     return assemble(graph_from_edges(verts, edges))
 
 
@@ -237,11 +264,14 @@ def _counting(monkeypatch):
 
 
 def test_node_cap_counts_rejected_candidates(monkeypatch):
-    # units (1, 1, 1) and (1, 1, 2) never match, so every homeomorphism's
-    # search backtracks through the point slots, whose second candidate -1
-    # leaves the cone: the streams yield many candidates that `_admissible`
-    # rejects, and each of them counts against the node cap
-    a, b = _sinks([0, 0, 0]), _sinks([0, 0, 1])
+    # three sinks under a hub, one of them fed on b's side: no family
+    # matches the units, so every homeomorphism's search backtracks through
+    # the sink slots, whose second candidate -1 leaves the cone: the streams
+    # yield many candidates that `_admissible` rejects, and each of them
+    # counts against the node cap; the spectrum is connected, so every
+    # candidate comes from a whole-space search
+    a, b = _sinks([0, 0, 0], hub=True), _sinks([0, 0, 1], hub=True)
+    assert invariant._components(a.space) == [a.space.full]
     seen = _counting(monkeypatch)
     budget_exhausted = {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": False}
     assert compare(a, b).witness == budget_exhausted   # free rank 3: incomplete
@@ -251,6 +281,81 @@ def test_node_cap_counts_rejected_candidates(monkeypatch):
     v = compare(a, b)
     assert v.outcome == UNKNOWN and v.witness == budget_exhausted
     assert seen["yielded"] == 41 and seen["rejected"] > 0
+
+
+def test_node_cap_reaches_component_searches(monkeypatch):
+    # the n = 4 sink pair: with the cap set where the first component search
+    # that yields a candidate starts, that search trips it, and the compare
+    # ends as the usual budget_exhausted UNKNOWN
+    a, b = _sinks([0] * 4), _sinks([1, 0, 0, 0])
+    runs, real_run = [], invariant._Search.run
+
+    def run(self, sigma, within=None):
+        before = self.nodes
+        try:
+            return real_run(self, sigma, within)
+        finally:
+            runs.append((within, before, self.nodes))
+    monkeypatch.setattr(invariant._Search, "run", run)
+    assert compare(a, b).witness == {"kind": "no_family", "budget": 2}
+    start = next(before for within, before, after in runs
+                 if within is not None and after > before)
+    runs.clear()
+    monkeypatch.setattr(invariant, "_NODE_CAP", start)
+    v = compare(a, b)
+    assert v == (UNKNOWN, {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": False})
+    assert runs[-1][0] is not None and runs[-1][2] == start + 1, runs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sink_pairs_match_the_permutation_oracle(n):
+    # every slot of a sink pair is Z^S with cone N^S, whose order
+    # isomorphisms are permutations, so a family over sigma permutes the
+    # sinks as sigma does: the pair is DISTINGUISHED iff the unit's entries
+    # 1 + f_i differ as multisets, and COMPATIBLE (with a replaying family)
+    # otherwise
+    rng = random.Random(n)
+    fed = [rng.randrange(3) for _ in range(n)]
+    cases = [([0] * n, [1] + [0] * (n - 1)), (fed, rng.sample(fed, n)),
+             (fed, [rng.randrange(3) for _ in range(n)])]
+    for f, g in cases:
+        a, b = _sinks(f), _sinks(g)
+        v = compare(a, b)
+        apart = sorted(1 + x for x in f) != sorted(1 + x for x in g)
+        assert v.outcome == (DISTINGUISHED if apart else COMPATIBLE), (f, g)
+        assert apart or verify_compatible_witness(a, b, v.witness).passed
+
+
+def _census(seed: int, count: int):
+    """`count` seeded random graphs on 1 to 5 vertices, multiplicities 0 to 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = [f"v{k}" for k in range(rng.randint(1, 5))]
+        yield assemble(graph_from_edges(vs, [(v, w, m) for v in vs for w in vs
+                                             for m in [rng.choice((0, 0, 0, 1, 1, 2, 3))] if m]))
+
+
+def test_component_searches_only_decide_what_was_unknown(monkeypatch):
+    # the census pairs of equal point count whose spectra have two or more
+    # components, against a reference whose component finder returns the
+    # whole space, so no component search runs: no verdict the reference
+    # decides moves, every family is the reference's and replays, and some
+    # UNKNOWN becomes decided
+    fks = [fk for fk in _census(7, 220) if len(invariant._components(fk.space)) > 1]
+    cases = [(a, b, unital) for i, a in enumerate(fks) for b in fks[i:]
+             if a.space.npoints == b.space.npoints for unital in (True, False)]
+    got = [compare(*case) for case in cases]
+    monkeypatch.setattr(invariant, "_components", lambda space: [space.full])
+    ref = [compare(*case) for case in cases]
+    for (a, b, _), v, r in zip(cases, got, ref):
+        if r.outcome == UNKNOWN:
+            assert v.outcome in (UNKNOWN, DISTINGUISHED)
+        else:
+            assert v == r
+        if v.outcome == COMPATIBLE:
+            assert json.dumps(v.witness) == json.dumps(r.witness)
+            assert verify_compatible_witness(a, b, v.witness).passed
+    assert sum(r.outcome == UNKNOWN != v.outcome for v, r in zip(got, ref)) > 0
 
 
 def test_swap_search_solves_instead_of_enumerating(monkeypatch):
@@ -297,95 +402,131 @@ def test_search_checks_backward_squares(monkeypatch):
 
 def test_search_files_each_square_once(fks, monkeypatch):
     # one search per compare, built at the first homeomorphism that passes
-    # the pointwise check: it files a's six squares of each pair once, and
-    # every later homeomorphism only re-binds b's side; the unital sinks
-    # compare, last, searches all six homeomorphisms of the 3-point antichain
+    # the pointwise check: it files a's squares once per pointset it runs
+    # on, the whole space first with six squares per pair and a component
+    # with those of the pairs whose mid lies inside it, and every later run
+    # only re-binds b's side
     pairs = [(fk, fk) for fk in fks.values() if fk.k_complete]
     pairs += [(_linked_blocks("a1"), _linked_blocks("a0")),
-              (_sinks([0, 0, 0]), _sinks([0, 0, 1]))]
-    builds, walks, runs = [], [], []
-    real_init, real_run, real_squares = (invariant._Search.__init__, invariant._Search.run,
-                                         invariant._squares)
+              (_sinks([0, 0, 0]), _sinks([0, 0, 1])),
+              (_sinks([0, 0, 0], hub=True), _sinks([0, 0, 1], hub=True))]
+    builds, walks, filed, runs = [], [], [], []
+    real_init, real_file, real_run, real_squares = (
+        invariant._Search.__init__, invariant._Search._file, invariant._Search.run,
+        invariant._squares)
 
     def init(self, a, *args):
+        builds.append(a)
         real_init(self, a, *args)
-        filed = sum(len(sq) for lists in self.into for sq in lists)
-        builds.append((filed + sum(map(len, self.out_of)), 6 * len(a.sequences)))
 
-    def run(self, sigma):
-        runs.append(sigma)
-        return real_run(self, sigma)
+    def file(self, within):
+        order, into, out_of = real_file(self, within)
+        count = sum(len(sq) for lists in into for sq in lists) + sum(map(len, out_of))
+        inside = sum(not mid & ~within for _, mid in self.a.sequences)
+        filed.append((within, count, 6 * inside))
+        return order, into, out_of
+
+    def run(self, sigma, within=None):
+        runs.append((sigma, within))
+        return real_run(self, sigma, within)
 
     def squares(a):
         walks.append(a)
         return real_squares(a)
     monkeypatch.setattr(invariant._Search, "__init__", init)
+    monkeypatch.setattr(invariant._Search, "_file", file)
     monkeypatch.setattr(invariant._Search, "run", run)
     monkeypatch.setattr(invariant, "_squares", squares)
+    every = {}
     for a, b in pairs:
         for unital in (False, True):
-            builds.clear(), walks.clear(), runs.clear()
+            builds.clear(), walks.clear(), filed.clear(), runs.clear()
             compare(a, b, unital=unital)
-            assert len(builds) == 1 and builds[0][0] == builds[0][1], (builds, unital)
-            assert walks == [a]
-    assert runs == list(poset_isomorphisms(a.space, b.space)) and len(runs) == 6
+            assert builds == [a] and walks == [a], unital
+            assert filed[0] == (a.space.full, 6 * len(a.sequences), 6 * len(a.sequences))
+            assert all(count == want for _, count, want in filed), filed
+            assert len({w for w, _, _ in filed}) == len(filed), filed
+        every[a] = list(runs)
+    # the unital sinks search one homeomorphism of the 3-point antichain on
+    # the whole space and refute the other five on components; under the
+    # hub the spectrum is connected, so all six are searched whole
+    sinks, hub = pairs[-2][0], pairs[-1][0]
+    assert [within for _, within in every[sinks]].count(None) == 1 < len(every[sinks])
+    homeos = list(poset_isomorphisms(hub.space, hub.space))
+    assert every[hub] == [(sigma, None) for sigma in homeos] and len(homeos) == 6
 
 
-def _swap(k: int, d: int):
+def _swap(k: int, d: int, hub: bool = False):
     """k one-vertex Z/d blocks v0, v1, ... of unit 1 against the same with v0
-    swapped for the two-vertex Z/d block x, y of unit 2."""
+    swapped for the two-vertex Z/d block x, y of unit 2.  With `hub`, each
+    block (x, in the two-vertex one) has an edge into a one-vertex Z/d block
+    z, so the spectrum is a connected star."""
     loops = [(f"v{i}", f"v{i}", d + 1) for i in range(1, k)]
-    a = graph_from_edges([f"v{i}" for i in range(k)], [("v0", "v0", d + 1), *loops])
-    b = graph_from_edges(["x", "y", *(f"v{i}" for i in range(1, k))],
-                         [("x", "x", 1), ("x", "y", d), ("y", "x", 1), ("y", "y", d), *loops])
+    loops += [("z", "z", d + 1), *((f"v{i}", "z", 1) for i in range(1, k))] if hub else []
+    a = graph_from_edges([f"v{i}" for i in range(k)] + ["z"] * hub,
+                         [("v0", "v0", d + 1), *loops] + [("v0", "z", 1)] * hub)
+    b = graph_from_edges(["x", "y", *(f"v{i}" for i in range(1, k))] + ["z"] * hub,
+                         [("x", "x", 1), ("x", "y", d), ("y", "x", 1), ("y", "y", d), *loops]
+                         + [("x", "z", 1)] * hub)
     return assemble(a), assemble(b)
 
 
-def _undecided(monkeypatch):
-    """Leave one cone membership undecided, [v1] in the K0 cone of block v1,
-    and count every membership `compare` decides."""
+def _undecided(monkeypatch, fk):
+    """Leave one cone membership undecided, [v1] in the K0 cone of fk's block
+    v1, keyed by the values the search memoises it by (so every block with
+    the same K-data shares it), and count every membership `compare` decides."""
     decided = Counter()
     real = invariant.cone_contains
+    kd = next(k for k in fk.kmap.values() if k.vertices == ("v1",))
+    undecided = kd.k0, kd.cone_generators, (1,)
 
     def cone_contains(kd, x):
-        decided[kd, x] += 1
-        return (False, False) if (kd.vertices, x) == (("v1",), (1,)) else real(kd, x)
+        key = kd.k0, kd.cone_generators, x
+        decided[key] += 1
+        return (False, False) if key == undecided else real(kd, x)
     monkeypatch.setattr(invariant, "cone_contains", cone_contains)
     return decided
 
 
 def test_inconclusive_cone_makes_the_verdict_unknown(monkeypatch):
-    # under both homeomorphisms of the 2-block Z/2 swap a complete search
-    # fails, so the verdict is a proof; one undecided membership, met under
-    # both, leaves it UNKNOWN instead
-    a, b = _swap(2, 2)
+    # under both homeomorphisms of the 2-block Z/2 star swap a complete
+    # search fails, so the verdict is a proof; one undecided membership, met
+    # under both, leaves it UNKNOWN instead, since the star is connected and
+    # only whole-space searches can refute
+    a, b = _swap(2, 2, hub=True)
     assert compare(a, b).witness == {"kind": "no_family", "budget": 2}
-    _undecided(monkeypatch)
+    _undecided(monkeypatch, a)
     v = compare(a, b)
     assert v.outcome == UNKNOWN
     assert v.witness == {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": True}
+    # without the hub, the block whose unit images differ (1 against 2 = 0)
+    # refutes each homeomorphism on its own component, meeting no membership
+    assert compare(*_swap(2, 2)).witness == {"kind": "no_family", "budget": 2}
 
 
 def test_cone_memberships_decided_once_per_compare(monkeypatch):
-    # the 3-block Z/2 swap searches all six homeomorphisms; each membership
-    # is decided once however many of them meet it, and one left undecided
-    # still makes the verdict UNKNOWN
+    # the 3-block Z/2 swap runs one whole-space search and then searches on
+    # components; each membership is decided once however many runs meet it,
+    # under whatever vertex names
     a, b = _swap(3, 2)
     seen = Counter()
     real = invariant.cone_contains
 
     def counting(kd, x):
-        seen[kd, x] += 1
+        seen[kd.k0, kd.cone_generators, x] += 1
         return real(kd, x)
     monkeypatch.setattr(invariant, "cone_contains", counting)
     assert compare(a, b).outcome == DISTINGUISHED
-    assert len(seen) == 14 and set(seen.values()) == {1}
+    assert len(seen) == 6 and set(seen.values()) == {1}, seen
     monkeypatch.setattr(invariant, "cone_contains", real)
-    decided = _undecided(monkeypatch)
+    # the 3-block star swap searches all six homeomorphisms on the whole
+    # space; one membership left undecided still makes the verdict UNKNOWN
+    a, b = _swap(3, 2, hub=True)
+    decided = _undecided(monkeypatch, a)
     flags, real_run = [], invariant._Search.run
 
-    def run(self, sigma):
-        family = real_run(self, sigma)
+    def run(self, sigma, within=None):
+        family = real_run(self, sigma, within)
         flags.append(self.inconclusive)
         return family
     monkeypatch.setattr(invariant._Search, "run", run)

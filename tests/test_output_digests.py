@@ -60,6 +60,11 @@ PAIRS["compare-swap/z4"] = _swap(3, 4)
 PAIRS["compare-swap/z2^4"] = _swap(4, 2)
 PAIRS["compare-swap/z5"] = _swap(3, 5)
 PAIRS["compare-self/z2^5"] = (_blocks(*[[[3]]] * 5),) * 2
+# Disconnected spectra whose components decide what a whole-space search
+# leaves UNKNOWN: the n = 3 sink pair (units (1, 1, 1) against (2, 1, 1))
+# and fanout against two loops (unit images (2, 2) against (1, 1)).
+PAIRS["compare-sinks/3"] = (_blocks([[0]], [[0]], [[0]]), _blocks([[0, 0], [1, 0]], [[0]], [[0]]))
+PAIRS["compare-fanout/loops"] = ([[1, 0, 0], [1, 0, 1], [0, 0, 1]], _blocks([[1]], [[1]]))
 
 
 def _deep(kinds: str, dag: list[tuple[int, int]], d: int) -> list[list[int]]:
@@ -325,6 +330,8 @@ DIGESTS = {
     "compare-swap/z2^4": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-swap/z5": (0, "9049017f752d757c228635c1b25ac060f48d40c9500efc38f6ca2e3aa73a2233"),
     "compare-self/z2^5": (0, "d0a8319af94e9fc979c52a20af8289bdbb2bb9b7d9245dea397a0d5d7a15c4aa"),
+    "compare-sinks/3": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
+    "compare-fanout/loops": (0, "ed561cb293f92a78f7c70cbd7f936fab615f936fcb0695c59063d42758abb790"),
     "compare-no-unit/z3z3": (0, "cc7d38acaf5a15133551d4ba19d1731945af7df3fc25fab690845c3a05f53648"),
     "check/deep-5pt": (0, "6a9d1c5b939d164d3f38c6468b1a68931b9297ddfa36bf85156a6872c7f01259"),
     "k-all/deep-5pt": (0, "c997343058eb1832b752d611b5a577f8b92dfb463bf5ca85b0043d134ccac9c8"),

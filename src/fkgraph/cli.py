@@ -1,16 +1,20 @@
 """Command line front end.
 
-Subcommands: spectrum, lattice, k, compare, check.  Outputs are deterministic
+Subcommands: spectrum, lattice, k, compare, check, read from the `COMMANDS`
+table, whose synopsis lines `-h` or `--help` print.  Options go before or
+after the positionals, as `--opt value`, `--opt=value` or a unique prefix of
+the flag; after `--` every word is a positional.  Outputs are deterministic
 in all three forms (text, json, dot); JSON payloads match the schemas under
-docs/schemas/.  Exit codes: 0 success, 1 parse or validation failure, 2 a
-cap was exceeded.
+docs/schemas/.  Exit codes: 0 success or help, 1 parse or validation
+failure, 2 a cap was exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import CapExceeded, ParseError
 from .graphs import Graph, iter_bits, parse_graph_auto
@@ -264,72 +268,106 @@ def _run_check(cfg) -> int:
 
 # -- plumbing ---------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fk-graph")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, dot=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--vertex-cap", dest="vertex_cap", type=int,
-                       default=DEFAULT_VERTEX_CAP)
-        p.add_argument("--point-cap", dest="point_cap", type=int,
-                       default=DEFAULT_POINT_CAP)
-        if dot:
-            p.add_argument("--dot", action="store_true")
-
-    p = sub.add_parser("spectrum", help="prime points, order, and opens")
-    p.add_argument("graph")
-    common(p, dot=True)
-
-    p = sub.add_parser("lattice", help="admissible pair lattice with covers")
-    p.add_argument("graph")
-    common(p, dot=True)
-
-    p = sub.add_parser("k", help="K-data of gauge subquotients")
-    p.add_argument("graph")
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--subquotient", metavar="POINTS",
-                       help="comma separated point indices, '-' for empty")
-    which.add_argument("--all", action="store_true",
-                       help="every locally closed pointset")
-    common(p)
-
-    p = sub.add_parser("compare", help="decide invariant compatibility")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.add_argument("--no-unit", dest="no_unit", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common(p)
-
-    p = sub.add_parser("check", help="run the property suites on one graph")
-    p.add_argument("graph")
-    common(p)
-    return top
-
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "lattice": _run_lattice,
-    "k": _run_k,
-    "compare": _run_compare,
-    "check": _run_check,
+# Each subcommand's runner, positionals and options.  An option maps its flag to
+# (dest, kind, default): kind None is a switch, `int` takes an integer, and a
+# string is the metavar of a value, or lists the values allowed between `|`s.
+_COMMON = {"--format": ("format", "text|json", "text"),
+           "--vertex-cap": ("vertex_cap", int, DEFAULT_VERTEX_CAP),
+           "--point-cap": ("point_cap", int, DEFAULT_POINT_CAP)}
+COMMANDS = {
+    "spectrum": (_run_spectrum, ("graph",), {"--dot": ("dot", None, False), **_COMMON}),
+    "lattice": (_run_lattice, ("graph",), {"--dot": ("dot", None, False), **_COMMON}),
+    "k": (_run_k, ("graph",), {"--subquotient": ("subquotient", "POINTS", None),
+                               "--all": ("all", None, False), **_COMMON}),
+    "compare": (_run_compare, ("graph_a", "graph_b"), {"--no-unit": ("no_unit", None, False),
+                                                       "--budget": ("budget", int, DEFAULT_BUDGET),
+                                                       **_COMMON}),
+    "check": (_run_check, ("graph",), _COMMON),
 }
+_EXCLUSIVE = ("--subquotient", "--all")   # adjacent in their table; at most one per run
+
+
+def usage(command: str) -> str:
+    """The synopsis line of a subcommand, as `-h` prints it."""
+    _, positionals, options = COMMANDS[command]
+    words = [f"[{flag}{ {None: '', int: ' N'}.get(kind, f' {kind}')}]"
+             for flag, (_, kind, _) in options.items()]
+    return " ".join(["fk-graph", command, *map(str.upper, positionals), *words]).replace(
+        f"] [{_EXCLUSIVE[1]}]", f" | {_EXCLUSIVE[1]}]")
+
+
+def _option(word: str, table: dict):
+    """None when word is a value, else (the flag of table it names in full or
+    by a unique prefix, or "" for none; the value after its `=`, or None)."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    flag, eq, attached = word.partition("=")
+    hits = [flag] if flag in table else [f for f in table if f.startswith(flag)]
+    if len(hits) == 1:
+        return hits[0], attached if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word else ("", None)
+
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """The fields of argv by the table, or None once help is printed.  Words are
+    read in argparse's order; unknown and missing ones are reported last."""
+    table = dict.fromkeys(("-h", "--help"), ("help", None, None))
+    names, fields, words, given, extra, seen = ["command"], {}, list(argv), [], [], set()
+    while words:
+        word = words.pop(0)
+        opt = _option(word, table)
+        if word == "--" and given:   # after the subcommand, only values follow
+            given += words
+            break
+        if opt is None and not given:   # the subcommand; its table reads what follows
+            if word not in COMMANDS:
+                raise ParseError(f"invalid command {word!r} (choose from {', '.join(COMMANDS)})")
+            _, positionals, options = COMMANDS[word]
+            names += positionals
+            table.update(options)
+            fields.update((dest, default) for dest, _, default in options.values())
+        if opt is None or not opt[0]:
+            (given if opt is None else extra).append(word)
+            continue
+        flag, value = opt
+        dest, kind, _ = table[flag]
+        if kind is None and value is not None:
+            raise ParseError(f"argument {flag}: ignored explicit argument {value!r}")
+        if dest == "help":
+            sys.stdout.write("".join(f"usage: {usage(c)}\n" for c in given[:1] or COMMANDS))
+            return None
+        if kind is not None and value is None:
+            if not words or words[0] == "--" or _option(words[0], table) is not None:
+                raise ParseError(f"argument {flag}: expected one argument")
+            value = words.pop(0)
+        if isinstance(kind, str) and "|" in kind and value not in kind.split("|"):
+            raise ParseError(f"argument {flag}: invalid choice: {value!r} (choose from {kind})")
+        try:
+            fields[dest] = True if kind is None else int(value) if kind is int else value
+        except ValueError:
+            raise ParseError(f"argument {flag}: invalid int value: {value!r}") from None
+        if flag in _EXCLUSIVE and (clash := seen.intersection(_EXCLUSIVE) - {flag}):
+            raise ParseError(f"argument {flag}: not allowed with argument {clash.pop()}")
+        seen.add(flag)
+    if len(given) < len(names):
+        raise ParseError("the following arguments are required: " + ", ".join(names[len(given):]))
+    if extra or len(given) > len(names):
+        raise ParseError("unrecognized arguments: " + " ".join(extra + given[len(names):]))
+    return SimpleNamespace(**fields, **dict(zip(names, given)))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        cfg = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code else 0
-    try:
+        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        if cfg is None:
+            return 0
         if getattr(cfg, "dot", False) and cfg.format == "json":
             raise ParseError("--dot and --format json are mutually exclusive")
         if cfg.vertex_cap < 1 or cfg.point_cap < 1:
             raise ParseError("caps must be positive")
         if cfg.command == "compare" and cfg.budget < 1:
             raise ParseError("budget must be >= 1")
-        return _RUNNERS[cfg.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except CapExceeded as e:
         print(f"fk-graph: cap exceeded: {e}", file=sys.stderr)
         return 2

@@ -287,8 +287,11 @@ class _Search:
 
 
 def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
+    image = [0] * (1 << len(sigma))   # sigma's image of every mask, from its lower bits
+    for m in range(1, len(image)):
+        image[m] = image[m & (m - 1)] | 1 << sigma[(m & -m).bit_length() - 1]
     for y, ka in a.kmap.items():
-        fa, fb = ka.factor_summary(), b.kmap[_map_mask(y, sigma)].factor_summary()
+        fa, fb = ka.factor_summary(), b.kmap[image[y]].factor_summary()
         if fa != fb:
             return {"kind": "pointwise", "homeomorphism": list(sigma),
                     "pointset": list(iter_bits(y)), "a_factors": [list(f) for f in fa],
@@ -322,12 +325,8 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
         return CompareVerdict(DISTINGUISHED, {
             "kind": "no_homeomorphism", "a_points": a.space.npoints, "b_points": b.space.npoints})
     if not (a.k_complete and b.k_complete):
-        # K layer unavailable on at least one side: certify the spectrum
-        # match only, and say so in the witness
-        return CompareVerdict(COMPATIBLE, {
-            "kind": "family", "k_layer": "spectrum_only",
-            "homeomorphism": list(homeos[0]), "unital": unital, "slots": [],
-        })
+        # a graph that is not row-finite has no K layer here: only the spectra match
+        return CompareVerdict(UNKNOWN, {"kind": "no_k_layer", "homeomorphism": list(homeos[0])})
 
     # every slot stream of every whole-space search enumerates a's groups exhaustively
     complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
@@ -400,11 +399,6 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
     if not all(a.space.specializes(i, j) == b.space.specializes(sigma[i], sigma[j])
                for i in range(n) for j in range(n)):
         return Report("witness", checks, ("map does not preserve specialization",))
-    if witness.get("k_layer") == "spectrum_only":
-        checks += 1
-        if a.k_complete and b.k_complete:
-            fails.append("spectrum_only witness for two complete invariants")
-        return Report("witness", checks, tuple(fails))
     if not (a.k_complete and b.k_complete):
         return Report("witness", checks, ("family witness without both K layers",))
 

@@ -8,16 +8,22 @@ product into a group, the reference that `intlinalg.map_into` is tested
 against.  The lattice helpers build subgroups as column lattices on the
 package's Smith decompositions and kernels, and compare them two-sided, the
 reference that the one-sided exactness check of `ktheory` is tested against.
+`build_parser` is the argparse parser that `fk-graph` read its arguments
+with before `cli.COMMANDS`, kept unchanged as the reference that
+`cli.parse_args` is tested against.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from itertools import combinations
 
 from fkgraph.graphs import INF, Graph
 from fkgraph.intlinalg import FgAbGroup, IntMatrix, kernel_group, smith_decomposition
+from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
 from fkgraph.ktheory import CYCLE, KData
+from fkgraph.lattice import DEFAULT_VERTEX_CAP
 
 
 def bfs_reaches(g: Graph, src: int, dst: int) -> bool:
@@ -227,3 +233,49 @@ def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
         return True
     dec = smith_decomposition(A)
     return all(dec.solve(B.col(j)) is not None for j in range(B.cols))
+
+
+# ------------------------------------------------------------ command line
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="fk-graph")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def common(p, dot=False):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--vertex-cap", dest="vertex_cap", type=int,
+                       default=DEFAULT_VERTEX_CAP)
+        p.add_argument("--point-cap", dest="point_cap", type=int,
+                       default=DEFAULT_POINT_CAP)
+        if dot:
+            p.add_argument("--dot", action="store_true")
+
+    p = sub.add_parser("spectrum", help="prime points, order, and opens")
+    p.add_argument("graph")
+    common(p, dot=True)
+
+    p = sub.add_parser("lattice", help="admissible pair lattice with covers")
+    p.add_argument("graph")
+    common(p, dot=True)
+
+    p = sub.add_parser("k", help="K-data of gauge subquotients")
+    p.add_argument("graph")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--subquotient", metavar="POINTS",
+                       help="comma separated point indices, '-' for empty")
+    which.add_argument("--all", action="store_true",
+                       help="every locally closed pointset")
+    common(p)
+
+    p = sub.add_parser("compare", help="decide invariant compatibility")
+    p.add_argument("graph_a")
+    p.add_argument("graph_b")
+    p.add_argument("--no-unit", dest="no_unit", action="store_true")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common(p)
+
+    p = sub.add_parser("check", help="run the property suites on one graph")
+    p.add_argument("graph")
+    common(p)
+    return top

@@ -169,7 +169,9 @@ def test_criterion_7_compare_fixtures(corpus, capsys):
     fixture("g1", "o2", "DISTINGUISHED", replay=False)
     fixture("o2", "complete2", "COMPATIBLE", replay=True)
     for name in sorted(corpus):
-        fixture(name, name, "COMPATIBLE", replay=True)
+        # without row-finiteness there is no K layer, so only the spectra match
+        finite = corpus[name].row_finite
+        fixture(name, name, "COMPATIBLE" if finite else "UNKNOWN", replay=finite)
 
     ok = not failures
     _line(capsys, 7, "compare-fixtures", ok,

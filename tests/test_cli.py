@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -12,13 +16,16 @@ import pytest
 import fkgraph
 from fkgraph import cli, invariant, ktheory
 from fkgraph.cli import main
+from fkgraph.errors import ParseError
 from fkgraph.invariant import DEFAULT_BUDGET
 
+from oracles import build_parser
 from test_graphs import _json_mirror
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
 GRAPHS = ROOT / "graphs"
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -301,3 +308,150 @@ def test_console_script_wiring():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+# -- arguments ----------------------------------------------------------------
+
+def _argparse_reading(argv):
+    """The reference parser's fields for argv, or the exit code `main` gave."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as e:
+            return 1 if e.code else 0
+
+
+def _table_reading(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cfg = cli.parse_args(argv)
+        except ParseError:
+            return 1
+    return 0 if cfg is None else vars(cfg)
+
+
+# values for each option that takes one, negative numbers among them
+_VALUES = {"--format": ("text", "json"), "--vertex-cap": ("3", "0", "+4"),
+           "--point-cap": ("5", "-2"), "--subquotient": ("0,1", "-", "-1"),
+           "--budget": ("5", "-1")}
+
+
+def _random_argv(rng):
+    """A valid command line in a random order and spelling, then maybe one fault."""
+    command = rng.choice(list(cli.COMMANDS))
+    _, positionals, options = cli.COMMANDS[command]
+    flags = [f for f in options if rng.random() < 0.6]
+    if {"--subquotient", "--all"} <= set(flags):
+        flags.remove(rng.choice(["--subquotient", "--all"]))
+    words = []
+    for flag in flags:
+        # every flag differs from the others of its command by its third character
+        name = flag if rng.random() < 0.5 else flag[:rng.randrange(3, len(flag) + 1)]
+        if flag not in _VALUES:
+            words.append([name])
+        elif rng.random() < 0.5:
+            words.append([f"{name}={rng.choice(_VALUES[flag])}"])
+        else:
+            words.append([name, rng.choice(_VALUES[flag])])
+    graphs = [f"{p}.graph" for p in positionals]
+    rng.shuffle(words)
+    cut = rng.randrange(len(words) + 1)
+    argv = [command, *sum(words[:cut], []), *graphs, *sum(words[cut:], [])]
+    if rng.random() < 0.2:   # the graphs last, after `--`
+        argv = [command, *sum(words, []), "--", *graphs]
+    fault = rng.randrange(12)
+    if fault == 0:
+        argv.remove(graphs[-1])
+    elif fault == 1:
+        argv.append("extra.graph")
+    elif fault == 2:
+        argv.insert(rng.randrange(1, len(argv) + 1), "--bogus")
+    elif fault == 3:
+        argv += ["--format", "xml"] if rng.random() < 0.5 else ["--point-cap=seven"]
+    elif fault == 4:
+        argv.append(rng.choice([f for f in options if f in _VALUES]))   # no value
+    elif fault == 5:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["-h", "--help", "--he"]))
+    elif fault == 6:
+        argv[0] = rng.choice(["spec", "K", "bogus"])
+    return argv
+
+
+_FIXED = [
+    [], ["-h"], ["--help"], ["--he"], ["-h", "bogus"], ["bogus", "-h"], ["--bogus", "-h"],
+    ["--format", "json", "k", "g"], ["--", "k", "g"], ["k"], ["k", "-h"], ["compare", "a", "-h"],
+    ["k", "g", "--subquotient", "-"], ["k", "g", "--subquotient=-"], ["k", "--sub", "-", "g"],
+    ["k", "g", "--subquotient", "0", "--all"], ["k", "g", "--all", "--subquotient", "0"],
+    ["k", "g", "--subquotient", "0", "--subquotient", "1"], ["k", "g", "--all", "--all"],
+    ["k", "g", "--all=1"], ["k", "g", "--dot"], ["k", "g", "--=1"], ["k", "g", "--subquotient"],
+    ["k", "g", "--subquotient", "--all"], ["k", "--subquotient", "--", "g"],
+    ["k", "g", "--subquotient", "-x"], ["k", "g", "--subquotient", "-.5"],
+    ["k", "g", "--subquotient", "-0,1 2"], ["k", "--", "g"], ["k", "--", "-g"], ["k", "g", "--"],
+    ["k", "--all", "--", "-1"], ["k", "--", "g", "--all"], ["k", "-", "--all"], ["k", "-1"],
+    ["k", "g", "-x"], ["k", "g", "-hx"], ["k", "g", "--help=1"], ["k", "g", "-h=1"],
+    ["k", "--not a flag"], ["k", "g", "--format="], ["k", "g", "--format", "json", "--format", "text"],
+    ["compare", "a", "b", "--budget", "-1"], ["compare", "a", "b", "--budget=-1"],
+    ["compare", "a", "b", "--budget", "x"], ["compare", "a", "b", "--budget", "1.5"],
+    ["compare", "a", "b", "--budget", " 7 "], ["compare", "a", "b", "--budget", "1_0"],
+    ["compare", "a", "b", "--budget"], ["compare", "a", "b", "--no-unit=x"], ["compare", "a"],
+    ["compare", "a", "b", "c"], ["compare", "--no", "a", "--b", "3", "b"],
+    ["compare", "a", "--", "b"], ["compare", "--", "a", "b"], ["spectrum", "g", "--d"],
+    ["spectrum", "g", "--dot", "--format", "json"], ["lattice", "g", "--vertex-cap", "-3"],
+    ["check", "g", "--dot"], ["check", "g", "--all"], ["check", "g", "h"],
+]
+
+
+def test_table_parser_reads_argv_as_argparse_did(capsys):
+    """The table parser against the argparse reference on a seeded corpus.
+
+    Where argparse accepts, the fields are the same; where it exits, `main`
+    returns the same code.  Three readings of argparse are not kept, and the
+    corpus does not draw them; the last assertions pin the table's reading.
+    argparse classifies every word before it acts on any, so an ambiguous
+    prefix or `-hx` after `-h` is an error there, while the table prints
+    help.  It rejects a `--` that follows an option once every positional
+    is filled, where the table skips it.  And it reads `compare a -- --` as
+    graph_b = [], where the table gives "--".
+    """
+    rng = random.Random(21)
+    corpus = _FIXED + [_random_argv(rng) for _ in range(600)]
+    outcomes = Counter()
+    for argv in corpus:
+        want = _argparse_reading(argv)
+        assert _table_reading(argv) == want, argv
+        if not isinstance(want, dict):
+            assert main(argv) == want, argv
+            capsys.readouterr()
+        outcomes["accepted" if isinstance(want, dict) else want] += 1
+    assert min(outcomes[k] for k in ("accepted", 0, 1)) > 30, outcomes
+    for command, (_, _, options) in cli.COMMANDS.items():   # each option in full, both forms
+        for flag in options:
+            spelled = {w.partition("=")[1] for argv in corpus if argv[:1] == [command]
+                       for w in argv if w.partition("=")[0] == flag}
+            assert spelled == {"", "="} or flag not in _VALUES and spelled == {""}, (command, flag)
+    assert _table_reading(["k", "g", "-h", "--=1"]) == 0
+    assert _table_reading(["k", "g", "-h", "-hx"]) == 0
+    assert _table_reading(["k", "g", "--all", "--"])["graph"] == "g"
+    assert _table_reading(["compare", "a", "--", "--"])["graph_b"] == "--"
+
+
+def test_help_prints_the_synopsis_lines(capsys):
+    block = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("fk-graph ")]
+    assert block == [cli.usage(c) for c in cli.COMMANDS]
+    assert main(["--help"]) == 0
+    assert capsys.readouterr() == ("".join(f"usage: {line}\n" for line in block), "")
+    assert main(["compare", "a.graph", "--budget", "3", "-h"]) == 0
+    assert capsys.readouterr() == (f"usage: {block[3]}\n", "")
+
+
+def test_every_rejection_is_one_line(capsys):
+    for argv in ([], ["bogus"], ["k"], ["k", "g", "--all=1"], ["k", "g", "--subquotient"],
+                 ["compare", "a", "b", "--budget", "x"], ["spectrum", "g", "--format", "xml"],
+                 ["check", "g", "--bogus", "h"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fk-graph: ") and err.count("\n") == 1, argv
+    assert main(["k", "g", "--subquotient", "0", "--all"]) == 1
+    assert capsys.readouterr().err == (
+        "fk-graph: argument --all: not allowed with argument --subquotient\n")

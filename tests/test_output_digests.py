@@ -259,7 +259,7 @@ DIGESTS = {
     "k-all/inf_emitter": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "check/inf_emitter": (0, "bf98751625dc139ceacc472ea49d1907795b9b42b8169271b01267e34c62ef2e"),
     "spectrum/inf_emitter": (0, "7a5af8c10078ecf0de521c9e61376fdc04eb75fdf5423cd65e67cb9928dbf3bc"),
-    "compare-self/inf_emitter": (0, "b7594d0264d702ac09b5eafa573cd84d92235df08969b2987ea52798595db87f"),
+    "compare-self/inf_emitter": (0, "39c2d12b544a67356e9a0b601a7fef7cde5a89b249f72cd9e15ffa7182068c48"),
     "spectrum-dot/inf_emitter": (0, "6c39e502ca14d9cbe73109fce6e27e136cd0134b3c9fae8f287423b42e4c7497"),
     "lattice-dot/inf_emitter": (0, "39c21b8c77bc4716da41763be1274d051a5f9649606b40def2db00872af2ca3e"),
     "lattice/inf_emitter": (0, "6e9765fc20417d44b448e2647cb325e8a261a3e2bdbf0f001916fee54829d7ed"),

@@ -4,7 +4,8 @@ Value records are tuples (`typing.NamedTuple`); `Graph`, `SpectrumSpace`
 and the validating `FgAbGroup` check their input in their constructor.
 No module of the package imports `dataclasses`, which would pull
 `inspect`, `ast`, `dis` and `tokenize` into every one-shot `fk-graph`
-process.  No check here measures time.
+process, and `cli` reads its arguments without `argparse`, which would pull
+`gettext` and `locale`.  No check here measures time.
 """
 
 import ast
@@ -39,6 +40,25 @@ def test_cli_import_loads_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert "fkgraph.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def test_cli_reads_arguments_without_argparse():
+    # argparse pulls gettext and, on its first parse, locale into every
+    # one-shot process; the table parser needs neither
+    graph = SRC.parent.parent / "graphs" / "g4.graph"
+    code = ("import sys; before = set(sys.modules); import fkgraph.cli; "
+            "print(*sorted(set(sys.modules) - before)); "
+            f"code = fkgraph.cli.main(['k', {str(graph)!r}, '--all', '--format', 'json']); "
+            "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    on_import = set(proc.stdout.splitlines()[0].split())
+    exit_code, *after_main = proc.stderr.split()
+    assert exit_code == "0" and "fkgraph.cli" in on_import
+    for loaded in (on_import, set(after_main)):
+        assert not loaded & {"argparse", "gettext", "locale"}, sorted(loaded)
 
 
 def test_no_post_init_or_dataclass_in_package():

@@ -281,51 +281,20 @@ def breaking_vertices(g: Graph, h: int) -> int:
 # ---------------------------------------------------------- condition (K)
 
 
-def _sat2(x) -> int:
-    if x is INF:
-        return 2
-    return min(2, x)
-
-
 def return_path_count(g: Graph, base: int) -> int:
     """Number of return paths at `base` (no intermediate visit), saturated at 2.
 
-    An INF multiplicity on a return path counts as two parallel edges, which
-    already saturates the count.  DFS colors detect a cycle avoiding the base
-    inside the can-return region, which means infinitely many return paths.
+    A return path never leaves the strongly connected component C of base.
+    There is none when base lies on no cycle, and one when every vertex of C
+    has edges into C summing to exactly 1, so that C is a single cycle; an INF
+    multiplicity counts as more.  Otherwise some vertex of C has two ways on.
     """
-    can_return = mask_of(i for i in range(g.n) if i != base and (g._reach[i] >> base & 1))
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * g.n
-    memo = [0] * g.n
-
-    def visit(w: int) -> int:
-        # saturated count of paths w -> base avoiding base internally
-        if color[w] == GRAY:
-            return -1  # cycle marker, caller saturates
-        if color[w] == BLACK:
-            return memo[w]
-        color[w] = GRAY
-        count = _sat2(g.mult[w][base])
-        for u in iter_bits(g.successors[w] & can_return):
-            sub = visit(u)
-            if sub < 0:
-                count = 2
-                break
-            count = min(2, count + _sat2(g.mult[w][u]) * sub)
-            if count >= 2:
-                break
-        color[w] = BLACK
-        memo[w] = count
-        return count
-
-    total = _sat2(g.mult[base][base])
-    for w in iter_bits(g.successors[base] & can_return):
-        if total >= 2:
-            break
-        sub = visit(w)
-        total = 2 if sub < 0 else min(2, total + _sat2(g.mult[base][w]) * sub)
-    return total
+    comp = mask_of(v for v in iter_bits(g._reach[base]) if g._reach[v] >> base & 1)
+    if not g.successors[base] & comp:
+        return 0
+    single = all([g.mult[v][w] for w in iter_bits(comp) if g.mult[v][w] != 0] == [1]
+                 for v in iter_bits(comp))
+    return 1 if single else 2
 
 
 def satisfies_condition_K(g: Graph) -> bool:

@@ -5,14 +5,15 @@ as finitely generated abelian groups in canonical presentation, maps into
 such groups, and a bounded enumeration of group isomorphisms.  Everything
 runs on Python's arbitrary-precision integers; no floating point is used.
 
-Smith decompositions and kernels are memoised by value (`IntMatrix` is an
-immutable tuple record), so each distinct matrix is decomposed and checked
-(P M = S Q^-1, both inverses, the diagonal of S) once per process, and
-identities by size.  `IntMatrix.from_rows` checks the shape of rows that
-come in; matrices computed here are built to shape.  `map_into` is the one
-place a map into a group is formed: it selects, multiplies and reduces each
-row mod the target's factor in one pass.  Group isomorphisms are generated
-lazily, row by row, under linear constraints A v = c.
+Smith decompositions, kernels and group isomorphism inverses are memoised
+by value (`IntMatrix` is an immutable tuple record): each distinct matrix is
+decomposed and checked (P M = S Q^-1, both inverses, the diagonal of S), and
+each isomorphism inverted, once per process; identities by size.
+`IntMatrix.from_rows` checks the shape of rows that come in; matrices
+computed here are built to shape.  `map_into` is the one place a map into a
+group is formed: it selects, multiplies and reduces each row mod the
+target's factor in one pass.  Group isomorphisms are generated lazily, row
+by row, under linear constraints A v = c.
 """
 
 from __future__ import annotations
@@ -548,8 +549,9 @@ def iso_search_complete(G: FgAbGroup) -> bool:
     return G.rank <= 1
 
 
+@cache
 def group_iso_inverse(G: FgAbGroup, A: IntMatrix) -> IntMatrix | None:
-    """Inverse of A over G's factors, or None when A is not invertible."""
+    """Inverse of A over G's factors, or None when A is not invertible (memoised)."""
     k = G.ncoords
     if A.rows != k or A.cols != k:
         raise ValueError("shape mismatch")

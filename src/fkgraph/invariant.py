@@ -6,13 +6,15 @@ whose groups are read from that K-data, into one object, which builds the
 two K layers only when they are first read.  `compare` decides whether two
 such objects can be matched by a homeomorphism of spectra together with a
 family of ordered group isomorphisms commuting with all the maps, in one
-search per compare: a's commuting squares are filed once, each cone
-membership is decided once, and each homeomorphism re-binds only b's side;
-after one fails, a search on one connected component refutes every later
-homeomorphism that agrees with it there.  The verdict is three-valued: a
-mismatch that survives every homeomorphism is DISTINGUISHED, a fully
-certified family is COMPATIBLE, and an exhausted budget (or an inconclusive
-cone membership) is UNKNOWN.  Witnesses are plain dicts, deterministic and replayable.
+search per compare: each side's factor lists are tabled once per slot, a's
+commuting squares are filed once, each cone membership is decided once, and
+each homeomorphism re-binds only b's side, read off one table of its image
+of every pointset; after one fails, a search on one connected component
+refutes every later homeomorphism that agrees with it there.  The verdict is
+three-valued: a mismatch that survives every homeomorphism is DISTINGUISHED,
+a fully certified family is COMPATIBLE, and an exhausted budget (or an
+inconclusive cone membership) is UNKNOWN.  Witnesses are plain dicts,
+deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits
 from .intlinalg import (
     IntMatrix,
     group_iso_inverse,
@@ -114,8 +116,12 @@ def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):
             yield perm
 
 
-def _map_mask(mask: int, perm) -> int:
-    return mask_of(perm[k] for k in iter_bits(mask))
+def _images(sigma) -> list[int]:
+    """sigma's image of every pointset mask, each read off its lower bits."""
+    image = [0] * (1 << len(sigma))
+    for m in range(1, len(image)):
+        image[m] = image[m & (m - 1)] | 1 << sigma[(m & -m).bit_length() - 1]
+    return image
 
 
 def _squares(a: FilteredK):
@@ -160,9 +166,10 @@ class _Search:
     pairs whose mid lies in `within`, filed once per pointset: one whose source
     is assigned first constrains `group_isos` on the columns of a's map, as the
     image of the unit does at slot `within`; any other is checked once its
-    source is assigned.  A run re-binds only b's side.  Cone memberships are
-    memoised per compare by the values `cone_contains` reads.  Every candidate
-    a stream yields, in any run, counts against `_NODE_CAP`.
+    source is assigned.  A run re-binds only b's side, read off `_images`.
+    K0 candidates are vetted with no per-run state: cone memberships are
+    memoised per compare by the values `cone_contains` reads, inverses by
+    value.  Every candidate a stream yields, in any run, counts against `_NODE_CAP`.
     """
 
     def __init__(self, a: FilteredK, b: FilteredK, unital: bool, budget: int):
@@ -238,14 +245,6 @@ class _Search:
                 raise _Budget
             yield m
 
-    def _cands0(self, k: int):
-        vetted = self._vetted[k]
-        for m0 in self._stream(k, 0):
-            if m0 not in vetted:
-                vetted[m0] = self._admissible(*self.kd[k], m0)
-            if vetted[m0]:
-                yield m0
-
     def _commutes(self, k: int) -> bool:
         alpha = self.alpha
         for s_lv, ti, t_lv, key, edge, m_a in self.out_of[k]:
@@ -264,12 +263,12 @@ class _Search:
         if within not in self._filed:
             self._filed[within] = self._file(within)
         self.order, self.into, self.out_of = self._filed[within]
-        self.kd = [(ka, b.kmap[_map_mask(y, sigma)]) for y, ka in a.kmap.items()]
-        self.b_maps = {key: b.sequences[tuple(_map_mask(y, sigma) for y in key)]
-                       for key in a.sequences if not key[1] & ~within}
-        self.units = _unit(a, within), _unit(b, _map_mask(within, sigma))
+        image = _images(sigma)
+        self.kd = [(ka, b.kmap[image[y]]) for y, ka in a.kmap.items()]
+        self.b_maps = {(sub, mid): b.sequences[image[sub], image[mid]]
+                       for sub, mid in a.sequences if not mid & ~within}
+        self.units = _unit(a, within), _unit(b, image[within])
         self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
-        self._vetted: list[dict[IntMatrix, bool]] = [{} for _ in self.slots]
         self.inconclusive = False
         return list(zip(*self.alpha)) if self._extend(0) else None
 
@@ -277,7 +276,9 @@ class _Search:
         if i == len(self.order):
             return True
         k = self.order[i]
-        for m0 in self._cands0(k):
+        for m0 in self._stream(k, 0):
+            if not self._admissible(*self.kd[k], m0):
+                continue
             self.alpha[0][k] = m0   # the level-1 stream reads it
             for m1 in self._stream(k, 1):
                 self.alpha[1][k] = m1
@@ -286,13 +287,11 @@ class _Search:
         return False
 
 
-def _necessary_mismatch(a: FilteredK, b: FilteredK, sigma) -> dict | None:
-    image = [0] * (1 << len(sigma))   # sigma's image of every mask, from its lower bits
-    for m in range(1, len(image)):
-        image[m] = image[m & (m - 1)] | 1 << sigma[(m & -m).bit_length() - 1]
-    for y, ka in a.kmap.items():
-        fa, fb = ka.factor_summary(), b.kmap[image[y]].factor_summary()
-        if fa != fb:
+def _necessary_mismatch(factors_a: dict, factors_b: dict, sigma) -> dict | None:
+    """The first slot whose factor lists sigma does not match, as a witness."""
+    image = _images(sigma)
+    for y, fa in factors_a.items():
+        if fa != (fb := factors_b[image[y]]):
             return {"kind": "pointwise", "homeomorphism": list(sigma),
                     "pointset": list(iter_bits(y)), "a_factors": [list(f) for f in fa],
                     "b_factors": [list(f) for f in fb]}
@@ -331,10 +330,11 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
     # every slot stream of every whole-space search enumerates a's groups exhaustively
     complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
                    for k in a.kmap.values())
+    factors_a, factors_b = ({y: k.factor_summary() for y, k in fk.kmap.items()} for fk in (a, b))
     first_failure = search = None
     failed = unrefuted = inconclusive = False
     for sigma in homeos:
-        mismatch = _necessary_mismatch(a, b, sigma)
+        mismatch = _necessary_mismatch(factors_a, factors_b, sigma)
         if mismatch is not None:
             if first_failure is None:
                 first_failure = mismatch
@@ -409,9 +409,9 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             or [s.get("pointset") for s in slots] != slot_sets):
         return Report("witness", checks, ("slots do not cover the locally closed sets",))
     alpha = {}
+    image = _images(sigma)
     for y, slot in zip(a.kmap, slots):
-        z = _map_mask(y, sigma)
-        ka, kb = a.kmap[y], b.kmap[z]
+        ka, kb = a.kmap[y], b.kmap[image[y]]
         m0 = _slot_matrix(slot.get("alpha0"), kb.k0.ncoords, ka.k0.ncoords)
         m1 = _slot_matrix(slot.get("alpha1"), kb.k1.ncoords, ka.k1.ncoords)
         checks += 1
@@ -443,8 +443,8 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
                 fails.append("unit class is not preserved")
     for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a):
         checks += 1
-        m_b = b.sequences[tuple(_map_mask(y, sigma) for y in key)][edge]
-        kb = b.kmap[_map_mask(tgt, sigma)]
+        m_b = b.sequences[image[key[0]], image[key[1]]][edge]
+        kb = b.kmap[image[tgt]]
         grp = kb.k1 if t_lv else kb.k0
         if map_into(grp, alpha[tgt][t_lv], m_a) != map_into(grp, m_b, alpha[src][s_lv]):
             fails.append(f"{SixTerm._fields[edge]} square fails at pair {key}")

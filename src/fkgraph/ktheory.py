@@ -379,14 +379,6 @@ def cone_contains(k: KData, x) -> tuple[bool, bool]:
         [[g[i] for g in tors_g] for i in range(k0.ncoords)], cols=len(tors_g)
     ).hstack(k0.relation_columns)
 
-    def torsion_reachable(t) -> bool:
-        return solve_exact(memb, t) is not None
-
-    if not free_g:
-        if any(x[i] for i in free_idx):
-            return False, True
-        return torsion_reachable(x), True
-
     covered = True
     caps = []
     nonneg = all(g[i] >= 0 for g in free_g for i in free_idx)
@@ -415,6 +407,6 @@ def cone_contains(k: KData, x) -> tuple[bool, bool]:
         resid = list(k0.reduce(resid))
         if any(resid[i] for i in free_idx):
             continue
-        if torsion_reachable(resid):
+        if solve_exact(memb, resid) is not None:   # the torsion generators reach the rest
             return True, True
     return False, covered

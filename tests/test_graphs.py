@@ -255,11 +255,24 @@ def test_return_path_counts(corpus):
 
 
 def test_condition_k_matches_bounded_oracle(corpus):
-    # counting paths up to length 2n is enough to decide 0 / 1 / >= 2
-    for name, g in corpus.items():
+    # counting paths up to length 2n is enough to decide 0 / 1 / >= 2; past
+    # the corpus, seeded graphs on 1 to 6 vertices with INF multiplicities
+    # among the edges: cycles through INF bundles, nested cycles and feeders
+    rng = random.Random(23)
+    graphs = list(corpus.items())
+    for k in range(600):
+        vs = [f"v{i}" for i in range(rng.randint(1, 6))]
+        graphs.append((f"random{k}", graph_from_edges(vs, [
+            (v, w, m) for v in vs for w in vs
+            for m in [rng.choice((0, 0, 0, 0, 0, 1, 1, 2, INF))] if m])))
+    counts = [0, 0, 0]
+    for name, g in graphs:
         for v in range(g.n):
-            assert return_path_count(g, v) == oracle_return_verdict(g, v, 2 * g.n), (name, v)
+            got = return_path_count(g, v)
+            assert got == oracle_return_verdict(g, v, 2 * g.n), (name, v)
+            counts[got] += 1
         assert satisfies_condition_K(g) == oracle_condition_k(g), name
+    assert min(counts) > 50, counts
 
 
 def test_condition_k_invariant_under_relabeling(corpus):

@@ -125,7 +125,9 @@ def test_homeomorphisms_carry_slots_onto_slots(fks, row_finite_corpus):
     for name_a, name_b in itertools.product(row_finite_corpus, repeat=2):
         a, b = fks[name_a], fks[name_b]
         for sigma in poset_isomorphisms(a.space, b.space):
-            assert {invariant._map_mask(y, sigma) for y in a.kmap} == set(b.kmap)
+            image = invariant._images(sigma)
+            assert {image[y] for y in a.kmap} == set(b.kmap)
+            assert image[a.space.full] == b.space.full and image[0] == 0
             maps += 1
     assert maps > len(row_finite_corpus)
 
@@ -535,6 +537,25 @@ def test_cone_memberships_decided_once_per_compare(monkeypatch):
     assert v.witness == {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": True}
     # decided in one run, looked up in the others, and flagged by each
     assert set(decided.values()) == {1} and flags.count(True) > 1, flags
+
+
+def test_each_slot_isomorphism_inverted_once_per_compare(monkeypatch):
+    # the 3-block Z/2 swap vets the same K0 candidates in several runs, and
+    # within a run after each backtrack: every distinct (group, matrix) pair
+    # is inverted once, and each repeat is a lookup
+    a, b = _swap(3, 2)
+    a.sequences, b.sequences   # the K layers invert their own maps when built
+    asked, real = [], invariant.group_iso_inverse
+
+    def spy(G, A):
+        asked.append((G, A))
+        return real(G, A)
+    monkeypatch.setattr(invariant, "group_iso_inverse", spy)
+    real.cache_clear()
+    assert compare(a, b).outcome == DISTINGUISHED
+    info = real.cache_info()
+    assert len(asked) > len(set(asked)) and info.misses == len(set(asked)), info
+    assert info.hits == len(asked) - info.misses
 
 
 def test_names_and_file_order_do_not_matter(fks, corpus):

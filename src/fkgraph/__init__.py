@@ -3,17 +3,7 @@ finite directed multigraphs."""
 
 from .errors import CapExceeded, ExactnessError, FkGraphError, ParseError
 from .graphs import INF, Graph, graph_from_edges, parse_graph, parse_graph_auto
-from .invariant import (
-    COMPATIBLE,
-    DISTINGUISHED,
-    UNKNOWN,
-    CompareVerdict,
-    FilteredK,
-    assemble,
-    compare,
-    poset_isomorphisms,
-    verify_compatible_witness,
-)
+from .invariant import COMPATIBLE, DISTINGUISHED, SEARCH_NAMES, UNKNOWN, FilteredK, assemble
 from .ktheory import KData, SixTerm, cone_contains, k_data, six_term
 from .lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from .spectrum import LocallyClosedSet, SpectrumSpace, locally_closed_sets, s_primes
@@ -50,3 +40,11 @@ __all__ = [
     "six_term",
     "verify_compatible_witness",
 ]
+
+
+def __getattr__(name: str):
+    # the search names load with `search`, on first use, as in `invariant`
+    if name not in SEARCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import invariant
+    return getattr(invariant, name)

@@ -18,13 +18,7 @@ from types import SimpleNamespace
 
 from .errors import CapExceeded, ParseError
 from .graphs import Graph, iter_bits, parse_graph_auto
-from .invariant import (
-    DEFAULT_BUDGET,
-    DEFAULT_POINT_CAP,
-    assemble,
-    compare,
-    verify_compatible_witness,
-)
+from .invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP, assemble
 from .ktheory import k_data, verify_exactness, verify_well_definedness
 from .lattice import DEFAULT_VERTEX_CAP, enumerate_admissible_pairs
 from .spectrum import (
@@ -209,6 +203,7 @@ def _run_k(cfg) -> int:
 # -- compare ----------------------------------------------------------------
 
 def _run_compare(cfg) -> int:
+    from .search import compare, verify_compatible_witness   # only a compare loads the search
     caps = {"point_cap": cfg.point_cap, "vertex_cap": cfg.vertex_cap}
     a = assemble(_load(cfg.graph_a), **caps)
     g_b = _load(cfg.graph_b)

@@ -8,12 +8,13 @@ runs on Python's arbitrary-precision integers; no floating point is used.
 Smith decompositions, kernels and group isomorphism inverses are memoised
 by value (`IntMatrix` is an immutable tuple record): each distinct matrix is
 decomposed and checked (P M = S Q^-1, both inverses, the diagonal of S), and
-each isomorphism inverted, once per process; identities by size.
-`IntMatrix.from_rows` checks the shape of rows that come in; matrices
-computed here are built to shape.  `map_into` is the one place a map into a
-group is formed: it selects, multiplies and reduces each row mod the
-target's factor in one pass.  Group isomorphisms are generated lazily, row
-by row, under linear constraints A v = c.
+each isomorphism inverted, once per process; identity and zero matrices by
+shape.  The elimination's swaps and row and column subtractions touch only
+the rows and columns they change.  `IntMatrix.from_rows` checks the shape of
+rows that come in; matrices computed here are built to shape.  `map_into` is
+the one place a map into a group is formed: it selects, multiplies and
+reduces each row mod the target's factor in one pass.  Group isomorphisms
+are generated lazily, row by row, under linear constraints A v = c.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class IntMatrix(NamedTuple):
         return IntMatrix(n, n, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
 
     @staticmethod
+    @cache
     def zero(rows: int, cols: int) -> IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
@@ -199,6 +201,29 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
         Qi[i] = [a * u + b * v for u, v in zip(ri, rj)]
         Qi[j] = [c * u + d * v for u, v in zip(ri, rj)]
 
+    # a swap, or an elimination step row_op(t, i, 1, 0, -q, 1) (col_op likewise),
+    # does the same arithmetic on only the rows and columns it changes
+    def swap_rows(i, j):
+        D[i], D[j], P[i], P[j] = D[j], D[i], P[j], P[i]
+        for row in Pi:
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(i, j):
+        for row in (*D, *Q):
+            row[i], row[j] = row[j], row[i]
+        Qi[i], Qi[j] = Qi[j], Qi[i]
+
+    def sub_row(t, i, q):
+        D[i] = [v - q * u for u, v in zip(D[t], D[i])]
+        P[i] = [v - q * u for u, v in zip(P[t], P[i])]
+        for row in Pi:
+            row[t] += q * row[i]
+
+    def sub_col(t, j, q):
+        for row in (*D, *Q):
+            row[j] -= q * row[t]
+        Qi[t] = [u + q * v for u, v in zip(Qi[t], Qi[j])]
+
     def negate_row(i):
         D[i] = [-u for u in D[i]]
         P[i] = [-u for u in P[i]]
@@ -216,16 +241,16 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
         if pivot is None:
             break
         if pivot[0] != t:
-            row_op(t, pivot[0], 0, 1, 1, 0)
+            swap_rows(t, pivot[0])
         if pivot[1] != t:
-            col_op(t, pivot[1], 0, 1, 1, 0)
+            swap_cols(t, pivot[1])
         while True:
             for i in range(t + 1, m):
                 if D[i][t] == 0:
                     continue
                 a, b = D[t][t], D[i][t]
                 if b % a == 0:
-                    row_op(t, i, 1, 0, -(b // a), 1)
+                    sub_row(t, i, b // a)
                 else:
                     g, x, y = xgcd(a, b)
                     row_op(t, i, x, y, -(b // g), a // g)
@@ -234,7 +259,7 @@ def smith_decomposition(M: IntMatrix) -> SmithDecomposition:
                     continue
                 a, b = D[t][t], D[t][j]
                 if b % a == 0:
-                    col_op(t, j, 1, 0, -(b // a), 1)
+                    sub_col(t, j, b // a)
                 else:
                     g, x, y = xgcd(a, b)
                     col_op(t, j, x, y, -(b // g), a // g)
@@ -579,7 +604,9 @@ def map_into(target: FgAbGroup, left: IntMatrix, right: IntMatrix,
     rrows = right.entries if rows is None else [right.entries[i] for i in rows]
     if left.rows != target.ncoords or (left.cols if cols is None else len(cols)) != len(rrows):
         raise ValueError("shape mismatch")
-    rcols = tuple(zip(*rrows)) or ((),) * right.cols   # no rows: right.cols empty columns
+    if not (target.ncoords and right.cols and rrows):   # an empty product
+        return IntMatrix.zero(target.ncoords, right.cols)
+    rcols = tuple(zip(*rrows))
     return IntMatrix(target.ncoords, right.cols, tuple([
         tuple([sum(map(mul, row, col)) % d for col in rcols]) if d
         else tuple([sum(map(mul, row, col)) for col in rcols])

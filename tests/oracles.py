@@ -8,6 +8,8 @@ product into a group, the reference that `intlinalg.map_into` is tested
 against.  The lattice helpers build subgroups as column lattices on the
 package's Smith decompositions and kernels, and compare them two-sided, the
 reference that the one-sided exactness check of `ktheory` is tested against.
+`smith_reference` is the Smith decomposition with a general 2 x 2 update at
+every step, kept as the reference its faster steps are tested against.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -20,7 +22,8 @@ import random
 from itertools import combinations
 
 from fkgraph.graphs import INF, Graph
-from fkgraph.intlinalg import FgAbGroup, IntMatrix, kernel_group, smith_decomposition
+from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, kernel_group,
+                               smith_decomposition, xgcd)
 from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
 from fkgraph.ktheory import CYCLE, KData
 from fkgraph.lattice import DEFAULT_VERTEX_CAP
@@ -200,6 +203,115 @@ def reduce_map(target: FgAbGroup, M: IntMatrix) -> IntMatrix:
 def maps_equal(target: FgAbGroup, A: IntMatrix, B: IntMatrix) -> bool:
     """Equality of maps into `target`, i.e. entrywise mod the target factors."""
     return reduce_map(target, A).entries == reduce_map(target, B).entries
+
+
+# ------------------------------------------------------------ smith
+
+
+def smith_reference(M: IntMatrix) -> SmithDecomposition:
+    """`intlinalg.smith_decomposition` as it was before its swaps and elimination
+    steps touched only the rows and columns they change: every step is a general
+    2 x 2 update, and nothing is memoised or checked."""
+    m, n = M.rows, M.cols
+    D = [list(r) for r in M.entries]
+    P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Pi = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Qi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, x, y, z, w):
+        # rows (i, j) <- (x*ri + y*rj, z*ri + w*rj); det s = xw - yz must be ±1.
+        s = x * w - y * z
+        assert abs(s) == 1
+        a, b, c, d = w * s, -y * s, -z * s, x * s  # inverse block
+        for Mx in (D, P):
+            ri, rj = Mx[i], Mx[j]
+            Mx[i] = [x * u + y * v for u, v in zip(ri, rj)]
+            Mx[j] = [z * u + w * v for u, v in zip(ri, rj)]
+        for row in Pi:  # Pi <- Pi @ inv: columns (i, j) mix
+            u, v = row[i], row[j]
+            row[i] = a * u + c * v
+            row[j] = b * u + d * v
+
+    def col_op(i, j, x, y, z, w):
+        # cols (i, j) <- (x*ci + y*cj, z*ci + w*cj); det must be ±1.
+        # As a right factor this is R = [[x, z], [y, w]] on the (i, j) block.
+        s = x * w - y * z
+        assert abs(s) == 1
+        a, b, c, d = w * s, -z * s, -y * s, x * s
+        for Mx in (D, Q):
+            for row in Mx:
+                u, v = row[i], row[j]
+                row[i] = x * u + y * v
+                row[j] = z * u + w * v
+        ri, rj = Qi[i], Qi[j]  # Qi <- inv @ Qi: rows (i, j) mix
+        Qi[i] = [a * u + b * v for u, v in zip(ri, rj)]
+        Qi[j] = [c * u + d * v for u, v in zip(ri, rj)]
+
+    def negate_row(i):
+        D[i] = [-u for u in D[i]]
+        P[i] = [-u for u in P[i]]
+        for row in Pi:
+            row[i] = -row[i]
+
+    t = 0
+    while True:
+        # deterministic pivot: smallest |value|, ties by position
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] != 0 and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_op(t, pivot[0], 0, 1, 1, 0)
+        if pivot[1] != t:
+            col_op(t, pivot[1], 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, m):
+                if D[i][t] == 0:
+                    continue
+                a, b = D[t][t], D[i][t]
+                if b % a == 0:
+                    row_op(t, i, 1, 0, -(b // a), 1)
+                else:
+                    g, x, y = xgcd(a, b)
+                    row_op(t, i, x, y, -(b // g), a // g)
+            for j in range(t + 1, n):
+                if D[t][j] == 0:
+                    continue
+                a, b = D[t][t], D[t][j]
+                if b % a == 0:
+                    col_op(t, j, 1, 0, -(b // a), 1)
+                else:
+                    g, x, y = xgcd(a, b)
+                    col_op(t, j, x, y, -(b // g), a // g)
+            # column ops can refill column t below the pivot
+            if all(D[i][t] == 0 for i in range(t + 1, m)):
+                break
+        t += 1
+    r = t
+
+    # enforce d_i | d_{i+1} by folding each offender into its predecessor
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if b % a != 0:
+                changed = True
+                row_op(i, i + 1, 1, 1, 0, 1)        # puts b at (i, i+1)
+                g, x, y = xgcd(a, b)
+                col_op(i, i + 1, x, y, -(b // g), a // g)
+                # now D[i][i] = g, D[i+1][i] = y*b; clear it
+                row_op(i, i + 1, 1, 0, -(y * (b // g)), 1)
+    for i in range(r):
+        if D[i][i] < 0:
+            negate_row(i)
+
+    return SmithDecomposition(*(IntMatrix(len(X), c, tuple(map(tuple, X)))
+                                for X, c in ((D, n), (P, m), (Q, n), (Pi, m), (Qi, n))))
 
 
 # ------------------------------------------------------------ lattices

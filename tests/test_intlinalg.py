@@ -29,7 +29,7 @@ from fkgraph.intlinalg import (
     solve_exact,
     xgcd,
 )
-from oracles import lattice_contains, maps_equal, reduce_map
+from oracles import lattice_contains, maps_equal, reduce_map, smith_reference
 
 
 # ---------------------------------------------------------------- oracles
@@ -144,6 +144,27 @@ def test_smith_inverse_tracking():
         assert (dec.P @ dec.P_inv).entries == IntMatrix.identity(m).entries
         assert (dec.P_inv @ dec.P).entries == IntMatrix.identity(m).entries
         assert (dec.Q @ dec.Q_inv).entries == IntMatrix.identity(n).entries
+
+
+def test_smith_steps_match_the_general_update_reference():
+    # swaps and elimination steps touch only the rows and columns they change,
+    # with the reference's arithmetic, so all five matrices come out equal:
+    # on empty shapes, on diagonals the divisibility fold must repair (each
+    # d2 a non-multiple of d1) and on seeded random matrices up to 6 x 6
+    rng = random.Random(20261020)
+    mats = [IntMatrix.zero(m, n) for m, n in [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)]]
+    for _ in range(100):
+        diag = [rng.randrange(2, 30) for _ in range(rng.randrange(2, 5))]
+        diag[1] += diag[1] % diag[0] == 0
+        k = len(diag)
+        mats.append(IntMatrix(k, k, tuple(tuple(d * (i == j) for j in range(k))
+                                          for i, d in enumerate(diag))))
+    for _ in range(600):
+        m, n = rng.randrange(0, 7), rng.randrange(0, 7)
+        mats.append(IntMatrix.from_rows([[rng.randrange(-9, 10) for _ in range(n)]
+                                         for _ in range(m)], cols=n))
+    for M in mats:
+        assert smith_decomposition(M) == smith_reference(M), M
 
 
 def _well_formed(X: IntMatrix) -> bool:
@@ -644,8 +665,10 @@ def test_map_into_matches_the_reduced_product():
             tuple(r[i] for i in cols) for r in L.entries))
         R_sel = R if rows is None else IntMatrix(inner, outer, tuple(
             R.entries[i] for i in rows))
-        assert map_into(G, L, R, cols=cols, rows=rows) == reduce_map(G, L_sel @ R_sel), (
-            G, L, R, cols, rows)
+        got = map_into(G, L, R, cols=cols, rows=rows)
+        assert got == reduce_map(G, L_sel @ R_sel), (G, L, R, cols, rows)
+        if not (factors and inner and outer):   # an empty product: the memoised zero
+            assert got is IntMatrix.zero(len(factors), outer)
         hits[factors] += 1
         hits[mode] += 1
         hits["inner 0"] += not inner

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from fkgraph import cli, invariant, ktheory
+import fkgraph
+from fkgraph import cli, invariant, ktheory, search
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
@@ -35,6 +36,20 @@ def test_assemble_shape(fks):
             assert set(fk.sequences) == {sequence_key(*c) for c in open_triples(fk.space)}
         else:
             assert fk.kmap == {} and fk.sequences == {}
+
+
+def test_search_names_are_one_object_wherever_read():
+    # fkgraph and invariant resolve compare's names from `search` on first
+    # use; the star import binds every exported name, and an unknown name
+    # still fails as on any module
+    for name in invariant.SEARCH_NAMES:
+        assert getattr(fkgraph, name) is getattr(invariant, name) is getattr(search, name)
+    scope = {}
+    exec("from fkgraph import *", scope)
+    assert set(fkgraph.__all__) <= set(scope)
+    for module in (fkgraph, invariant):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain,
@@ -125,7 +140,7 @@ def test_homeomorphisms_carry_slots_onto_slots(fks, row_finite_corpus):
     for name_a, name_b in itertools.product(row_finite_corpus, repeat=2):
         a, b = fks[name_a], fks[name_b]
         for sigma in poset_isomorphisms(a.space, b.space):
-            image = invariant._images(sigma)
+            image = search._images(sigma)
             assert {image[y] for y in a.kmap} == set(b.kmap)
             assert image[a.space.full] == b.space.full and image[0] == 0
             maps += 1
@@ -250,7 +265,7 @@ def _counting(monkeypatch):
     """Count the candidates every slot stream yields and the K0 candidates
     `_admissible` rejects."""
     seen = Counter()
-    real_isos, real_admissible = invariant.group_isos, invariant._Search._admissible
+    real_isos, real_admissible = search.group_isos, search._Search._admissible
 
     def isos(*args):
         for m in real_isos(*args):
@@ -261,8 +276,8 @@ def _counting(monkeypatch):
         ok = real_admissible(self, *args)
         seen["accepted" if ok else "rejected"] += 1
         return ok
-    monkeypatch.setattr(invariant, "group_isos", isos)
-    monkeypatch.setattr(invariant._Search, "_admissible", admissible)
+    monkeypatch.setattr(search, "group_isos", isos)
+    monkeypatch.setattr(search._Search, "_admissible", admissible)
     return seen
 
 
@@ -274,13 +289,13 @@ def test_node_cap_counts_rejected_candidates(monkeypatch):
     # counts against the node cap; the spectrum is connected, so every
     # candidate comes from a whole-space search
     a, b = _sinks([0, 0, 0], hub=True), _sinks([0, 0, 1], hub=True)
-    assert invariant._components(a.space) == [a.space.full]
+    assert search._components(a.space) == [a.space.full]
     seen = _counting(monkeypatch)
     budget_exhausted = {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": False}
     assert compare(a, b).witness == budget_exhausted   # free rank 3: incomplete
     assert seen["rejected"] >= 18 and seen["yielded"] > 40
     seen.clear()
-    monkeypatch.setattr(invariant, "_NODE_CAP", 40)
+    monkeypatch.setattr(search, "_NODE_CAP", 40)
     v = compare(a, b)
     assert v.outcome == UNKNOWN and v.witness == budget_exhausted
     assert seen["yielded"] == 41 and seen["rejected"] > 0
@@ -291,7 +306,7 @@ def test_node_cap_reaches_component_searches(monkeypatch):
     # that yields a candidate starts, that search trips it, and the compare
     # ends as the usual budget_exhausted UNKNOWN
     a, b = _sinks([0] * 4), _sinks([1, 0, 0, 0])
-    runs, real_run = [], invariant._Search.run
+    runs, real_run = [], search._Search.run
 
     def run(self, sigma, within=None):
         before = self.nodes
@@ -299,12 +314,12 @@ def test_node_cap_reaches_component_searches(monkeypatch):
             return real_run(self, sigma, within)
         finally:
             runs.append((within, before, self.nodes))
-    monkeypatch.setattr(invariant._Search, "run", run)
+    monkeypatch.setattr(search._Search, "run", run)
     assert compare(a, b).witness == {"kind": "no_family", "budget": 2}
     start = next(before for within, before, after in runs
                  if within is not None and after > before)
     runs.clear()
-    monkeypatch.setattr(invariant, "_NODE_CAP", start)
+    monkeypatch.setattr(search, "_NODE_CAP", start)
     v = compare(a, b)
     assert v == (UNKNOWN, {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": False})
     assert runs[-1][0] is not None and runs[-1][2] == start + 1, runs
@@ -344,11 +359,11 @@ def test_component_searches_only_decide_what_was_unknown(monkeypatch):
     # whole space, so no component search runs: no verdict the reference
     # decides moves, every family is the reference's and replays, and some
     # UNKNOWN becomes decided
-    fks = [fk for fk in _census(7, 220) if len(invariant._components(fk.space)) > 1]
+    fks = [fk for fk in _census(7, 220) if len(search._components(fk.space)) > 1]
     cases = [(a, b, unital) for i, a in enumerate(fks) for b in fks[i:]
              if a.space.npoints == b.space.npoints for unital in (True, False)]
     got = [compare(*case) for case in cases]
-    monkeypatch.setattr(invariant, "_components", lambda space: [space.full])
+    monkeypatch.setattr(search, "_components", lambda space: [space.full])
     ref = [compare(*case) for case in cases]
     for (a, b, _), v, r in zip(cases, got, ref):
         if r.outcome == UNKNOWN:
@@ -389,12 +404,12 @@ def test_search_checks_backward_squares(monkeypatch):
     # it, and a witness built without that check fails replay
     a, b = _linked_blocks("a1"), _linked_blocks("a0")
     verdicts = []
-    real = invariant._Search._commutes
+    real = search._Search._commutes
 
     def spy(self, k):
         verdicts.append(real(self, k))
         return verdicts[-1]
-    monkeypatch.setattr(invariant._Search, "_commutes", spy)
+    monkeypatch.setattr(search._Search, "_commutes", spy)
     for unital in (True, False):
         verdicts.clear()
         v = compare(a, b, unital=unital)
@@ -415,8 +430,8 @@ def test_search_files_each_square_once(fks, monkeypatch):
               (_sinks([0, 0, 0], hub=True), _sinks([0, 0, 1], hub=True))]
     builds, walks, filed, runs = [], [], [], []
     real_init, real_file, real_run, real_squares = (
-        invariant._Search.__init__, invariant._Search._file, invariant._Search.run,
-        invariant._squares)
+        search._Search.__init__, search._Search._file, search._Search.run,
+        search._squares)
 
     def init(self, a, *args):
         builds.append(a)
@@ -436,10 +451,10 @@ def test_search_files_each_square_once(fks, monkeypatch):
     def squares(a):
         walks.append(a)
         return real_squares(a)
-    monkeypatch.setattr(invariant._Search, "__init__", init)
-    monkeypatch.setattr(invariant._Search, "_file", file)
-    monkeypatch.setattr(invariant._Search, "run", run)
-    monkeypatch.setattr(invariant, "_squares", squares)
+    monkeypatch.setattr(search._Search, "__init__", init)
+    monkeypatch.setattr(search._Search, "_file", file)
+    monkeypatch.setattr(search._Search, "run", run)
+    monkeypatch.setattr(search, "_squares", squares)
     every = {}
     for a, b in pairs:
         for unital in (False, True):
@@ -479,7 +494,7 @@ def _undecided(monkeypatch, fk):
     v1, keyed by the values the search memoises it by (so every block with
     the same K-data shares it), and count every membership `compare` decides."""
     decided = Counter()
-    real = invariant.cone_contains
+    real = search.cone_contains
     kd = next(k for k in fk.kmap.values() if k.vertices == ("v1",))
     undecided = kd.k0, kd.cone_generators, (1,)
 
@@ -487,7 +502,7 @@ def _undecided(monkeypatch, fk):
         key = kd.k0, kd.cone_generators, x
         decided[key] += 1
         return (False, False) if key == undecided else real(kd, x)
-    monkeypatch.setattr(invariant, "cone_contains", cone_contains)
+    monkeypatch.setattr(search, "cone_contains", cone_contains)
     return decided
 
 
@@ -513,26 +528,26 @@ def test_cone_memberships_decided_once_per_compare(monkeypatch):
     # under whatever vertex names
     a, b = _swap(3, 2)
     seen = Counter()
-    real = invariant.cone_contains
+    real = search.cone_contains
 
     def counting(kd, x):
         seen[kd.k0, kd.cone_generators, x] += 1
         return real(kd, x)
-    monkeypatch.setattr(invariant, "cone_contains", counting)
+    monkeypatch.setattr(search, "cone_contains", counting)
     assert compare(a, b).outcome == DISTINGUISHED
     assert len(seen) == 6 and set(seen.values()) == {1}, seen
-    monkeypatch.setattr(invariant, "cone_contains", real)
+    monkeypatch.setattr(search, "cone_contains", real)
     # the 3-block star swap searches all six homeomorphisms on the whole
     # space; one membership left undecided still makes the verdict UNKNOWN
     a, b = _swap(3, 2, hub=True)
     decided = _undecided(monkeypatch, a)
-    flags, real_run = [], invariant._Search.run
+    flags, real_run = [], search._Search.run
 
     def run(self, sigma, within=None):
         family = real_run(self, sigma, within)
         flags.append(self.inconclusive)
         return family
-    monkeypatch.setattr(invariant._Search, "run", run)
+    monkeypatch.setattr(search._Search, "run", run)
     v = compare(a, b)
     assert v.witness == {"kind": "budget_exhausted", "budget": 2, "inconclusive_cone": True}
     # decided in one run, looked up in the others, and flagged by each
@@ -545,12 +560,12 @@ def test_each_slot_isomorphism_inverted_once_per_compare(monkeypatch):
     # is inverted once, and each repeat is a lookup
     a, b = _swap(3, 2)
     a.sequences, b.sequences   # the K layers invert their own maps when built
-    asked, real = [], invariant.group_iso_inverse
+    asked, real = [], search.group_iso_inverse
 
     def spy(G, A):
         asked.append((G, A))
         return real(G, A)
-    monkeypatch.setattr(invariant, "group_iso_inverse", spy)
+    monkeypatch.setattr(search, "group_iso_inverse", spy)
     real.cache_clear()
     assert compare(a, b).outcome == DISTINGUISHED
     info = real.cache_info()
@@ -687,7 +702,7 @@ def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     complete = {name: fk for name, fk in fks.items() if fk.k_complete}
     witnesses = {name: compare(fk, fk).witness for name, fk in complete.items()}
     walks, calls = [], Counter()
-    squares = invariant._squares
+    squares = search._squares
 
     def counting(a):
         walks.append(a)
@@ -695,7 +710,7 @@ def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
             calls[square[0]] += 1
             yield square
 
-    monkeypatch.setattr(invariant, "_squares", counting)
+    monkeypatch.setattr(search, "_squares", counting)
     for name, fk in complete.items():
         walks.clear(), calls.clear()
         assert verify_compatible_witness(fk, fk, witnesses[name]).passed, name

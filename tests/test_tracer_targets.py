@@ -51,6 +51,44 @@ def test_cli_import_loads_every_target_module():
     assert {f"fkgraph.{module}" for module, _, _ in _tracer_targets()} <= loaded
 
 
+GRAPH = TRACER.parent.parent / "graphs" / "g4.graph"
+
+
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter on this checkout's src/."""
+    src = pathlib.Path(intlinalg.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_targets_resolve_after_a_k_run_in_tracer_order():
+    # tracer.main imports fkgraph.cli, calls main once, then looks each target
+    # up through sys.modules; a k run loads no search, so the compare targets
+    # resolve through invariant's lazy names
+    code = ("import contextlib, inspect, io, sys, fkgraph.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert fkgraph.cli.main(['k', {str(GRAPH)!r}, '--all', '--format', 'json']) == 0\n"
+            f"for module, name, is_gen in {_tracer_targets()!r}:\n"
+            "    fn = getattr(sys.modules['fkgraph.' + module], name)\n"
+            "    print(module, name, callable(fn) and inspect.isgeneratorfunction(fn) == is_gen)")
+    assert _fresh(code).splitlines() == [f"{m} {n} True" for m, n, _ in _tracer_targets()]
+
+
+def test_only_compare_loads_the_search():
+    graph = str(GRAPH)
+    runs = [["k", graph, "--all"], ["check", graph], ["spectrum", graph],
+            ["lattice", graph], ["compare", graph, graph]]
+    code = ("import contextlib, io, sys, fkgraph.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fkgraph.cli.main(argv) == 0\n"
+            "    print(argv[0], 'fkgraph.search' in sys.modules)")
+    assert _fresh(code).splitlines() == [
+        "k False", "check False", "spectrum False", "lattice False", "compare True"]
+
+
 def test_capped_spectrum_calls_rebindable_globals(monkeypatch):
     # the tracer wraps a function by rebinding every module global that holds
     # it, so capped_spectrum must reach both layers through those globals

@@ -47,19 +47,19 @@ def _set_text(names: list[str]) -> str:
 
 
 def _load(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_graph_auto(fh.read())
 
 
-def _covers(n: int, leq) -> list[tuple[int, int]]:
+def _covers(ups: list[int]) -> list[tuple[int, int]]:
+    """(i, j) for each j minimal strictly above i, given every element's up-set mask."""
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq(i, j):
-                continue
-            if not any(k != i and k != j and leq(i, k) and leq(k, j)
-                       for k in range(n)):
-                out.append((i, j))
+    for i, up in enumerate(ups):
+        strict = up & ~(1 << i)
+        above = 0
+        for k in iter_bits(strict):
+            above |= ups[k] & ~(1 << k)
+        out += [(i, j) for j in iter_bits(strict & ~above)]
     return out
 
 
@@ -104,7 +104,8 @@ def _run_spectrum(cfg) -> int:
     text = "\n".join(lines) + "\n"
 
     labels = [f"p{p['index']}: {_set_text(p['h'])}" for p in points]
-    dot = _hasse_dot("spectrum", "p", labels, _covers(sp.npoints, sp.specializes))
+    cov = _covers([sp.closure(1 << k) for k in range(sp.npoints)])
+    dot = _hasse_dot("spectrum", "p", labels, cov)
     _emit(payload, text, dot, cfg)
     return 0
 
@@ -116,7 +117,7 @@ def _run_lattice(cfg) -> int:
     lat = enumerate_admissible_pairs(g, vertex_cap=cfg.vertex_cap)
     pairs = [{"index": i, "h": _names(g, p.h), "s": _names(g, p.s)}
              for i, p in enumerate(lat.pairs)]
-    cov = _covers(lat.size, lat.leq)
+    cov = _covers(lat.up)
     payload = {"pairs": pairs, "covers": [[i, j] for i, j in cov],
                "bottom": lat.bottom, "top": lat.top}
 

@@ -88,20 +88,15 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def out_total(self, i: int):
-        """Total out-multiplicity of vertex i."""
-        t = 0
-        for m in self.mult[i]:
-            t = mult_add(t, m)
-        return t
+    @cached_property
+    def regular(self) -> int:
+        """Bitmask of the vertices that emit at least one and finitely many edges."""
+        return mask_of(i for i, row in enumerate(self.mult) if INF not in row and any(row))
 
-    def is_regular(self, i: int) -> bool:
-        """Emits at least one and finitely many edges."""
-        t = self.out_total(i)
-        return t is not INF and t > 0
-
-    def is_infinite_emitter(self, i: int) -> bool:
-        return self.out_total(i) is INF
+    @cached_property
+    def infinite_emitters(self) -> int:
+        """Bitmask of the vertices with an infinite edge bundle."""
+        return mask_of(i for i, row in enumerate(self.mult) if INF in row)
 
     @cached_property
     def successors(self) -> tuple[int, ...]:
@@ -115,10 +110,10 @@ class Graph:
             out.append(m)
         return tuple(out)
 
-    @cached_property
+    @property
     def row_finite(self) -> bool:
         """No INF multiplicities anywhere."""
-        return all(m is not INF for row in self.mult for m in row)
+        return not self.infinite_emitters
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -148,6 +143,9 @@ def graph_from_edges(vertices: Iterable[str], edges: Iterable[tuple]) -> Graph:
     for e in edges:
         src, dst = e[0], e[1]
         k = e[2] if len(e) > 2 else 1
+        for v in (src, dst):
+            if v not in idx:
+                raise ValueError(f"unknown vertex {v!r}")
         i, j = idx[src], idx[dst]
         mat[i][j] = mult_add(mat[i][j], k)
     return Graph(verts, tuple(tuple(r) for r in mat))
@@ -255,27 +253,14 @@ def is_hereditary(g: Graph, h: int) -> bool:
 
 def is_saturated(g: Graph, h: int) -> bool:
     """Every regular vertex feeding only into h lies in h."""
-    for i in range(g.n):
-        if h >> i & 1:
-            continue
-        if g.is_regular(i) and not (g.successors[i] & ~h):
-            return False
-    return True
+    return all(g.successors[i] & ~h for i in iter_bits(g.regular & ~h))
 
 
 def breaking_vertices(g: Graph, h: int) -> int:
     """Infinite emitters outside h with finitely many, but some, edges avoiding h."""
-    out = 0
-    for i in range(g.n):
-        if h >> i & 1 or not g.is_infinite_emitter(i):
-            continue
-        into_rest = 0
-        for j in range(g.n):
-            if not (h >> j & 1):
-                into_rest = mult_add(into_rest, g.mult[i][j])
-        if into_rest is not INF and into_rest > 0:
-            out |= 1 << i
-    return out
+    rest = g.full_mask & ~h
+    return mask_of(i for i in iter_bits(g.infinite_emitters & rest) if g.successors[i] & rest
+                   and all(g.mult[i][j] is not INF for j in iter_bits(rest)))
 
 
 # ---------------------------------------------------------- condition (K)

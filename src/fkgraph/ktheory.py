@@ -74,7 +74,7 @@ class KData(NamedTuple):
 
 def k_matrix(gq: Graph) -> tuple[IntMatrix, list[int]]:
     """Presenting matrix of the restricted graph plus its regular columns."""
-    regs = [v for v in range(gq.n) if gq.is_regular(v)]
+    regs = list(iter_bits(gq.regular))
     rows = [[gq.mult[v][w] - (1 if v == w else 0) for v in regs] for w in range(gq.n)]
     return IntMatrix.from_rows(rows, cols=len(regs)), regs
 

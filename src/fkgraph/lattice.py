@@ -2,8 +2,9 @@
 
 H runs over hereditary saturated vertex sets, S over subsets of the breaking
 vertices of H.  The order is (H, S) <= (H', S') iff H <= H' and S <= H' | S'.
-Meets and joins are found by bound search in the finite poset; existence and
-uniqueness are verified, not assumed.
+An element is fixed by its down-set and by its up-set, so a meet is the
+element whose down-set is the intersection of two down-sets, and a join
+likewise with up-sets; existence and uniqueness are verified, not assumed.
 """
 
 from __future__ import annotations
@@ -78,14 +79,17 @@ def enumerate_admissible_pairs(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -
     """
     if g.n > vertex_cap:
         raise CapExceeded(f"{g.n} vertices exceeds the cap of {vertex_cap}")
-    hs = [h for h in range(1 << g.n) if is_hereditary(g, h) and is_saturated(g, h)]
-    hs.sort(key=lambda h: (h.bit_count(), h))
-    pairs: list[AdmissiblePair] = []
-    for h in hs:
-        for s in _subsets_sorted(breaking_vertices(g, h)):
-            pairs.append(AdmissiblePair(h, s))
-            if len(pairs) > _PAIR_CAP:
+    hs = []   # (H, breaking vertices of H); H brings 2^|breaking| pairs
+    count = 0
+    for h in range(1 << g.n):
+        if is_hereditary(g, h) and is_saturated(g, h):
+            b = breaking_vertices(g, h)
+            hs.append((h, b))
+            count += 1 << b.bit_count()
+            if count > _PAIR_CAP:
                 raise CapExceeded(f"admissible pair count exceeds the cap of {_PAIR_CAP}")
+    hs.sort(key=lambda hb: (hb[0].bit_count(), hb[0]))
+    pairs = [AdmissiblePair(h, s) for h, b in hs for s in _subsets_sorted(b)]
     m = len(pairs)
     up = [0] * m
     down = [0] * m
@@ -95,26 +99,20 @@ def enumerate_admissible_pairs(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -
                 up[i] |= 1 << j
                 down[j] |= 1 << i
 
-    def bound(i: int, j: int, sets: list[int]) -> int:
-        cands = sets[i] & sets[j]
-        found = -1
-        c = cands
-        while c:
-            low = c & -c
-            k = low.bit_length() - 1
-            c ^= low
-            if sets[k] == cands:
-                found = k
-                break
-        if found < 0:
-            a, b = pairs[i], pairs[j]
-            raise InternalInvariantError(f"no unique bound for {a} and {b}")
-        return found
+    def bounds(sets: list[int]) -> tuple[tuple[int, ...], ...]:
+        """Row i, column j: the element whose set is sets[i] & sets[j]."""
+        index = {x: k for k, x in enumerate(sets)}
+        if len(index) < m:
+            raise InternalInvariantError("two pairs share a down-set or an up-set")
+        rows = [[index.get(x & y, -1) for y in sets] for x in sets]
+        for i, row in enumerate(rows):
+            if -1 in row:
+                raise InternalInvariantError(
+                    f"no unique bound for {pairs[i]} and {pairs[row.index(-1)]}")
+        return tuple(map(tuple, rows))
 
-    meet = [[bound(i, j, down) for j in range(m)] for i in range(m)]
-    join = [[bound(i, j, up) for j in range(m)] for i in range(m)]
-    lat = IdealLattice(g, tuple(pairs), tuple(up), tuple(tuple(r) for r in meet),
-                       tuple(tuple(r) for r in join))
+    meet, join = bounds(down), bounds(up)
+    lat = IdealLattice(g, tuple(pairs), tuple(up), meet, join)
     if lat.pairs[lat.bottom] != AdmissiblePair(0, 0):
         raise InternalInvariantError("bottom is not the empty pair")
     if lat.pairs[lat.top] != AdmissiblePair(g.full_mask, 0):

@@ -10,6 +10,10 @@ package's Smith decompositions and kernels, and compare them two-sided, the
 reference that the one-sided exactness check of `ktheory` is tested against.
 `smith_reference` is the Smith decomposition with a general 2 x 2 update at
 every step, kept as the reference its faster steps are tested against.
+`out_total`, `is_regular`, `is_infinite_emitter`, `bound` and `covers` are
+the per-call scans that the graph's cached masks, the meet and join lookups
+and `cli._covers` replaced, kept unchanged (on the package's `mult_add`)
+as their references.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -21,7 +25,8 @@ import argparse
 import random
 from itertools import combinations
 
-from fkgraph.graphs import INF, Graph
+from fkgraph.errors import InternalInvariantError
+from fkgraph.graphs import INF, Graph, mult_add
 from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, kernel_group,
                                smith_decomposition, xgcd)
 from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
@@ -177,6 +182,68 @@ def names_mask(g: Graph, names) -> int:
 def pair_index(lat, h: int, s: int = 0) -> int:
     """Position of the admissible pair (h, s) in the lattice's pair list."""
     return [(p.h, p.s) for p in lat.pairs].index((h, s))
+
+
+# ------------------------------------------------------ lattice-layer scans
+# The per-call scans that `Graph.regular`, `Graph.infinite_emitters`, the
+# meet and join lookups of `lattice` and `cli._covers` replaced, kept as the
+# references those are tested against.
+
+
+def out_total(g: Graph, i: int):
+    """Total out-multiplicity of vertex i."""
+    t = 0
+    for m in g.mult[i]:
+        t = mult_add(t, m)
+    return t
+
+
+def is_regular(g: Graph, i: int) -> bool:
+    """Emits at least one and finitely many edges."""
+    t = out_total(g, i)
+    return t is not INF and t > 0
+
+
+def is_infinite_emitter(g: Graph, i: int) -> bool:
+    return out_total(g, i) is INF
+
+
+def bound(pairs, i: int, j: int, sets: list[int]) -> int:
+    """The k with sets[k] == sets[i] & sets[j], by a scan of that mask."""
+    cands = sets[i] & sets[j]
+    found = -1
+    c = cands
+    while c:
+        low = c & -c
+        k = low.bit_length() - 1
+        c ^= low
+        if sets[k] == cands:
+            found = k
+            break
+    if found < 0:
+        a, b = pairs[i], pairs[j]
+        raise InternalInvariantError(f"no unique bound for {a} and {b}")
+    return found
+
+
+def covers(n: int, leq) -> list[tuple[int, int]]:
+    """(i, j) for each j covering i under the relation leq on range(n)."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq(i, j):
+                continue
+            if not any(k != i and k != j and leq(i, k) and leq(k, j)
+                       for k in range(n)):
+                out.append((i, j))
+    return out
+
+
+def sorted_admissible_pairs(g: Graph) -> list[tuple[int, int]]:
+    """`oracle_admissible_pairs` as masks, sorted by (|H|, H, |S|, S)."""
+    masks = [(sum(1 << v for v in h), sum(1 << v for v in s))
+             for h, s in oracle_admissible_pairs(g)]
+    return sorted(masks, key=lambda p: (p[0].bit_count(), p[0], p[1].bit_count(), p[1]))
 
 
 # ------------------------------------------------------------ sequences

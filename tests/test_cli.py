@@ -234,6 +234,22 @@ def test_malformed_json_graph_is_a_parse_error(capsys, tmp_path):
         assert run(capsys, "spectrum", str(path)) == (1, "", f"fk-graph: {msg}\n")
 
 
+@pytest.mark.parametrize("form", ["line", "json"])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, form):
+    # a file saved with a BOM reads as the same graph, in either format
+    text = (GRAPHS / "inf_emitter.graph").read_text()
+    if form == "json":
+        text = json.dumps(_json_mirror(fkgraph.parse_graph(text)))
+    plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for argv in (["spectrum"], ["lattice", "--format", "json"], ["check"]):
+        want = run(capsys, *argv, str(plain))
+        assert want[0] == 0
+        assert run(capsys, *argv, str(marked)) == want
+
+
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "nested.graph"
     path.write_text('{"vertices": ' + "[" * 100_000)

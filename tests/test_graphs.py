@@ -120,6 +120,13 @@ def test_json_mirror_errors():
         parse_graph_json('{"vertices": ["a"], "edges": [{"src": "a", "dst": {"v": 1}}]}')
 
 
+def test_graph_from_edges_names_an_unknown_vertex():
+    with pytest.raises(ValueError, match=r"^unknown vertex 'b'$"):
+        graph_from_edges(["a"], [("a", "b")])
+    with pytest.raises(ValueError, match=r"^unknown vertex 'c'$"):
+        graph_from_edges(["a"], [("a", "a"), ("c", "a", 2)])
+
+
 # ------------------------------------------------------------ basic model
 
 
@@ -132,12 +139,12 @@ def test_multiplicity_arithmetic():
 def test_regular_and_infinite_emitter(corpus):
     g = corpus["inf_emitter"]
     u, w = g.vertices.index("u"), g.vertices.index("w")
-    assert g.is_infinite_emitter(u)
-    assert not g.is_regular(u)
-    assert not g.is_regular(w)  # sink
+    assert g.infinite_emitters >> u & 1
+    assert not g.regular >> u & 1
+    assert not g.regular >> w & 1  # sink
     assert not g.row_finite
     g4 = corpus["g4"]
-    assert all(g4.is_regular(i) for i in range(2))
+    assert all(g4.regular >> i & 1 for i in range(2))
     assert g4.row_finite
 
 
@@ -346,8 +353,8 @@ def test_subquotient_no_new_sinks(row_finite_corpus):
                 sub = subquotient_graph(g, d, p.h)
                 for k, v in enumerate(sub.vertices):
                     gi = g.vertices.index(v)
-                    if g.is_regular(gi):
-                        assert sub.is_regular(k), (name, v)
+                    if g.regular >> gi & 1:
+                        assert sub.regular >> k & 1, (name, v)
 
 
 def test_bit_helpers():

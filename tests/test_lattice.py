@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from fkgraph import lattice
-from fkgraph.errors import CapExceeded
-from fkgraph.graphs import graph_from_edges, iter_bits
+import oracles
+from fkgraph import cli, lattice
+from fkgraph.errors import CapExceeded, InternalInvariantError
+from fkgraph.graphs import (INF, Graph, breaking_vertices, graph_from_edges, is_saturated,
+                            iter_bits, mask_of)
 from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs, pair_leq
+from fkgraph.spectrum import s_primes
 
 from oracles import names_mask, oracle_admissible_pairs, pair_index
 
@@ -121,3 +125,65 @@ def test_caps(monkeypatch):
     monkeypatch.setattr(lattice, "_PAIR_CAP", 2)
     with pytest.raises(CapExceeded):
         enumerate_admissible_pairs(small)
+
+
+def test_bound_lookups_verify_the_lattice(monkeypatch, corpus):
+    # an order in which two pairs share their down-set and up-set, and an
+    # antichain, where two pairs have no meet
+    g = corpus["g4"]
+    monkeypatch.setattr(lattice, "pair_leq", lambda p, q: True)
+    with pytest.raises(InternalInvariantError, match="share a down-set"):
+        enumerate_admissible_pairs(g)
+    monkeypatch.setattr(lattice, "pair_leq", lambda p, q: p == q)
+    with pytest.raises(InternalInvariantError, match=r"^no unique bound for AdmissiblePair"):
+        enumerate_admissible_pairs(g)
+
+
+def test_pair_cap_ends_the_scan(monkeypatch):
+    # 16 isolated sinks: every vertex set is hereditary and saturated and has
+    # one pair, so the count passes the cap at the 1,025th candidate of 65,536
+    calls = 0
+    hereditary = lattice.is_hereditary
+
+    def counted(g, h):
+        nonlocal calls
+        calls += 1
+        return hereditary(g, h)
+
+    monkeypatch.setattr(lattice, "is_hereditary", counted)
+    sinks = graph_from_edges([f"v{i}" for i in range(16)], [])
+    with pytest.raises(CapExceeded, match=r"^admissible pair count exceeds the cap of 1024$"):
+        enumerate_admissible_pairs(sinks)
+    assert 0 < calls < 2048
+
+
+def test_masks_and_lookups_match_the_scans_they_replaced():
+    # sparse random graphs with INF edges, so breaking vertices and pairs
+    # with nonempty S occur
+    rng = random.Random(25)
+    with_s = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = Graph(tuple(f"v{i}" for i in range(n)),
+                  tuple(tuple(rng.choice((0,) * 12 + (1, 1, 2, INF)) for _ in range(n))
+                        for _ in range(n)))
+        assert g.regular == mask_of(i for i in range(n) if oracles.is_regular(g, i))
+        assert g.infinite_emitters == mask_of(
+            i for i in range(n) if oracles.is_infinite_emitter(g, i))
+        for h in range(1 << n):
+            hs = set(iter_bits(h))
+            assert is_saturated(g, h) == oracles.oracle_saturated(g, hs)
+            assert breaking_vertices(g, h) == mask_of(oracles.oracle_breaking(g, hs))
+        lat = enumerate_admissible_pairs(g)
+        assert list(map(tuple, lat.pairs)) == oracles.sorted_admissible_pairs(g)
+        with_s += any(p.s for p in lat.pairs)
+        m = lat.size
+        down = [mask_of(j for j in range(m) if lat.leq(j, i)) for i in range(m)]
+        for table, sets in ((lat.meet, down), (lat.join, lat.up)):
+            assert table == tuple(tuple(oracles.bound(lat.pairs, i, j, sets) for j in range(m))
+                                  for i in range(m))
+        assert cli._covers(lat.up) == oracles.covers(m, lat.leq)
+        sp = s_primes(lat)
+        assert (cli._covers([sp.closure(1 << k) for k in range(sp.npoints)])
+                == oracles.covers(sp.npoints, sp.specializes))
+    assert with_s > 30

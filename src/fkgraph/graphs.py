@@ -181,10 +181,10 @@ def parse_graph(text: str) -> Graph:
                 if tokens[3] == "inf":
                     k = INF
                 else:
-                    try:
-                        k = int(tokens[3])
-                    except ValueError:
-                        raise ParseError(f"bad multiplicity {tokens[3]!r}", lineno) from None
+                    try:   # ASCII digits only: int() also reads "+3", "1_0" and "٣"
+                        k = int(tokens[3]) if tokens[3].isascii() and tokens[3].isdigit() else -1
+                    except ValueError:   # past int()'s digit limit
+                        k = -1
                     if k < 0:
                         raise ParseError(f"bad multiplicity {tokens[3]!r}", lineno)
             else:

@@ -3,8 +3,8 @@
 H runs over hereditary saturated vertex sets, S over subsets of the breaking
 vertices of H.  The order is (H, S) <= (H', S') iff H <= H' and S <= H' | S'.
 An element is fixed by its down-set and by its up-set, so a meet is the
-element whose down-set is the intersection of two down-sets, and a join
-likewise with up-sets; existence and uniqueness are verified, not assumed.
+element whose down-set is the intersection of down-sets, and a join likewise
+with up-sets; existence and uniqueness are verified, not assumed.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class IdealLattice(NamedTuple):
     graph: Graph
     pairs: tuple[AdmissiblePair, ...]
     up: tuple[int, ...]      # up[i] = bitmask of j with pairs[i] <= pairs[j]
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
+    down: tuple[int, ...]    # down[i] = bitmask of j with pairs[j] <= pairs[i]
 
     @property
     def size(self) -> int:
@@ -51,12 +50,25 @@ class IdealLattice(NamedTuple):
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def meet_many(self, indices) -> int:
-        """Meet of a collection; the empty meet is the top element."""
-        acc = self.top
+    # pairs come in a linear extension of the order, so a meet is the highest
+    # index in its arguments' down-sets and a join the lowest in their up-sets
+    def meet(self, *indices: int) -> int:
+        """Greatest lower bound of indices; the empty meet is the top."""
+        common = self.down[-1]   # the top's down-set: every element
         for i in indices:
-            acc = self.meet[acc][i]
-        return acc
+            common &= self.down[i]
+        return _bound(self, self.down, common.bit_length() - 1, common, indices)
+
+    def join(self, i: int, j: int) -> int:
+        common = self.up[i] & self.up[j]
+        return _bound(self, self.up, (common & -common).bit_length() - 1, common, (i, j))
+
+
+def _bound(lat: IdealLattice, sets: tuple[int, ...], k: int, common: int, indices) -> int:
+    if sets[k] != common:   # k is the only candidate, and its set is not common
+        raise InternalInvariantError(
+            "no unique bound for " + " and ".join(str(lat.pairs[i]) for i in indices))
+    return k
 
 
 def _subsets_sorted(mask: int) -> list[int]:
@@ -72,7 +84,7 @@ def _subsets_sorted(mask: int) -> list[int]:
 
 
 def enumerate_admissible_pairs(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IdealLattice:
-    """All admissible pairs with order and operation tables.
+    """All admissible pairs with their order masks, verified to form a lattice.
 
     The pair list is sorted by (|H|, H, |S|, S), a linear extension of the
     order.  Raises CapExceeded past `vertex_cap` vertices or `_PAIR_CAP` pairs.
@@ -98,21 +110,16 @@ def enumerate_admissible_pairs(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -
             if pair_leq(p, q):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-
-    def bounds(sets: list[int]) -> tuple[tuple[int, ...], ...]:
-        """Row i, column j: the element whose set is sets[i] & sets[j]."""
-        index = {x: k for k, x in enumerate(sets)}
-        if len(index) < m:
+    lat = IdealLattice(g, tuple(pairs), tuple(up), tuple(down))
+    # with distinct sets, a meet (join) exists when two down-sets (up-sets) meet in one
+    for sets, bound in ((down, lat.meet), (up, lat.join)):
+        known = set(sets)
+        if len(known) < m:
             raise InternalInvariantError("two pairs share a down-set or an up-set")
-        rows = [[index.get(x & y, -1) for y in sets] for x in sets]
-        for i, row in enumerate(rows):
-            if -1 in row:
-                raise InternalInvariantError(
-                    f"no unique bound for {pairs[i]} and {pairs[row.index(-1)]}")
-        return tuple(map(tuple, rows))
-
-    meet, join = bounds(down), bounds(up)
-    lat = IdealLattice(g, tuple(pairs), tuple(up), meet, join)
+        for i, x in enumerate(sets):
+            if not known.issuperset([x & y for y in sets[i + 1:]]):
+                for j in range(i + 1, m):
+                    bound(i, j)   # raises at the first pair without a bound
     if lat.pairs[lat.bottom] != AdmissiblePair(0, 0):
         raise InternalInvariantError("bottom is not the empty pair")
     if lat.pairs[lat.top] != AdmissiblePair(g.full_mask, 0):

@@ -72,6 +72,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_graph("vertex a\nedge a a -1\n")
     assert e.value.line == 2
+    for count in ("+3", "1_0", "\u0663"):   # int() reads each; the format has ASCII digits only
+        with pytest.raises(ParseError, match="^line 3: bad multiplicity") as e:
+            parse_graph(f"vertex a\nvertex b\nedge a b {count}\n")
+        assert e.value.line == 3
     with pytest.raises(ParseError) as e:
         parse_graph("loop a\n")
     assert e.value.line == 1

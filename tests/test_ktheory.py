@@ -158,7 +158,7 @@ def test_k_data_rejects_bad_input(corpus):
     g = corpus["g4"]
     v1 = names_mask(g, ["v1"])
     with pytest.raises(ValueError):
-        k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, v1, 0))  # {v1} not hereditary
+        k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, 0))  # {v1} not hereditary
 
 
 def test_cached_k_data_matches_fresh_build(row_finite_corpus):
@@ -292,7 +292,7 @@ def test_fanout_presentations_disagree_on_carrier(corpus):
     hu = sp.lattice.pairs[sp.phi(alt_u)].h
     hv = sp.lattice.pairs[sp.phi(alt_v)].h
     assert hu & ~hv == names_mask(g, ["a", "b"])
-    alt = LocallyClosedSet(p_c, alt_u, alt_v, hu & ~hv, hu, hv)
+    alt = LocallyClosedSet(p_c, alt_u, alt_v, hu & ~hv, hv)
     kd_canon, kd_alt = k_data(g, canon), k_data(g, alt)
     assert kd_canon.k0.invariant_factors == kd_alt.k0.invariant_factors == (0,)
     assert kd_canon.k1.invariant_factors == kd_alt.k1.invariant_factors == (0,)

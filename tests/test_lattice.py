@@ -12,6 +12,7 @@ from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs, pair_leq
 from fkgraph.spectrum import s_primes
 
 from oracles import names_mask, oracle_admissible_pairs, pair_index
+from test_spectrum import brute_force_primes
 
 
 def as_sets(p: AdmissiblePair) -> tuple[frozenset[int], frozenset[int]]:
@@ -32,7 +33,7 @@ def test_single_edge_lattice(corpus):
     lat = enumerate_admissible_pairs(corpus["edge_ab"])
     assert lat.pairs == (AdmissiblePair(0, 0), AdmissiblePair(3, 0))
     assert lat.leq(0, 1) and not lat.leq(1, 0)
-    assert lat.meet[0][1] == 0 and lat.join[0][1] == 1
+    assert lat.meet(0, 1) == 0 and lat.join(0, 1) == 1
 
 
 def test_breaking_pair_chain(corpus):
@@ -57,7 +58,7 @@ def test_row_finite_pairs_have_empty_s(row_finite_corpus):
         lat = enumerate_admissible_pairs(g)
         assert all(p.s == 0 for p in lat.pairs), name
         for p, q in itertools.product(lat.pairs, repeat=2):
-            m = lat.pairs[lat.meet[pair_index(lat, p.h)][pair_index(lat, q.h)]]
+            m = lat.pairs[lat.meet(pair_index(lat, p.h), pair_index(lat, q.h))]
             assert m == AdmissiblePair(p.h & q.h, 0), name
 
 
@@ -76,27 +77,27 @@ def test_meet_join_laws(corpus):
         lat = enumerate_admissible_pairs(g)
         n = lat.size
         for i in range(n):
-            assert lat.meet[i][i] == i and lat.join[i][i] == i
+            assert lat.meet(i, i) == i and lat.join(i, i) == i
         for i, j in itertools.product(range(n), repeat=2):
-            assert lat.meet[i][j] == lat.meet[j][i], name
-            assert lat.join[i][j] == lat.join[j][i], name
-            assert lat.meet[i][lat.join[i][j]] == i, name   # absorption
-            assert lat.join[i][lat.meet[i][j]] == i, name
+            assert lat.meet(i, j) == lat.meet(j, i), name
+            assert lat.join(i, j) == lat.join(j, i), name
+            assert lat.meet(i, lat.join(i, j)) == i, name   # absorption
+            assert lat.join(i, lat.meet(i, j)) == i, name
         for i, j, k in itertools.product(range(n), repeat=3):
-            assert lat.meet[lat.meet[i][j]][k] == lat.meet[i][lat.meet[j][k]], name
-            assert lat.join[lat.join[i][j]][k] == lat.join[i][lat.join[j][k]], name
+            assert lat.meet(lat.meet(i, j), k) == lat.meet(i, lat.meet(j, k)), name
+            assert lat.join(lat.join(i, j), k) == lat.join(i, lat.join(j, k)), name
 
 
 def test_meet_is_greatest_lower_bound(corpus):
     for name, g in corpus.items():
         lat = enumerate_admissible_pairs(g)
         for i, j in itertools.product(range(lat.size), repeat=2):
-            m = lat.meet[i][j]
+            m = lat.meet(i, j)
             assert lat.leq(m, i) and lat.leq(m, j)
             for k in range(lat.size):
                 if lat.leq(k, i) and lat.leq(k, j):
                     assert lat.leq(k, m), name
-            u = lat.join[i][j]
+            u = lat.join(i, j)
             assert lat.leq(i, u) and lat.leq(j, u)
             for k in range(lat.size):
                 if lat.leq(i, k) and lat.leq(j, k):
@@ -113,8 +114,8 @@ def test_sort_order_is_linear_extension(corpus):
 
 def test_meet_many(corpus):
     lat = enumerate_admissible_pairs(corpus["mixed5"])
-    assert lat.meet_many([]) == lat.top
-    assert lat.meet_many(range(lat.size)) == lat.bottom
+    assert lat.meet() == lat.top
+    assert lat.meet(*range(lat.size)) == lat.bottom
 
 
 def test_caps(monkeypatch):
@@ -179,11 +180,24 @@ def test_masks_and_lookups_match_the_scans_they_replaced():
         with_s += any(p.s for p in lat.pairs)
         m = lat.size
         down = [mask_of(j for j in range(m) if lat.leq(j, i)) for i in range(m)]
-        for table, sets in ((lat.meet, down), (lat.join, lat.up)):
-            assert table == tuple(tuple(oracles.bound(lat.pairs, i, j, sets) for j in range(m))
-                                  for i in range(m))
+        assert lat.down == tuple(down)
+        for bound, sets in ((lat.meet, down), (lat.join, lat.up)):
+            for i, j in itertools.product(range(m), repeat=2):
+                assert bound(i, j) == oracles.bound(lat.pairs, i, j, sets)
         assert cli._covers(lat.up) == oracles.covers(m, lat.leq)
         sp = s_primes(lat)
+        assert list(sp.points) == brute_force_primes(lat)
         assert (cli._covers([sp.closure(1 << k) for k in range(sp.npoints)])
                 == oracles.covers(sp.npoints, sp.specializes))
     assert with_s > 30
+
+
+def test_primes_of_the_largest_lattice_under_the_pair_cap():
+    # 10 isolated sinks: all 1,024 vertex sets are pairs, exactly the cap,
+    # and the primes are the 10 sets that miss one vertex
+    sinks = graph_from_edges([f"v{i}" for i in range(10)], [])
+    lat = enumerate_admissible_pairs(sinks)
+    assert lat.size == 1024
+    sp = s_primes(lat)
+    assert sorted(sp.pair(k) for k in range(sp.npoints)) == sorted(
+        AdmissiblePair(sinks.full_mask & ~(1 << v), 0) for v in range(10))

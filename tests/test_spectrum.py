@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from fkgraph import spectrum
-from fkgraph.lattice import AdmissiblePair, enumerate_admissible_pairs
+from fkgraph.lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from fkgraph.spectrum import (
     LocallyClosedSet,
     SpectrumSpace,
@@ -41,7 +41,7 @@ def brute_force_primes(lat):
     for p in range(lat.size):
         if p == lat.top:
             continue
-        if all(not lat.leq(lat.meet[i][j], p) or lat.leq(i, p) or lat.leq(j, p)
+        if all(not lat.leq(lat.meet(i, j), p) or lat.leq(i, p) or lat.leq(j, p)
                for i in range(lat.size) for j in range(lat.size)):
             out.append(p)
     return out
@@ -152,7 +152,7 @@ def _fresh_ker(sp, tmask):
     lat, acc = sp.lattice, sp.lattice.top
     for k in range(sp.npoints):
         if tmask >> k & 1:
-            acc = lat.meet[acc][sp.points[k]]
+            acc = lat.meet(acc, sp.points[k])
     return acc
 
 
@@ -176,7 +176,7 @@ def test_tables_match_fresh_computation(corpus, free_antichain):
                 hu = lat.pairs[_fresh_ker(sp, sp.full & ~u)].h
                 hv = lat.pairs[_fresh_ker(sp, sp.full & ~v)].h
                 assert presentation(sp, u, v) == LocallyClosedSet(
-                    u & ~v, u, v, hu & ~hv, hu, hv), (name, u, v)
+                    u & ~v, u, v, hu & ~hv, hv), (name, u, v)
 
 
 def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch):
@@ -243,10 +243,12 @@ def test_kuratowski_tests_kernels_against_unions(free_antichain):
     sp = spectrum_of(free_antichain)
     assert verify_kuratowski(sp).passed
     p, q = sp.points[0], sp.points[1]
-    meet = [list(r) for r in sp.lattice.meet]
-    meet[p][q] = meet[q][p] = p
-    bad = SpectrumSpace(sp.lattice._replace(meet=tuple(map(tuple, meet))),
-                        sp.points, sp.opens)
+
+    class BadMeet(IdealLattice):
+        def meet(self, *indices):
+            return p if sorted(indices) == sorted((p, q)) else super().meet(*indices)
+
+    bad = SpectrumSpace(BadMeet(*sp.lattice), sp.points, sp.opens)
     rep = verify_kuratowski(bad)
     assert not rep.passed
     assert "closure(0b1 | 0b10) != union of closures" in rep.failures
@@ -292,7 +294,7 @@ def test_locally_closed_canonical_form(corpus):
             assert lc.v == lc.u & ~lc.pointset
             hu = sp.lattice.pairs[sp.phi(lc.u)].h
             hv = sp.lattice.pairs[sp.phi(lc.v)].h
-            assert (lc.h_u, lc.h_v, lc.d) == (hu, hv, hu & ~hv)
+            assert (lc.h_v, lc.d) == (hv, hu & ~hv)
         # singletons and the full space always appear
         for k in range(sp.npoints):
             assert (1 << k) in seen, name

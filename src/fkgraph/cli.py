@@ -139,11 +139,10 @@ def _parse_pointset(arg: str, npoints: int) -> int:
         return 0
     mask = 0
     for part in arg.split(","):
-        try:
-            k = int(part)
-        except ValueError:
-            raise ParseError(f"bad point index {part!r}") from None
-        if not 0 <= k < npoints:
+        if not (part.isascii() and part.isdigit()):
+            raise ParseError(f"bad point index {part!r}")
+        k = int(part)
+        if k >= npoints:
             raise ParseError(f"point index {k} out of range")
         mask |= 1 << k
     return mask

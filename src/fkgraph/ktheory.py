@@ -17,11 +17,13 @@ D = H3 \\ H1 is block triangular; the connecting map feeds the off-diagonal
 block into the ideal's cokernel, and the exponential direction vanishes
 because vertex classes lift.  Each map is built by `intlinalg.map_into` on
 framed groups, in which the inclusion of one carrier's vertices (or regular
-columns) into another's is an index selection: each carrier keeps the row
-and the column of every vertex.  Each sequence is checked for exactness,
-with each map killing its source relations, as it is built; a failing one
-raises.  A spot f then gm is decided from two Smith decompositions, of
-[gm | relations] for the kernel and of [f | relations] for the image.
+columns) into another's is an index selection: a vertex's row (column)
+counts the carrier's (regular) vertices below it; a carrier's regular
+vertices are g's, since H_u is hereditary and H_v saturated.  Each sequence
+is checked for exactness, with each map killing its source relations, as it
+is built; a failing one raises.  A spot f then gm is decided from two Smith
+decompositions, of [gm | relations] for the kernel and of [f | relations]
+for the image.
 `FilteredK` builds one sequence per pair, on the chain `pair_chains` picks;
 `check` builds every chain.  K-data and framed groups are memoised once per
 process by the graph and the carriers (d, h_v), and each exactness spot by
@@ -34,7 +36,7 @@ import itertools
 import math
 from functools import cache
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
 from .graphs import Graph, iter_bits, subquotient_graph
@@ -72,17 +74,16 @@ class KData(NamedTuple):
         return self.k0.invariant_factors, self.k1.invariant_factors
 
 
-def k_matrix(gq: Graph) -> tuple[IntMatrix, list[int]]:
-    """Presenting matrix of the restricted graph plus its regular columns."""
+def k_matrix(gq: Graph) -> IntMatrix:
+    """Presenting matrix of the restricted graph, one column per regular vertex."""
     regs = list(iter_bits(gq.regular))
     rows = [[gq.mult[v][w] - (1 if v == w else 0) for v in regs] for w in range(gq.n)]
-    return IntMatrix.from_rows(rows, cols=len(regs)), regs
+    return IntMatrix.from_rows(rows, cols=len(regs))
 
 
 @cache
-def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, dict[int, int], dict[int, int]]:
-    """K-data of the carrier d over h_v, with the row and the column of its
-    matrix that each vertex of g indexes; memoised by value.
+def _carrier(g: Graph, d: int, h_v: int) -> KData:
+    """K-data of the carrier d over h_v; memoised by value.
 
     Keyed on h_v as well, so presentations differing only there stay
     independent computations for verify_well_definedness.
@@ -90,18 +91,16 @@ def _carrier(g: Graph, d: int, h_v: int) -> tuple[KData, dict[int, int], dict[in
     if not g.row_finite:
         raise ValueError("K-data requires a row-finite graph")
     gq = subquotient_graph(g, d, h_v)
-    b, regs = k_matrix(gq)
+    b = k_matrix(gq)
     k0 = cokernel(b)
     gens = tuple(map(k0.reduce, zip(*k0.project.entries))) or ((),) * gq.n
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
-    verts = list(iter_bits(d))
-    return (KData(gq.vertices, b, k0, gens, unit, kernel_group(b)),
-            {v: i for i, v in enumerate(verts)}, {verts[p]: j for j, p in enumerate(regs)})
+    return KData(gq.vertices, b, k0, gens, unit, kernel_group(b))
 
 
 def k_data(g: Graph, y: LocallyClosedSet) -> KData:
     """K-data of the subquotient y, built once per carrier (d, h_v) of g."""
-    return _carrier(g, y.d, y.h_v)[0]
+    return _carrier(g, y.d, y.h_v)
 
 
 class SixTerm(NamedTuple):
@@ -124,15 +123,15 @@ class SixTerm(NamedTuple):
     partial: IntMatrix
 
 
-def _positions(index: dict[int, int], items: Iterable[int]) -> list[int]:
-    """Where `index` puts each item: a 0/1 inclusion matrix as a selection.
+def _positions(outer: int, inner: int) -> list[int]:
+    """Where each vertex of the mask inner sits among those of the mask outer:
+    a 0/1 inclusion matrix as a selection.
 
-    An item missing from `index` would have been a zero column of that matrix.
+    A vertex of inner outside outer would have been a zero column of that matrix.
     """
-    try:
-        return [index[v] for v in items]
-    except KeyError:
-        raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
+    if inner & ~outer:
+        raise InternalInvariantError("a carrier escapes the carrier it must lie in")
+    return [(outer & ((1 << v) - 1)).bit_count() for v in iter_bits(inner)]
 
 
 @cache
@@ -145,12 +144,12 @@ def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int
     keeps the raw ambient, projecting through n^-1 (reduced) and lifting
     through n; it is the raw group itself when the carriers agree.
     """
-    raw_k, raw_rows, raw_cols = _carrier(g, raw_d, raw_h_v)
+    raw_k = _carrier(g, raw_d, raw_h_v)
     if canon_d == raw_d:
         return raw_k.k0, raw_k.k1
-    canon_k, canon_rows, canon_cols = _carrier(g, canon_d, canon_h_v)
-    verts = _positions(raw_rows, canon_rows)
-    regs = _positions(raw_cols, canon_cols)
+    canon_k = _carrier(g, canon_d, canon_h_v)
+    verts = _positions(raw_d, canon_d)
+    regs = _positions(raw_d & g.regular, canon_d & g.regular)
     framed = []
     for raw, canon, cols in ((raw_k.k0, canon_k.k0, verts), (raw_k.k1, canon_k.k1, regs)):
         n = map_into(raw, raw.project, canon.lift, cols=cols)
@@ -179,11 +178,10 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     frames = [_transition(g, c.d, c.h_v, y.d, y.h_v)
               for y in ys for c in [canonical_presentation(sp, y.pointset)]]
     (s0, s1), (a0, a1), (q0, q1) = frames
-    # the vertex rows and regular columns of each part's carrier
-    (verts_s, regs_s), (verts_a, regs_a), (verts_q, regs_q) = (
-        _carrier(g, y.d, y.h_v)[1:] for y in ys)
-    rows_s, rows_q = _positions(verts_a, verts_s), _positions(verts_a, verts_q)
-    cols_s, cols_q = _positions(regs_a, regs_s), _positions(regs_a, regs_q)
+    # the rows and regular columns of the sub and quot carriers inside mid's
+    rows_s, rows_q = _positions(y_a.d, y_s.d), _positions(y_a.d, y_q.d)
+    reg_a = y_a.d & g.regular
+    cols_s, cols_q = _positions(reg_a, y_s.d & g.regular), _positions(reg_a, y_q.d & g.regular)
 
     # sub-block rows hit by quotient columns vanish by hereditarity of H2
     b_a = ka.matrix.entries

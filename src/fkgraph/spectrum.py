@@ -5,15 +5,17 @@ Equivalently, the elements not below P are the up-set of the least of them,
 one mask test per element: they hold the top and are closed upwards, so they
 form a filter exactly when they are closed under meets, which is primality,
 and a filter of a finite lattice is the up-set of the meet of its elements.
-Closures come from kernels (meets), opens from the sets W(I) of points not
-containing I.  Point subsets are bitmasks over the point list; opens are
-exactly the W(I), which is verified rather than assumed.
 
-Each `SpectrumSpace` keeps its own tables, filled on first use: phi of every
-open, gamma of every lattice element, the closure of each point subset asked
-for (always from its kernel, so the Kuratowski suite still tests kernels
-against unions), and the presentations of pointsets by pairs of opens.
-Nothing is shared between spaces.
+Point subsets are bitmasks over the point list.  Each `SpectrumSpace` keeps
+`above[I]`, the points above lattice element I: the open W(I) of points not
+containing I is its complement, a closure is `above` of a kernel (a meet),
+and the least open over a pointset holds the points whose closure meets it
+(Birkhoff: the opens are the down-sets of the point order).  The opens are
+built, and verified to form a topology, when first read, after the point
+cap.  The other tables, filled on first use, are phi of every open, the
+closure of each point subset asked for (always from its kernel, so the
+Kuratowski suite still tests kernels against unions) and the presentations
+of pointsets by pairs of opens.  Nothing is shared between spaces.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ from .report import Report
 
 
 class SpectrumSpace:
-    """Prime points (lattice indices, in lattice order) and every open
-    point-subset, sorted by (size, mask).  Read-only, and equal by
-    (lattice, points, opens) whatever its tables hold: point mask ->
-    closure, (u, v) -> presentation, pointset -> canonical presentation.
+    """Prime points (lattice indices, in lattice order), with `above`, the
+    mask of the points above each lattice element, and `opens`, sorted by
+    (size, mask).  Read-only, and equal by (lattice, points) whatever its
+    tables hold: point mask -> closure, (u, v) -> presentation, pointset ->
+    canonical presentation.
     """
 
-    def __init__(self, lattice: IdealLattice, points: tuple[int, ...], opens: tuple[int, ...]):
-        self.__dict__.update(lattice=lattice, points=points, opens=opens,
+    def __init__(self, lattice: IdealLattice, points: tuple[int, ...]):
+        above = [0] * lattice.size
+        for k, p in enumerate(points):
+            for i in iter_bits(lattice.down[p]):
+                above[i] |= 1 << k
+        self.__dict__.update(lattice=lattice, points=points, above=tuple(above),
                              _closures={}, _presentations={}, _canonical={})
 
     def __setattr__(self, name, value):
@@ -45,10 +52,10 @@ class SpectrumSpace:
 
     def __eq__(self, other):
         return type(other) is SpectrumSpace and (
-            (self.lattice, self.points, self.opens) == (other.lattice, other.points, other.opens))
+            (self.lattice, self.points) == (other.lattice, other.points))
 
     def __hash__(self):
-        return hash((self.lattice, self.points, self.opens))
+        return hash((self.lattice, self.points))
 
     @property
     def graph(self) -> Graph:
@@ -72,14 +79,22 @@ class SpectrumSpace:
     def closure(self, tmask: int) -> int:
         """Points above ker(tmask), computed once per mask."""
         if tmask not in self._closures:
-            kt = self.ker(tmask)
-            self._closures[tmask] = mask_of(
-                k for k, p in enumerate(self.points) if self.lattice.leq(kt, p))
+            self._closures[tmask] = self.above[self.ker(tmask)]
         return self._closures[tmask]
 
     def w_set(self, i: int) -> int:
         """Points whose pair does not lie above lattice element i."""
-        return self._gammas[i]
+        return self.full & ~self.above[i]
+
+    @cached_property
+    def opens(self) -> tuple[int, ...]:
+        """Every open point-subset, verified to form a topology."""
+        opens = sorted({self.full & ~a for a in self.above}, key=lambda m: (m.bit_count(), m))
+        seen = set(opens)
+        for a, b in itertools.combinations(opens, 2):
+            if (a | b) not in seen or (a & b) not in seen:
+                raise InternalInvariantError("opens are not a topology")
+        return tuple(opens)
 
     def is_open(self, mask: int) -> bool:
         return mask in self._phis
@@ -92,49 +107,28 @@ class SpectrumSpace:
             raise ValueError(f"{umask:#b} is not an open set") from None
 
     def min_open_containing(self, tmask: int) -> int:
-        """Intersection of all opens containing tmask; open in a finite space."""
-        acc = self.full
-        for u in self.opens:
-            if tmask & ~u == 0:
-                acc &= u
+        """The points whose closure meets tmask, the least open over it."""
+        acc = mask_of(j for j, p in enumerate(self.points) if self.above[p] & tmask)
         if not self.is_open(acc):
             raise InternalInvariantError("opens are not closed under intersection")
         return acc
 
     def specializes(self, j: int, k: int) -> bool:
         """Point j specializes to k when k lies in the closure of {j}."""
-        return bool(self._point_closures[j] >> k & 1)
-
-    @cached_property
-    def _point_closures(self) -> tuple[int, ...]:
-        return tuple(self.closure(1 << k) for k in range(self.npoints))
+        return bool(self.above[self.points[j]] >> k & 1)
 
     @cached_property
     def _phis(self) -> dict[int, int]:
         """open -> its ideal; the keys are exactly the opens."""
         return {u: self.ker(self.full & ~u) for u in self.opens}
 
-    @cached_property
-    def _gammas(self) -> tuple[int, ...]:
-        return tuple(_w_set(self.lattice, self.points, i) for i in range(self.lattice.size))
-
-
-def _w_set(lat: IdealLattice, points: tuple[int, ...], i: int) -> int:
-    return mask_of(k for k, p in enumerate(points) if not lat.leq(i, p))
-
 
 def s_primes(lat: IdealLattice) -> SpectrumSpace:
-    """All prime points with the topology installed."""
+    """All prime points; the opens are built when first read."""
     full = lat.down[lat.top]
     nots = [full & ~lat.down[p] for p in range(lat.top)]   # proper p only
-    points = tuple(p for p, r in enumerate(nots) if lat.up[(r & -r).bit_length() - 1] == r)
-    opens = sorted({_w_set(lat, points, i) for i in range(lat.size)},
-                   key=lambda m: (m.bit_count(), m))
-    seen = set(opens)
-    for a, b in itertools.combinations(opens, 2):
-        if (a | b) not in seen or (a & b) not in seen:
-            raise InternalInvariantError("opens are not a topology")
-    return SpectrumSpace(lat, points, tuple(opens))
+    return SpectrumSpace(lat, tuple(
+        p for p, r in enumerate(nots) if lat.up[(r & -r).bit_length() - 1] == r))
 
 
 def capped_spectrum(g: Graph, point_cap: int, vertex_cap: int) -> SpectrumSpace:
@@ -282,6 +276,6 @@ def verify_t0(sp: SpectrumSpace) -> Report:
     checks = 0
     for j, k in itertools.combinations(range(sp.npoints), 2):
         checks += 1
-        if sp._point_closures[j] == sp._point_closures[k]:
+        if sp.closure(1 << j) == sp.closure(1 << k):
             fails.append(f"points {j} and {k} share a closure")
     return Report("t0", checks, tuple(fails))

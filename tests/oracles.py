@@ -13,7 +13,10 @@ every step, kept as the reference its faster steps are tested against.
 `out_total`, `is_regular`, `is_infinite_emitter`, `bound` and `covers` are
 the per-call scans that the graph's cached masks, the meet and join lookups
 and `cli._covers` replaced, kept unchanged (on the package's `mult_add`)
-as their references.
+as their references.  `w_set`, `hull`, `carrier_indices` and `positions`
+are the point scans, the intersection of opens and the per-carrier index
+dicts that the spectrum's points-above masks and the popcount positions of
+`ktheory` replaced, kept as their references.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -26,7 +29,7 @@ import random
 from itertools import combinations
 
 from fkgraph.errors import InternalInvariantError
-from fkgraph.graphs import INF, Graph, mult_add
+from fkgraph.graphs import INF, Graph, iter_bits, mult_add, subquotient_graph
 from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, kernel_group,
                                smith_decomposition, xgcd)
 from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
@@ -244,6 +247,41 @@ def sorted_admissible_pairs(g: Graph) -> list[tuple[int, int]]:
     masks = [(sum(1 << v for v in h), sum(1 << v for v in s))
              for h, s in oracle_admissible_pairs(g)]
     return sorted(masks, key=lambda p: (p[0].bit_count(), p[0], p[1].bit_count(), p[1]))
+
+
+# ------------------------------------------------- spectrum and carrier scans
+# The scans that `SpectrumSpace.above` and `ktheory._positions` replaced.
+
+
+def w_set(lat, points, i: int) -> int:
+    """Mask of the points whose pair does not lie above lattice element i."""
+    return sum(1 << k for k, p in enumerate(points) if not lat.leq(i, p))
+
+
+def hull(opens, full: int, tmask: int) -> int:
+    """Intersection of all opens containing tmask."""
+    acc = full
+    for u in opens:
+        if tmask & ~u == 0:
+            acc &= u
+    return acc
+
+
+def carrier_indices(g: Graph, d: int, h_v: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The row and the column of the carrier's matrix that each vertex of g
+    indexes, from the regular vertices of the subquotient graph."""
+    gq = subquotient_graph(g, d, h_v)
+    verts = list(iter_bits(d))
+    return ({v: i for i, v in enumerate(verts)},
+            {verts[p]: j for j, p in enumerate(iter_bits(gq.regular))})
+
+
+def positions(index: dict[int, int], items) -> list[int]:
+    """Where `index` puts each item; a missing item is an escape."""
+    try:
+        return [index[v] for v in items]
+    except KeyError:
+        raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
 
 
 # ------------------------------------------------------------ sequences

@@ -143,6 +143,12 @@ def test_k_rejections(capsys):
 def test_k_subquotient_input_errors(capsys):
     assert run(capsys, "k", gpath("g4"), "--subquotient", "0,x") == (
         1, "", "fk-graph: bad point index 'x'\n")
+    # only ASCII decimal digits name a point
+    for bad in ("+1", " 1", "\u0661", "1_0", "-1", ""):
+        assert run(capsys, "k", gpath("g4"), "--subquotient", bad) == (
+            1, "", f"fk-graph: bad point index {bad!r}\n"), bad
+    assert run(capsys, "k", gpath("g4"), "--subquotient", "10") == (
+        1, "", "fk-graph: point index 10 out of range\n")
     code, out, err = run(capsys, "k", gpath("g4"), "--subquotient", "0", "--all")
     assert (code, out) == (1, "") and "not allowed with argument" in err
 

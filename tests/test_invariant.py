@@ -107,7 +107,7 @@ def test_sequences_run_between_kmap_groups(row_finite_corpus, free_antichain, de
         fk = assemble(g)
         for y, kd in fk.kmap.items():
             cy = canonical_presentation(fk.space, y)
-            assert kd == ktheory._carrier.__wrapped__(g, cy.d, cy.h_v)[0], (name, y)
+            assert kd == ktheory._carrier.__wrapped__(g, cy.d, cy.h_v), (name, y)
         for key, st in fk.sequences.items():
             groups = cycle_groups(*(fk.kmap[y] for y in pair_pointsets(key)))
             for k, m in enumerate(st):

@@ -1,7 +1,8 @@
 """Records are immutable values, and loading the CLI stays cheap.
 
-Value records are tuples (`typing.NamedTuple`); `Graph`, `SpectrumSpace`
-and the validating `FgAbGroup` check their input in their constructor.
+Value records are tuples (`typing.NamedTuple`); `Graph` and `SpectrumSpace`
+are read-only classes, and `Graph` and the validating `FgAbGroup` check
+their input in their constructor.
 No module of the package imports `dataclasses`, which would pull
 `inspect`, `ast`, `dis` and `tokenize` into every one-shot `fk-graph`
 process, and `cli` reads its arguments without `argparse`, which would pull

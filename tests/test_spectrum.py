@@ -1,15 +1,21 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
+import oracles
 from fkgraph import spectrum
+from fkgraph.errors import CapExceeded
+from fkgraph.graphs import INF, Graph, graph_from_edges
+from fkgraph.ktheory import _positions, open_triples
 from fkgraph.lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from fkgraph.spectrum import (
     LocallyClosedSet,
     SpectrumSpace,
     _subset_samples,
     canonical_presentation,
+    capped_spectrum,
     locally_closed_sets,
     presentation,
     s_primes,
@@ -180,13 +186,8 @@ def test_tables_match_fresh_computation(corpus, free_antichain):
 
 
 def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch):
-    kers, gammas, builds, hulls = [], [], Counter(), Counter()
+    kers, builds, hulls = [], Counter(), Counter()
     real_ker, real_hull = SpectrumSpace.ker, SpectrumSpace.min_open_containing
-    real_gamma = spectrum._w_set
-
-    def gamma(lat, points, i):
-        gammas.append(i)
-        return real_gamma(lat, points, i)
 
     def ker(self, tmask):
         kers.append(tmask)
@@ -203,7 +204,6 @@ def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch
     monkeypatch.setattr(SpectrumSpace, "ker", ker)
     monkeypatch.setattr(SpectrumSpace, "min_open_containing", hull)
     monkeypatch.setattr(spectrum, "LocallyClosedSet", lcs)
-    monkeypatch.setattr(spectrum, "_w_set", gamma)
     lat = enumerate_admissible_pairs(free_antichain)
     spaces = [s_primes(lat), s_primes(lat)]   # equal, but each has its own tables
     assert spaces[0] == spaces[1]
@@ -218,22 +218,75 @@ def test_tables_compute_each_argument_once_per_space(free_antichain, monkeypatch
             for t in range(1 << sp.npoints):
                 sp.closure(t)
         assert sorted(kers) == list(range(1 << sp.npoints))
-        gammas.clear()
-        for _ in range(3):
-            for i in range(lat.size):
-                sp.w_set(i)
-        assert sorted(gammas) == list(range(lat.size))
         kers.clear()
+        for i in range(lat.size):
+            sp.w_set(i)
+        for j, k in itertools.product(range(sp.npoints), repeat=2):
+            sp.specializes(j, k)
+        assert kers == []   # both read the points-above masks
         for _ in range(3):
             for u, v in itertools.product(sp.opens, repeat=2):
                 if not v & ~u:
                     presentation(sp, u, v)
                     canonical_presentation(sp, u & ~v)
-        assert kers == []   # presentations read phi's table
+        assert kers == []   # presentations and hulls read phi's table
     # one build per (u, v) and space, shared by the canonical table; one hull
     # per pointset and space
     assert set(builds.values()) == {2} and set(hulls.values()) == {1}
     assert len(hulls) == 2 * len(locally_closed_sets(spaces[0]))
+
+
+def test_point_masks_and_positions_match_the_scans_they_replaced(free_antichain, deep7):
+    # sparse random graphs with INF edges, as in the lattice layer's test,
+    # plus the 4-point antichain and the 7-point check-deep shape
+    rng = random.Random(25)
+    graphs = [Graph(tuple(f"v{i}" for i in range(n)),
+                    tuple(tuple(rng.choice((0,) * 12 + (1, 1, 2, INF)) for _ in range(n))
+                          for _ in range(n)))
+              for n in (rng.randint(1, 6) for _ in range(300))]
+    chains = 0
+    for g in graphs + [free_antichain, deep7]:
+        sp = spectrum_of(g)
+        lat, points, full = sp.lattice, sp.points, sp.full
+        w = [oracles.w_set(lat, points, i) for i in range(lat.size)]
+        assert [sp.w_set(i) for i in range(lat.size)] == w
+        assert sp.opens == tuple(sorted(set(w), key=lambda m: (m.bit_count(), m)))
+        cl = [full & ~w[p] for p in points]
+        assert [sp.closure(1 << k) for k in range(sp.npoints)] == cl
+        for j, k in itertools.product(range(sp.npoints), repeat=2):
+            assert sp.specializes(j, k) == bool(cl[j] >> k & 1)
+        for y in {u & ~v for u, v in itertools.product(sp.opens, repeat=2) if not v & ~u}:
+            assert sp.min_open_containing(y) == oracles.hull(sp.opens, full, y)
+        if not g.row_finite:
+            continue
+        index = {}   # (d, h_v) -> the carrier's row and column dicts
+        for u1, u2, u3 in open_triples(sp):
+            chains += 1
+            ys = [presentation(sp, u2, u1), presentation(sp, u3, u1), presentation(sp, u3, u2)]
+            ys += [canonical_presentation(sp, y.pointset) for y in ys]
+            for y in ys:
+                if (y.d, y.h_v) not in index:
+                    index[y.d, y.h_v] = oracles.carrier_indices(g, y.d, y.h_v)
+                    assert sum(1 << v for v in index[y.d, y.h_v][1]) == y.d & g.regular
+            # each part in mid, and each part's canonical carrier in its own
+            for outer, inner in ((1, 0), (1, 2), (0, 3), (1, 4), (2, 5)):
+                (o_rows, o_cols), (i_rows, i_cols) = (
+                    index[ys[x].d, ys[x].h_v] for x in (outer, inner))
+                o, i = ys[outer].d, ys[inner].d
+                assert _positions(o, i) == oracles.positions(o_rows, i_rows)
+                assert (_positions(o & g.regular, i & g.regular)
+                        == oracles.positions(o_cols, i_cols))
+    assert chains > 1000
+
+
+def test_point_cap_refuses_before_any_open_set(monkeypatch):
+    def no_opens(self):
+        raise AssertionError("an open set was built before the point cap")
+
+    monkeypatch.setattr(SpectrumSpace, "opens", property(no_opens))
+    sinks = graph_from_edges([f"v{i}" for i in range(10)], [])
+    with pytest.raises(CapExceeded, match="10 spectrum points exceed cap 7"):
+        capped_spectrum(sinks, 7, 16)
 
 
 def test_kuratowski_tests_kernels_against_unions(free_antichain):
@@ -248,7 +301,7 @@ def test_kuratowski_tests_kernels_against_unions(free_antichain):
         def meet(self, *indices):
             return p if sorted(indices) == sorted((p, q)) else super().meet(*indices)
 
-    bad = SpectrumSpace(BadMeet(*sp.lattice), sp.points, sp.opens)
+    bad = SpectrumSpace(BadMeet(*sp.lattice), sp.points)
     rep = verify_kuratowski(bad)
     assert not rep.passed
     assert "closure(0b1 | 0b10) != union of closures" in rep.failures

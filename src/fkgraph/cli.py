@@ -47,7 +47,7 @@ def _set_text(names: list[str]) -> str:
 
 
 def _load(path: str) -> Graph:
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_graph_auto(fh.read())
 
 

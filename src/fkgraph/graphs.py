@@ -233,9 +233,10 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def parse_graph_auto(text: str) -> Graph:
-    """Dispatch on the first non-blank byte: `{` means the JSON mirror."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Dispatch on the first non-blank byte: `{` means the JSON mirror.  One
+    leading byte-order mark is skipped, as text saved with one begins."""
+    text = text.removeprefix("\ufeff")
+    if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph(text)
 

@@ -542,8 +542,8 @@ def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2,
     (v, c) iff its own entries do, so a row is dropped once it fails a
     constraint it decides (a row of T: when no X row can repair it).  The
     output is the unconstrained stream filtered, in the same order.  Every
-    yield is invertible over the factors.  The enumeration is exhaustive iff
-    the free rank is <= 1 (see `iso_search_complete`).
+    yield is invertible over the factors.  The enumeration is exhaustive when
+    the free rank is <= 1.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -566,12 +566,6 @@ def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2,
             for X in product(*xs):
                 yield IntMatrix(kt + kf, kt + kf, tuple(T[i] + X[i] for i in range(kt))
                                 + tuple((0,) * kt + F[i] for i in range(kf)))
-
-
-def iso_search_complete(G: FgAbGroup) -> bool:
-    """True when group_isos(G, G, budget) provably enumerates every isomorphism,
-    at every budget it accepts."""
-    return G.rank <= 1
 
 
 @cache

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .graphs import iter_bits
-from .intlinalg import IntMatrix, group_iso_inverse, group_isos, iso_search_complete, map_into
+from .intlinalg import IntMatrix, group_iso_inverse, group_isos, map_into
 from .invariant import COMPATIBLE, DEFAULT_BUDGET, DISTINGUISHED, UNKNOWN, FilteredK
 from .ktheory import CYCLE, KData, SixTerm, cone_contains, pair_pointsets
 from .report import Report
@@ -42,14 +42,16 @@ def poset_isomorphisms(a: SpectrumSpace, b: SpectrumSpace):
     the homeomorphisms.  The identity permutation comes first when it
     qualifies, which keeps self-comparison witnesses canonical.
     """
-    n = a.npoints
-    if n != b.npoints:
-        return
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    for perm in itertools.permutations(range(n)):
-        if all(a.specializes(i, j) == b.specializes(perm[i], perm[j])
-               for i, j in pairs):
-            yield perm
+    if a.npoints == b.npoints:
+        for perm in itertools.permutations(range(a.npoints)):
+            if _preserves_specialization(a, b, perm):
+                yield perm
+
+
+def _preserves_specialization(a: SpectrumSpace, b: SpectrumSpace, sigma) -> bool:
+    """Whether the point bijection sigma preserves specialization both ways."""
+    n = range(a.npoints)
+    return all(a.specializes(i, j) == b.specializes(sigma[i], sigma[j]) for i in n for j in n)
 
 
 def _images(sigma) -> list[int]:
@@ -106,6 +108,8 @@ class _Search:
     K0 candidates are vetted with no per-run state: cone memberships are
     memoised per compare by the values `cone_contains` reads, inverses by
     value.  Every candidate a stream yields, in any run, counts against `_NODE_CAP`.
+    A failed run is a proof (`proof`) iff every stream it opened had free rank
+    <= 1, so enumerated every isomorphism, and every cone membership was decided.
     """
 
     def __init__(self, a: FilteredK, b: FilteredK, unital: bool, budget: int):
@@ -135,17 +139,15 @@ class _Search:
 
     @cached_property
     def components(self) -> list[int]:
-        """a's components, if several, whose slots all enumerate completely."""
-        return [x for x in _components(self.a.space) if x != self.a.space.full and all(
-            iso_search_complete(kd.k0) and iso_search_complete(kd.k1)
-            for y, kd in self.a.kmap.items() if not y & ~x)]
+        """a's components, if several."""
+        return [x for x in _components(self.a.space) if x != self.a.space.full]
 
     def refutes(self, sigma) -> bool:
-        """Whether a run on one of `components` fails conclusively, memoised by sigma there."""
+        """Whether a run on one of `components` fails as a proof, memoised by sigma there."""
         for x in self.components:
             key = x, tuple(sigma[p] for p in iter_bits(x))
             if key not in self._refuted:
-                self._refuted[key] = self.run(sigma, x) is None and not self.inconclusive
+                self._refuted[key] = self.run(sigma, x) is None and self.proof
             if self._refuted[key]:
                 return True
         return False
@@ -155,7 +157,8 @@ class _Search:
         if hit is None:
             hit = self._cones[key] = cone_contains(kd, x)
         found, sure = hit
-        self.inconclusive |= not (found or sure)
+        if not (found or sure):
+            self.inconclusive, self.proof = True, False
         return found
 
     def _admissible(self, ka: KData, kb: KData, m0: IntMatrix) -> bool:
@@ -168,14 +171,15 @@ class _Search:
     def _stream(self, k: int, lv: int):
         """Slot k's level-lv isomorphisms meeting every square from an assigned slot."""
         ka, kb = self.kd[k]
+        ga, gb = (ka.k1, kb.k1) if lv else (ka.k0, kb.k0)
+        self.proof &= ga.rank <= 1   # only GL(r, Z) with r >= 2 is cut off by the budget
         cons = []
         for si, s_lv, key, edge, m_a in self.into[k][lv]:
             img = self.b_maps[key][edge] @ self.alpha[s_lv][si]
             cons += [(m_a.col(j), img.col(j)) for j in range(m_a.cols)]
         if not lv and self.unital and self.slots[k] == self.within:
             cons.append(self.units)
-        for m in group_isos(*((ka.k1, kb.k1) if lv else (ka.k0, kb.k0)),
-                            self.budget, cons):
+        for m in group_isos(ga, gb, self.budget, cons):
             self.nodes += 1
             if self.nodes > _NODE_CAP:
                 raise _Budget
@@ -193,7 +197,8 @@ class _Search:
 
     def run(self, sigma, within: int | None = None) -> list[tuple[IntMatrix, IntMatrix]] | None:
         """A family over sigma on the slots inside `within` (None on the others),
-        or None; `inconclusive` then says whether a cone membership it met was undecided."""
+        or None; `proof` then says whether that failure is a proof, `inconclusive`
+        whether it met an undecided cone membership."""
         a, b = self.a, self.b
         self.within = within = a.space.full if within is None else within
         if within not in self._filed:
@@ -205,7 +210,7 @@ class _Search:
                        for sub, mid in a.sequences if not mid & ~within}
         self.units = _unit(a, within), _unit(b, image[within])
         self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
-        self.inconclusive = False
+        self.inconclusive, self.proof = False, True
         return list(zip(*self.alpha)) if self._extend(0) else None
 
     def _extend(self, i: int) -> bool:
@@ -246,9 +251,9 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
     """Bounded decision: DISTINGUISHED, COMPATIBLE, or UNKNOWN.
 
     DISTINGUISHED requires a proof: no homeomorphism of spectra, or each one,
-    sigma, refuted by a pointwise K-group mismatch, by an exhausted search whose
-    per-slot enumerations were provably complete, or by a complete search that
-    fails on one connected component X under sigma's restriction (a family
+    sigma, refuted by a pointwise K-group mismatch, by a failed search that is
+    a proof (`_Search.proof`), or by one that fails as a proof on one
+    connected component X under sigma's restriction (a family
     restricts to X and commutes with pi0 of (full \\ X, full), so slot X sends
     a's image of the unit to b's).  COMPATIBLE carries the certified family,
     found by a whole-space search.  Everything else is UNKNOWN.
@@ -263,9 +268,6 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
         # a graph that is not row-finite has no K layer here: only the spectra match
         return CompareVerdict(UNKNOWN, {"kind": "no_k_layer", "homeomorphism": list(homeos[0])})
 
-    # every slot stream of every whole-space search enumerates a's groups exhaustively
-    complete = all(iso_search_complete(k.k0) and iso_search_complete(k.k1)
-                   for k in a.kmap.values())
     factors_a, factors_b = ({y: k.factor_summary() for y, k in fk.kmap.items()} for fk in (a, b))
     first_failure = search = None
     failed = unrefuted = inconclusive = False
@@ -286,7 +288,7 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
                     COMPATIBLE, _family_witness(a, sigma, family, unital))
             inconclusive |= search.inconclusive
             # no proof: the components were tried before this run, or fail to refute now
-            if (not complete or search.inconclusive) and (failed or not search.refutes(sigma)):
+            if not search.proof and (failed or not search.refutes(sigma)):
                 unrefuted = True
             failed = True
         except _Budget:
@@ -332,8 +334,7 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             or sorted(sigma) != list(range(n)) or b.space.npoints != n):
         return Report("witness", checks, ("homeomorphism is not a bijection",))
     checks += 1
-    if not all(a.space.specializes(i, j) == b.space.specializes(sigma[i], sigma[j])
-               for i in range(n) for j in range(n)):
+    if not _preserves_specialization(a.space, b.space, sigma):
         return Report("witness", checks, ("map does not preserve specialization",))
     if not (a.k_complete and b.k_complete):
         return Report("witness", checks, ("family witness without both K layers",))

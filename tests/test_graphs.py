@@ -107,6 +107,17 @@ def test_json_mirror_roundtrip(corpus):
         assert parse_graph_auto(text) == g
 
 
+def test_byte_order_mark_is_skipped():
+    # one leading U+FEFF, as an editor saves it, changes neither format
+    import json
+
+    line = "vertex a\nvertex b\nedge a b inf\nedge b b 2\n"
+    g = parse_graph(line)
+    for text in (line, json.dumps(_json_mirror(g))):
+        assert parse_graph_auto(text) == g
+        assert parse_graph_auto("\ufeff" + text) == g
+
+
 def test_json_mirror_errors():
     with pytest.raises(ParseError):
         parse_graph_json("[1, 2]")

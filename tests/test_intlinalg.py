@@ -22,7 +22,6 @@ from fkgraph.intlinalg import (
     cokernel,
     group_iso_inverse,
     group_isos,
-    iso_search_complete,
     kernel_group,
     map_into,
     smith_decomposition,
@@ -332,7 +331,6 @@ def test_group_isos_Z():
     assert isos[0].entries == ((1,),)
     assert ((-1,),) in {m.entries for m in isos}
     assert len(isos) == 2  # GL(1, Z)
-    assert iso_search_complete(G)
 
 
 def test_group_isos_mixed():
@@ -348,7 +346,6 @@ def test_group_isos_mixed():
         B = group_iso_inverse(G, A)
         assert B is not None
         assert maps_equal(G, A @ B, IntMatrix.identity(2))
-    assert iso_search_complete(G)
 
 
 def test_group_isos_mismatch_yields_nothing():

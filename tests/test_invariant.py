@@ -248,6 +248,62 @@ def test_rank_two_slots_exhaust_to_unknown(fks):
     assert v.outcome == DISTINGUISHED and v.witness["kind"] == "pointwise"
 
 
+def _cone_pair(rank_two: bool = False):
+    """x with a loop and edges to the sinks s and t, against the block y, z
+    with multiplicities [[2, 1], [1, 2]] and edges from y to s and t: every
+    slot's factors match, but {x} has cone N in a against cone Z in b.  With
+    `rank_two`, both sides also hold `_rank_one([1, 1, 1])`'s one-point
+    K0 = Z^2 block, on vertices r0, r1, r2."""
+    rs = [f"r{i}" for i in range(3)] if rank_two else []
+    block = [(v, w, 1 + (v == w)) for v in rs for w in rs]
+    a = graph_from_edges(["x", "s", "t", *rs],
+                         [("x", "x", 1), ("x", "s", 1), ("x", "t", 1), *block])
+    b = graph_from_edges(["y", "z", "s", "t", *rs], [
+        ("y", "y", 2), ("y", "z", 1), ("z", "y", 1), ("z", "z", 2),
+        ("y", "s", 1), ("y", "t", 1), *block])
+    return assemble(a), assemble(b)
+
+
+@pytest.mark.parametrize("unital", [True, False])
+@pytest.mark.parametrize("rank_two", [False, True])
+def test_cone_pairs_are_distinguished(unital, rank_two):
+    # no family exists, and each failed search that proves it opened only
+    # streams of free rank <= 1; the rank-2 pair runs at budget 1, which
+    # keeps its whole-space searches short (the default gives the same verdict)
+    budget = 1 if rank_two else 2
+    a, b = _cone_pair(rank_two)
+    for x, y in ((a, b), (b, a)):
+        assert compare(x, y, unital=unital, budget=budget) == (
+            DISTINGUISHED, {"kind": "no_family", "budget": budget})
+
+
+def test_failed_run_is_a_proof_unless_it_opens_a_rank_two_stream(monkeypatch):
+    # the connected pair's runs fail at the singleton {x} before they reach
+    # a slot of free rank 2, so each failure is a proof
+    runs, real_run = [], search._Search.run
+
+    def run(self, sigma, within=None):
+        family = real_run(self, sigma, within)
+        runs.append((within, family is None, self.proof))
+        return family
+    monkeypatch.setattr(search._Search, "run", run)
+    a, b = _cone_pair()
+    assert search._components(a.space) == [a.space.full]
+    assert max(k.k0.rank for k in a.kmap.values()) == 2
+    assert compare(a, b).outcome == DISTINGUISHED
+    assert runs and all(w is None and failed and proof for w, failed, proof in runs), runs
+    # beside the rank-2 block, each whole-space run opens that block's
+    # stream and proves nothing, while the run on the crafted component
+    # fails as a proof, so that component refutes every homeomorphism
+    runs.clear()
+    a, b = _cone_pair(rank_two=True)
+    assert len(search._components(a.space)) == 2
+    assert compare(a, b, budget=1).outcome == DISTINGUISHED
+    whole = [(failed, proof) for w, failed, proof in runs if w is None]
+    assert whole and all(failed and not proof for failed, proof in whole), runs
+    assert any(w is not None and failed and proof for w, failed, proof in runs), runs
+
+
 def _sinks(feeders: list[int], hub: bool = False):
     """One sink per entry, fed by that many extra vertices: K0 = Z^n with
     cone N^n, unit class (1 + feeders[0], ...), on an antichain of n points.

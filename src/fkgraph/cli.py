@@ -263,15 +263,16 @@ def _run_check(cfg) -> int:
 
 # -- plumbing ---------------------------------------------------------------
 
-# Each subcommand's runner, positionals and options.  An option maps its flag to
-# (dest, kind, default): kind None is a switch, `int` takes an integer, and a
-# string is the metavar of a value, or lists the values allowed between `|`s.
-_COMMON = {"--format": ("format", "text|json", "text"),
-           "--vertex-cap": ("vertex_cap", int, DEFAULT_VERTEX_CAP),
-           "--point-cap": ("point_cap", int, DEFAULT_POINT_CAP)}
+# Each subcommand's runner, positionals and options (`lattice` builds no spectrum,
+# so no point cap).  An option maps its flag to (dest, kind, default): kind None
+# is a switch, `int` takes an integer, and a string is the metavar of a value,
+# or lists the values allowed between `|`s.
+_LATTICE = {"--format": ("format", "text|json", "text"),
+            "--vertex-cap": ("vertex_cap", int, DEFAULT_VERTEX_CAP)}
+_COMMON = {**_LATTICE, "--point-cap": ("point_cap", int, DEFAULT_POINT_CAP)}
 COMMANDS = {
     "spectrum": (_run_spectrum, ("graph",), {"--dot": ("dot", None, False), **_COMMON}),
-    "lattice": (_run_lattice, ("graph",), {"--dot": ("dot", None, False), **_COMMON}),
+    "lattice": (_run_lattice, ("graph",), {"--dot": ("dot", None, False), **_LATTICE}),
     "k": (_run_k, ("graph",), {"--subquotient": ("subquotient", "POINTS", None),
                                "--all": ("all", None, False), **_COMMON}),
     "compare": (_run_compare, ("graph_a", "graph_b"), {"--no-unit": ("no_unit", None, False),
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
             return 0
         if getattr(cfg, "dot", False) and cfg.format == "json":
             raise ParseError("--dot and --format json are mutually exclusive")
-        if cfg.vertex_cap < 1 or cfg.point_cap < 1:
+        if min(cfg.vertex_cap, getattr(cfg, "point_cap", 1)) < 1:
             raise ParseError("caps must be positive")
         if cfg.command == "compare" and cfg.budget < 1:
             raise ParseError("budget must be >= 1")

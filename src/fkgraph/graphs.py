@@ -303,8 +303,11 @@ def subquotient_graph(g: Graph, d: int, v_ideal: int) -> Graph:
     hu = d | v_ideal
     if not is_hereditary(g, hu) or not is_saturated(g, hu):
         raise ValueError("d | v_ideal must be hereditary and saturated")
-    keep = [i for i in range(g.n) if d >> i & 1]
-    return Graph(
-        tuple(g.vertices[i] for i in keep),
-        tuple(tuple(g.mult[i][j] for j in keep) for i in keep),
-    )
+    return restriction(g, d)
+
+
+def restriction(g: Graph, d: int) -> Graph:
+    """g restricted to the vertex set d, whatever d is."""
+    keep = list(iter_bits(d))
+    return Graph(tuple(g.vertices[i] for i in keep),
+                 tuple(tuple(g.mult[i][j] for j in keep) for i in keep))

@@ -25,9 +25,9 @@ is built; a failing one raises.  A spot f then gm is decided from two Smith
 decompositions, of [gm | relations] for the kernel and of [f | relations]
 for the image.
 `FilteredK` builds one sequence per pair, on the chain `pair_chains` picks;
-`check` builds every chain.  K-data and framed groups are memoised once per
-process by the graph and the carriers (d, h_v), and each exactness spot by
-its two maps and the factors of the groups they land in.
+`check` builds every chain.  K-data is memoised once per process by the graph
+and the carrier d alone, framed groups by the canonical and raw carriers, and
+each exactness spot by its two maps and the factors of the groups they land in.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
-from .graphs import Graph, iter_bits, subquotient_graph
+from .graphs import Graph, iter_bits, restriction, subquotient_graph
 from .intlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -74,33 +74,32 @@ class KData(NamedTuple):
         return self.k0.invariant_factors, self.k1.invariant_factors
 
 
-def k_matrix(gq: Graph) -> IntMatrix:
-    """Presenting matrix of the restricted graph, one column per regular vertex."""
-    regs = list(iter_bits(gq.regular))
-    rows = [[gq.mult[v][w] - (1 if v == w else 0) for v in regs] for w in range(gq.n)]
-    return IntMatrix.from_rows(rows, cols=len(regs))
-
-
 @cache
-def _carrier(g: Graph, d: int, h_v: int) -> KData:
-    """K-data of the carrier d over h_v; memoised by value.
-
-    Keyed on h_v as well, so presentations differing only there stay
-    independent computations for verify_well_definedness.
-    """
-    if not g.row_finite:
-        raise ValueError("K-data requires a row-finite graph")
-    gq = subquotient_graph(g, d, h_v)
-    b = k_matrix(gq)
+def _carrier(g: Graph, d: int) -> KData:
+    """K-data of g restricted to the carrier d, the algebra of each subquotient
+    it carries (whatever h_v presents it); memoised by value, unchecked."""
+    gq = restriction(g, d)
+    regs = list(iter_bits(gq.regular))
+    b = IntMatrix.from_rows([[gq.mult[v][w] - (v == w) for v in regs] for w in range(gq.n)],
+                            cols=len(regs))
     k0 = cokernel(b)
     gens = tuple(map(k0.reduce, zip(*k0.project.entries))) or ((),) * gq.n
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
     return KData(gq.vertices, b, k0, gens, unit, kernel_group(b))
 
 
+@cache
+def _presented(g: Graph, d: int, h_v: int) -> None:
+    """Raises unless (d, h_v) presents a subquotient, as `subquotient_graph` checks it."""
+    if not g.row_finite:
+        raise ValueError("K-data requires a row-finite graph")
+    subquotient_graph(g, d, h_v)
+
+
 def k_data(g: Graph, y: LocallyClosedSet) -> KData:
-    """K-data of the subquotient y, built once per carrier (d, h_v) of g."""
-    return _carrier(g, y.d, y.h_v)
+    """K-data of the subquotient y, built once per carrier d; (d, h_v) checked once."""
+    _presented(g, y.d, y.h_v)
+    return _carrier(g, y.d)
 
 
 class SixTerm(NamedTuple):
@@ -135,7 +134,7 @@ def _positions(outer: int, inner: int) -> list[int]:
 
 
 @cache
-def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int):
+def _transition(g: Graph, canon_d: int, raw_d: int):
     """K0 and K1 of a presentation, framed in its pointset's canonical coordinates.
 
     The canonical carrier sits inside every presentation's carrier and
@@ -144,10 +143,10 @@ def _transition(g: Graph, canon_d: int, canon_h_v: int, raw_d: int, raw_h_v: int
     keeps the raw ambient, projecting through n^-1 (reduced) and lifting
     through n; it is the raw group itself when the carriers agree.
     """
-    raw_k = _carrier(g, raw_d, raw_h_v)
+    raw_k = _carrier(g, raw_d)
     if canon_d == raw_d:
         return raw_k.k0, raw_k.k1
-    canon_k = _carrier(g, canon_d, canon_h_v)
+    canon_k = _carrier(g, canon_d)
     verts = _positions(raw_d, canon_d)
     regs = _positions(raw_d & g.regular, canon_d & g.regular)
     framed = []
@@ -174,9 +173,8 @@ def six_term(g: Graph, sp: SpectrumSpace, u1: int, u2: int, u3: int) -> SixTerm:
     # sub, mid and quot, as `pair_pointsets` orders them
     ys = y_s, y_a, y_q = (presentation(sp, u2, u1), presentation(sp, u3, u1),
                           presentation(sp, u3, u2))
-    ka = [k_data(g, y) for y in ys][1]  # each part's carrier is built as K-data
-    frames = [_transition(g, c.d, c.h_v, y.d, y.h_v)
-              for y in ys for c in [canonical_presentation(sp, y.pointset)]]
+    ka = [k_data(g, y) for y in ys][1]  # each part's presentation is checked
+    frames = [_transition(g, canonical_presentation(sp, y.pointset).d, y.d) for y in ys]
     (s0, s1), (a0, a1), (q0, q1) = frames
     # the rows and regular columns of the sub and quot carriers inside mid's
     rows_s, rows_q = _positions(y_a.d, y_s.d), _positions(y_a.d, y_q.d)
@@ -322,10 +320,8 @@ def verify_well_definedness(g: Graph, sp: SpectrumSpace) -> Report:
     of carriers is not required in general, only the isomorphism.
     """
     canon = {lc.pointset: lc for lc in locally_closed_sets(sp)}
-    kd = (
-        {y: k_data(g, lc) for y, lc in canon.items()} if g.row_finite else {}
-    )
-    fails = []
+    kd = {y: k_data(g, lc) for y, lc in canon.items()} if g.row_finite else {}
+    fails, own = [], {}
     checks = 0
     for u, v in itertools.product(sp.opens, repeat=2):
         if v & ~u:
@@ -339,8 +335,11 @@ def verify_well_definedness(g: Graph, sp: SpectrumSpace) -> Report:
         if not g.row_finite:
             continue
         if alt.d == ref.d:
-            if k_data(g, alt) != kd[alt.pointset]:
-                fails.append(f"K-data drifts under presentation ({u:#b},{v:#b})")
+            # one K-data per carrier: compare with one separate build of it
+            if alt.h_v != ref.h_v:
+                own[alt.d] = own.get(alt.d) or _carrier.__wrapped__(g, alt.d)
+                if k_data(g, alt) != own[alt.d]:
+                    fails.append(f"K-data drifts under presentation ({u:#b},{v:#b})")
             continue
         alt_k = k_data(g, alt)
         want = kd[alt.pointset]
@@ -349,7 +348,7 @@ def verify_well_definedness(g: Graph, sp: SpectrumSpace) -> Report:
             fails.append(f"K-groups drift under presentation ({u:#b},{v:#b})")
             continue
         try:
-            _transition(g, ref.d, ref.h_v, alt.d, alt.h_v)
+            _transition(g, ref.d, alt.d)
         except InternalInvariantError:
             fails.append(f"no canonical K-isomorphism for presentation ({u:#b},{v:#b})")
     return Report("well-definedness", checks, tuple(fails))

@@ -5,12 +5,12 @@ homeomorphism of spectra together with a family of ordered group isomorphisms
 commuting with all the maps, in one search per compare: each side's factor
 lists are tabled once per slot, a's commuting squares are filed once, each
 cone membership is decided once, and each homeomorphism re-binds only b's
-side, read off one table of its image of every pointset; after one fails, a
-search on one connected component refutes every later homeomorphism that
-agrees with it there.  The verdict is three-valued: a mismatch that survives
-every homeomorphism is DISTINGUISHED, a fully certified family is COMPATIBLE,
-and an exhausted budget (or an inconclusive cone membership) is UNKNOWN.
-Witnesses are plain dicts, deterministic and replayable.
+side, read off one table of its image of every pointset; each is searched on
+a's connected components before the whole space, and a proof on one refutes
+every homeomorphism agreeing with it there.  The verdict is three-valued: a
+mismatch that survives every homeomorphism is DISTINGUISHED, a certified
+family COMPATIBLE, and an exhausted budget (or an inconclusive cone
+membership) UNKNOWN.  Witnesses are plain dicts, deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -251,11 +251,11 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
     """Bounded decision: DISTINGUISHED, COMPATIBLE, or UNKNOWN.
 
     DISTINGUISHED requires a proof: no homeomorphism of spectra, or each one,
-    sigma, refuted by a pointwise K-group mismatch, by a failed search that is
-    a proof (`_Search.proof`), or by one that fails as a proof on one
-    connected component X under sigma's restriction (a family
-    restricts to X and commutes with pi0 of (full \\ X, full), so slot X sends
-    a's image of the unit to b's).  COMPATIBLE carries the certified family,
+    sigma, refuted by a pointwise K-group mismatch, or else by a search that
+    fails as a proof (`_Search.proof`) on one connected component X under
+    sigma's restriction (a family restricts to X and commutes with pi0 of
+    (full \\ X, full), so slot X sends a's image of the unit to b's), tried
+    first, or on the whole space.  COMPATIBLE carries the certified family,
     found by a whole-space search.  Everything else is UNKNOWN.
     """
     if budget < 1:
@@ -270,7 +270,7 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
 
     factors_a, factors_b = ({y: k.factor_summary() for y, k in fk.kmap.items()} for fk in (a, b))
     first_failure = search = None
-    failed = unrefuted = inconclusive = False
+    unrefuted = inconclusive = False
     for sigma in homeos:
         mismatch = _necessary_mismatch(factors_a, factors_b, sigma)
         if mismatch is not None:
@@ -280,17 +280,14 @@ def compare(a: FilteredK, b: FilteredK, unital: bool = True,
         if search is None:
             search = _Search(a, b, unital, budget)
         try:
-            if failed and search.refutes(sigma):
+            if search.refutes(sigma):
                 continue
             family = search.run(sigma)
             if family is not None:
                 return CompareVerdict(
                     COMPATIBLE, _family_witness(a, sigma, family, unital))
             inconclusive |= search.inconclusive
-            # no proof: the components were tried before this run, or fail to refute now
-            if not search.proof and (failed or not search.refutes(sigma)):
-                unrefuted = True
-            failed = True
+            unrefuted |= not search.proof
         except _Budget:
             unrefuted = True
             break

@@ -459,12 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fk-graph")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, dot=False):
+    def common(p, dot=False, points=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--vertex-cap", dest="vertex_cap", type=int,
                        default=DEFAULT_VERTEX_CAP)
-        p.add_argument("--point-cap", dest="point_cap", type=int,
-                       default=DEFAULT_POINT_CAP)
+        if points:
+            p.add_argument("--point-cap", dest="point_cap", type=int,
+                           default=DEFAULT_POINT_CAP)
         if dot:
             p.add_argument("--dot", action="store_true")
 
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="admissible pair lattice with covers")
     p.add_argument("graph")
-    common(p, dot=True)
+    common(p, dot=True, points=False)
 
     p = sub.add_parser("k", help="K-data of gauge subquotients")
     p.add_argument("graph")

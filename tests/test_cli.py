@@ -228,6 +228,11 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, _ = run(capsys, "spectrum", gpath("g3"), "--vertex-cap", "0")
     assert code == 1
+    code, _, _ = run(capsys, "lattice", gpath("g3"), "--vertex-cap", "0")
+    assert code == 1
+    # lattice builds no spectrum, so it takes no point cap
+    code, _, err = run(capsys, "lattice", gpath("g3"), "--point-cap", "3")
+    assert code == 1 and err == "fk-graph: unrecognized arguments: --point-cap 3\n"
 
 
 def test_malformed_json_graph_is_a_parse_error(capsys, tmp_path):
@@ -465,6 +470,8 @@ def test_help_prints_the_synopsis_lines(capsys):
     assert capsys.readouterr() == ("".join(f"usage: {line}\n" for line in block), "")
     assert main(["compare", "a.graph", "--budget", "3", "-h"]) == 0
     assert capsys.readouterr() == (f"usage: {block[3]}\n", "")
+    assert "--point-cap" not in block[1] and all("--point-cap" in line
+                                                   for line in block[:1] + block[2:])
 
 
 def test_every_rejection_is_one_line(capsys):

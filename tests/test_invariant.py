@@ -11,6 +11,7 @@ from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
     COMPATIBLE,
+    DEFAULT_BUDGET,
     DISTINGUISHED,
     UNKNOWN,
     assemble,
@@ -107,7 +108,7 @@ def test_sequences_run_between_kmap_groups(row_finite_corpus, free_antichain, de
         fk = assemble(g)
         for y, kd in fk.kmap.items():
             cy = canonical_presentation(fk.space, y)
-            assert kd == ktheory._carrier.__wrapped__(g, cy.d, cy.h_v), (name, y)
+            assert kd == ktheory._carrier.__wrapped__(g, cy.d), (name, y)
         for key, st in fk.sequences.items():
             groups = cycle_groups(*(fk.kmap[y] for y in pair_pointsets(key)))
             for k, m in enumerate(st):
@@ -179,11 +180,23 @@ def test_self_compare_corpus(fks):
 
 
 def test_outcome_symmetry(fks):
-    names = sorted(fks)
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            assert (compare(fks[x], fks[y]).outcome
-                    == compare(fks[y], fks[x]).outcome), (x, y)
+    # the corpus and 120 seeded graphs on 2 to 5 vertices, some of them with
+    # disconnected spectra, in both unit modes
+    rng = random.Random(7)
+    seeded = []
+    for _ in range(120):
+        vs = [f"v{k}" for k in range(rng.randint(2, 5))]
+        seeded.append(assemble(graph_from_edges(vs, [
+            (v, w, m) for v in vs for w in vs for m in [rng.choice((0, 0, 0, 1, 1, 2, 3))] if m])))
+    assert sum(len(search._components(fk.space)) > 1 for fk in seeded) > 10
+    for group in ([fks[name] for name in sorted(fks)], seeded):
+        for i, x in enumerate(group):
+            for y in group[i + 1:]:
+                if x.space.npoints != y.space.npoints:
+                    continue
+                for unital in (True, False):
+                    assert (compare(x, y, unital).outcome
+                            == compare(y, x, unital).outcome), (x.space.graph, y.space.graph)
 
 
 def test_unit_class_separates(fks):
@@ -268,13 +281,13 @@ def _cone_pair(rank_two: bool = False):
 @pytest.mark.parametrize("rank_two", [False, True])
 def test_cone_pairs_are_distinguished(unital, rank_two):
     # no family exists, and each failed search that proves it opened only
-    # streams of free rank <= 1; the rank-2 pair runs at budget 1, which
-    # keeps its whole-space searches short (the default gives the same verdict)
-    budget = 1 if rank_two else 2
+    # streams of free rank <= 1; beside the rank-2 block, the component
+    # {x} refutes every homeomorphism before any whole-space search, whose
+    # rank-2 stream would run long at the default budget and prove nothing
     a, b = _cone_pair(rank_two)
     for x, y in ((a, b), (b, a)):
-        assert compare(x, y, unital=unital, budget=budget) == (
-            DISTINGUISHED, {"kind": "no_family", "budget": budget})
+        assert compare(x, y, unital=unital) == (
+            DISTINGUISHED, {"kind": "no_family", "budget": DEFAULT_BUDGET})
 
 
 def test_failed_run_is_a_proof_unless_it_opens_a_rank_two_stream(monkeypatch):
@@ -292,16 +305,22 @@ def test_failed_run_is_a_proof_unless_it_opens_a_rank_two_stream(monkeypatch):
     assert max(k.k0.rank for k in a.kmap.values()) == 2
     assert compare(a, b).outcome == DISTINGUISHED
     assert runs and all(w is None and failed and proof for w, failed, proof in runs), runs
-    # beside the rank-2 block, each whole-space run opens that block's
-    # stream and proves nothing, while the run on the crafted component
-    # fails as a proof, so that component refutes every homeomorphism
+    # beside the rank-2 block, the run on the crafted component fails as a
+    # proof before any whole-space run, so that component refutes every
+    # homeomorphism
     runs.clear()
     a, b = _cone_pair(rank_two=True)
     assert len(search._components(a.space)) == 2
-    assert compare(a, b, budget=1).outcome == DISTINGUISHED
-    whole = [(failed, proof) for w, failed, proof in runs if w is None]
-    assert whole and all(failed and not proof for failed, proof in whole), runs
-    assert any(w is not None and failed and proof for w, failed, proof in runs), runs
+    assert compare(a, b).outcome == DISTINGUISHED
+    assert all(w is not None for w, _, _ in runs), runs
+    assert any(failed and proof for _, failed, proof in runs), runs
+    # on one point, a connected spectrum, with K0 = Z^2 and units that no
+    # isomorphism matches, each whole-space run opens a rank-2 stream, so
+    # it fails and proves nothing
+    runs.clear()
+    a, b = _rank_one([1, 1, 1]), _rank_one([1, 1, 2])
+    assert compare(a, b).outcome == UNKNOWN
+    assert runs and all(w is None and failed and not proof for w, failed, proof in runs), runs
 
 
 def _sinks(feeders: list[int], hub: bool = False):
@@ -477,9 +496,9 @@ def test_search_checks_backward_squares(monkeypatch):
 def test_search_files_each_square_once(fks, monkeypatch):
     # one search per compare, built at the first homeomorphism that passes
     # the pointwise check: it files a's squares once per pointset it runs
-    # on, the whole space first with six squares per pair and a component
-    # with those of the pairs whose mid lies inside it, and every later run
-    # only re-binds b's side
+    # on, a component with those of the pairs whose mid lies inside it and
+    # the whole space with six squares per pair, and every later run only
+    # re-binds b's side
     pairs = [(fk, fk) for fk in fks.values() if fk.k_complete]
     pairs += [(_linked_blocks("a1"), _linked_blocks("a0")),
               (_sinks([0, 0, 0]), _sinks([0, 0, 1])),
@@ -517,15 +536,18 @@ def test_search_files_each_square_once(fks, monkeypatch):
             builds.clear(), walks.clear(), filed.clear(), runs.clear()
             compare(a, b, unital=unital)
             assert builds == [a] and walks == [a], unital
-            assert filed[0] == (a.space.full, 6 * len(a.sequences), 6 * len(a.sequences))
             assert all(count == want for _, count, want in filed), filed
             assert len({w for w, _, _ in filed}) == len(filed), filed
+            assert ({w for w, _, _ in filed}
+                    == {a.space.full if w is None else w for _, w in runs}), (filed, runs)
         every[a] = list(runs)
-    # the unital sinks search one homeomorphism of the 3-point antichain on
-    # the whole space and refute the other five on components; under the
+    # the unital sinks refute each of the six homeomorphisms of the 3-point
+    # antichain on a component, so no whole-space search runs, and some of
+    # them by a run made for an earlier one that agrees there; under the
     # hub the spectrum is connected, so all six are searched whole
     sinks, hub = pairs[-2][0], pairs[-1][0]
-    assert [within for _, within in every[sinks]].count(None) == 1 < len(every[sinks])
+    assert every[sinks] and all(within is not None for _, within in every[sinks])
+    assert len({sigma for sigma, _ in every[sinks]}) < 6
     homeos = list(poset_isomorphisms(hub.space, hub.space))
     assert every[hub] == [(sigma, None) for sigma in homeos] and len(homeos) == 6
 
@@ -579,9 +601,9 @@ def test_inconclusive_cone_makes_the_verdict_unknown(monkeypatch):
 
 
 def test_cone_memberships_decided_once_per_compare(monkeypatch):
-    # the 3-block Z/2 swap runs one whole-space search and then searches on
-    # components; each membership is decided once however many runs meet it,
-    # under whatever vertex names
+    # the 3-block Z/2 swap refutes every homeomorphism on a component, in
+    # runs that meet one membership, [v] in a Z/2 block's cone, under
+    # whatever vertex names: it is decided once however many runs meet it
     a, b = _swap(3, 2)
     seen = Counter()
     real = search.cone_contains
@@ -591,7 +613,7 @@ def test_cone_memberships_decided_once_per_compare(monkeypatch):
         return real(kd, x)
     monkeypatch.setattr(search, "cone_contains", counting)
     assert compare(a, b).outcome == DISTINGUISHED
-    assert len(seen) == 6 and set(seen.values()) == {1}, seen
+    assert list(seen.values()) == [1], seen
     monkeypatch.setattr(search, "cone_contains", real)
     # the 3-block star swap searches all six homeomorphisms on the whole
     # space; one membership left undecided still makes the verdict UNKNOWN

@@ -9,7 +9,7 @@ import pytest
 
 from fkgraph import ktheory
 from fkgraph.errors import InternalInvariantError
-from fkgraph.graphs import Graph, graph_from_edges, iter_bits
+from fkgraph.graphs import Graph, graph_from_edges, iter_bits, subquotient_graph
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -150,7 +150,7 @@ def test_k1_is_torsion_free(row_finite_corpus):
             assert all(d == 0 for d in kd.k1.invariant_factors), name
 
 
-def test_k_data_rejects_bad_input(corpus):
+def test_k_data_rejects_bad_input(corpus, row_finite_corpus):
     with pytest.raises(ValueError):
         sp = spectrum_of(corpus["inf_emitter"])
         lc = locally_closed_sets(sp)[-1]
@@ -159,6 +159,23 @@ def test_k_data_rejects_bad_input(corpus):
     v1 = names_mask(g, ["v1"])
     with pytest.raises(ValueError):
         k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, 0))  # {v1} not hereditary
+    # K-data is memoised per carrier, and a presentation (d, h_v) that
+    # `subquotient_graph` refuses is refused by k_data even once a valid
+    # presentation has memoised d
+    refused = 0
+    for g in row_finite_corpus.values():
+        for y in locally_closed_sets(spectrum_of(g)):
+            assert k_data(g, y) is ktheory._carrier(g, y.d)
+            for h_v in range(1 << g.n):
+                if h_v & y.d:
+                    continue
+                try:
+                    subquotient_graph(g, y.d, h_v)
+                except ValueError:
+                    refused += 1
+                    with pytest.raises(ValueError):
+                        k_data(g, y._replace(h_v=h_v))
+    assert refused > 100, refused
 
 
 def test_cached_k_data_matches_fresh_build(row_finite_corpus):
@@ -171,7 +188,7 @@ def test_cached_k_data_matches_fresh_build(row_finite_corpus):
                 continue
             y = presentation(sp, u, v)
             kd = k_data(g, y)
-            assert kd == ktheory._carrier.__wrapped__(g, y.d, y.h_v), (name, u, v)
+            assert kd == ktheory._carrier.__wrapped__(g, y.d), (name, u, v)
             assert k_data(g, y) is kd, (name, u, v)
 
 
@@ -206,6 +223,28 @@ def test_assemble_builds_each_carrier_once(row_finite_corpus):
     for g in row_finite_corpus.values():
         assert assemble(Graph(g.vertices, g.mult)).sequences
     assert ktheory._carrier.cache_info().misses == info.misses
+
+
+def test_k_data_is_built_once_per_carrier():
+    # a gauge subquotient's K-data is that of its carrier d's restricted
+    # graph: over every presentation of a wide antichain (five Z/2 blocks,
+    # one on two vertices), its sequences and both K-layer suites, each
+    # distinct d is built once, however many h_v present it
+    vs = [f"v{i}" for i in range(1, 5)]
+    g = graph_from_edges(["x", "y", *vs], [("x", "x", 1), ("x", "y", 2), ("y", "x", 1),
+                                           ("y", "y", 2), *((v, v, 3) for v in vs)])
+    sp = spectrum_of(g)
+    ktheory._carrier.cache_clear()
+    seen = set()
+    for u, v in itertools.product(sp.opens, repeat=2):
+        if not v & ~u:
+            y = presentation(sp, u, v)
+            assert k_data(g, y) == ktheory._carrier.__wrapped__(g, y.d)
+            seen.add((y.d, y.h_v))
+    assert assemble(g).sequences
+    assert verify_well_definedness(g, sp).passed and verify_exactness(g, sp).passed
+    info = ktheory._carrier.cache_info()
+    assert info.misses == info.currsize == len({d for d, _ in seen}) < len(seen) // 4
 
 
 def test_g4_triple_frozen_maps(corpus):
@@ -432,7 +471,7 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
             raw = presentation(sp, u, v)
             canon = canonical_presentation(sp, raw.pointset)
             raw_k = k_data(g, raw)
-            got = ktheory._transition(g, canon.d, canon.h_v, raw.d, raw.h_v)
+            got = ktheory._transition(g, canon.d, raw.d)
             n0, inv0, n1, inv1 = _reference_transition(g, canon, k_data(g, canon), raw, raw_k)
             want = tuple(FgAbGroup(k.invariant_factors, reduce_map(k, inv @ k.project),
                                    k.lift @ n)

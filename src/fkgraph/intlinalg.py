@@ -386,15 +386,13 @@ class FgAbGroup(_Presentation):
         return tuple(v % d if d else v for v, d in zip(vec, self.invariant_factors))
 
 
-def _sign_normalize(rows: list[list[int]], cosign: list[list[int]], free_idx: Iterable[int]) -> None:
-    # flip a presentation row (and the matching section column) so its first
+def _sign_normalize(vecs: list[list[int]], cos: list[list[int]], idx: Iterable[int]) -> None:
+    # flip vector i of vecs and of cos together so that vecs[i]'s first
     # nonzero entry is positive; composing with an automorphism, so harmless
-    for i in free_idx:
-        lead = next((x for x in rows[i] if x != 0), 0)
-        if lead < 0:
-            rows[i] = [-x for x in rows[i]]
-            for r in cosign:
-                r[i] = -r[i]
+    for i in idx:
+        if next((x for x in vecs[i] if x), 0) < 0:
+            vecs[i] = [-x for x in vecs[i]]
+            cos[i] = [-x for x in cos[i]]
 
 
 def cokernel(M: IntMatrix) -> FgAbGroup:
@@ -408,35 +406,26 @@ def cokernel(M: IntMatrix) -> FgAbGroup:
         if d != 1:
             factors.append(d)
             keep.append(i)
-    proj = [list(dec.P.entries[i]) for i in keep]
-    lift = [[dec.P_inv.entries[i][j] for j in keep] for i in range(M.rows)]
-    # canonical entries: torsion rows reduced mod their factor, free rows sign-fixed
-    for k, (i, d) in enumerate(zip(keep, factors)):
-        if d:
-            proj[k] = [x % d for x in proj[k]]
+    # canonical entries: torsion rows reduced mod their factor, free rows
+    # sign-fixed with their section columns
+    proj = [[x % d for x in dec.P.entries[i]] if d else list(dec.P.entries[i])
+            for i, d in zip(keep, factors)]
+    lift = [[row[i] for row in dec.P_inv.entries] for i in keep]
     _sign_normalize(proj, lift, [k for k, d in enumerate(factors) if d == 0])
     return FgAbGroup(tuple(factors), IntMatrix(len(keep), M.rows, tuple(map(tuple, proj))),
-                     IntMatrix(M.rows, len(keep), tuple(map(tuple, lift))))
+                     IntMatrix(M.rows, len(keep), tuple(zip(*lift)) or ((),) * M.rows))
 
 
 @cache
 def kernel_group(M: IntMatrix) -> FgAbGroup:
     """The kernel of M as a free group: lift = basis, project = left inverse (memoised)."""
     dec = smith_decomposition(M)
-    r = dec.rank
-    idx = list(range(r, M.cols))
-    basis = [[dec.Q.entries[i][j] for j in idx] for i in range(M.cols)]
+    idx = range(dec.rank, M.cols)
+    basis = [[row[j] for row in dec.Q.entries] for j in idx]
     proj = [list(dec.Q_inv.entries[j]) for j in idx]
-    # sign-fix each basis column (column of `basis` = row j of Q transposed)
-    for k in range(len(idx)):
-        colvals = [basis[i][k] for i in range(M.cols)]
-        lead = next((x for x in colvals if x != 0), 0)
-        if lead < 0:
-            for i in range(M.cols):
-                basis[i][k] = -basis[i][k]
-            proj[k] = [-x for x in proj[k]]
+    _sign_normalize(basis, proj, range(len(idx)))
     return FgAbGroup((0,) * len(idx), IntMatrix(len(idx), M.cols, tuple(map(tuple, proj))),
-                     IntMatrix(M.cols, len(idx), tuple(map(tuple, basis))))
+                     IntMatrix(M.cols, len(idx), tuple(zip(*basis)) or ((),) * M.cols))
 
 
 def _prime_factors(n: int) -> list[int]:

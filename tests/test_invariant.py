@@ -774,6 +774,37 @@ def test_witness_replay_reports_broken_square(fks):
     assert rep.failures == ("iota1 square fails at pair (1, 3)",)
 
 
+def _loops(k: int):
+    """One vertex with k loops: K0 = Z/(k - 1), unit class 1."""
+    return assemble(graph_from_edges(["v"], [("v", "v", k)]))
+
+
+def _full_slot(fk, witness):
+    return next(s for s in witness["slots"] if s["pointset"] == list(range(fk.space.npoints)))
+
+
+def test_witness_replay_refuses_each_broken_condition(fks):
+    # a self-witness spoiled one way at a time, each refusal named alone
+    w = compare(fks["g4"], fks["g4"]).witness
+    w["homeomorphism"].reverse()
+    assert verify_compatible_witness(fks["g4"], fks["g4"], w).failures == (
+        "map does not preserve specialization",)
+    z2, z3, z5 = _loops(3), _loops(4), _loops(6)
+    w = compare(z2, z2).witness
+    assert verify_compatible_witness(z2, z3, w).failures == ("factor mismatch at [0]",)
+    g1 = fks["g1"]
+    w = compare(g1, g1).witness
+    slot = _full_slot(g1, w)
+    slot["alpha0"] = [[-x for x in row] for row in slot["alpha0"]]
+    assert verify_compatible_witness(g1, g1, w).failures == (
+        "cone image escapes at [0]", "reverse cone image escapes at [0]",
+        "unit class is not preserved")
+    # 2 is a unit mod 5, so only the unit class objects
+    w = compare(z5, z5).witness
+    _full_slot(z5, w)["alpha0"] = [[2]]
+    assert verify_compatible_witness(z5, z5, w).failures == ("unit class is not preserved",)
+
+
 def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     complete = {name: fk for name, fk in fks.items() if fk.k_complete}
     witnesses = {name: compare(fk, fk).witness for name, fk in complete.items()}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from functools import cache
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fkgraph import ktheory
+from fkgraph import cli, ktheory
 from fkgraph.errors import InternalInvariantError
 from fkgraph.graphs import Graph, graph_from_edges, iter_bits, subquotient_graph
 from fkgraph.intlinalg import (
@@ -336,6 +337,70 @@ def test_fanout_presentations_disagree_on_carrier(corpus):
     assert kd_canon.k0.invariant_factors == kd_alt.k0.invariant_factors == (0,)
     assert kd_canon.k1.invariant_factors == kd_alt.k1.invariant_factors == (0,)
     assert kd_canon.unit_class == (1,) and kd_alt.unit_class == (2,)
+
+
+def test_well_definedness_reports_each_failure_at_its_presentation(corpus, monkeypatch):
+    # one forced fault at a time, each reported at its (u, v) alone and in
+    # the clean run's checks: a presentation whose carrier misses the
+    # canonical one, and on one of fanout's two enlarged carriers K-groups
+    # that drift, or a zero-extension that is no K-isomorphism
+    g = corpus["fanout"]
+    sp = spectrum_of(g)
+    clean = verify_well_definedness(g, sp)
+    assert clean.passed
+    # the presentations whose carrier saturation enlarged past the canonical one
+    alt, *rest = [y for u, v in itertools.product(sp.opens, repeat=2) if not v & ~u
+                  for y in [presentation(sp, u, v)]
+                  if y.d != canonical_presentation(sp, y.pointset).d]
+    assert len(rest) == 1 and rest[0].d != alt.d
+    real_p, real_k, real_t = ktheory.presentation, ktheory.k_data, ktheory._transition
+
+    def shrunk(sp_, u, v):
+        y = real_p(sp_, u, v)
+        return y._replace(d=0) if (u, v) == (sp.full, 0) else y
+
+    def drifting(g_, y):
+        kd = real_k(g_, y)
+        if (y.u, y.v) != (alt.u, alt.v):
+            return kd
+        return kd._replace(k1=ktheory._standard_group(kd.k1.invariant_factors + (0,)))
+
+    def refusing(g_, canon_d, raw_d):
+        if raw_d == alt.d:
+            raise InternalInvariantError("presentation change is not a K-isomorphism")
+        return real_t(g_, canon_d, raw_d)
+
+    at = f"({alt.u:#b},{alt.v:#b})"
+    for name, fake, failure in [
+            ("presentation", shrunk, f"canonical carrier escapes presentation ({sp.full:#b},0b0)"),
+            ("k_data", drifting, f"K-groups drift under presentation {at}"),
+            ("_transition", refusing, f"no canonical K-isomorphism for presentation {at}")]:
+        with monkeypatch.context() as m:
+            m.setattr(ktheory, name, fake)
+            rep = verify_well_definedness(g, sp)
+        assert rep.checks == clean.checks and rep.failures == (failure,), name
+
+
+def test_check_builds_k_data_once_per_carrier(deep7, monkeypatch, tmp_path, capsys):
+    # `check` reads every K-data through the one memo per carrier: its misses
+    # plus any direct build are the distinct carriers of the presentations
+    direct, real = [], ktheory._carrier.__wrapped__
+
+    def build(g, d):
+        direct.append(d)
+        return real(g, d)
+    monkeypatch.setattr(ktheory._carrier, "__wrapped__", build)
+    path = tmp_path / "deep7.graph"
+    path.write_text("".join(f"vertex {v}\n" for v in deep7.vertices) + "".join(
+        f"edge {v} {w} {m}\n" for v, row in zip(deep7.vertices, deep7.mult)
+        for w, m in zip(deep7.vertices, row) if m))
+    ktheory._carrier.cache_clear()
+    assert cli.main(["check", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    sp = spectrum_of(deep7)
+    carriers = {presentation(sp, u, v).d
+                for u, v in itertools.product(sp.opens, repeat=2) if not v & ~u}
+    assert ktheory._carrier.cache_info().misses + len(direct) == len(carriers) == 70
 
 
 def test_iota_functoriality(row_finite_corpus):
@@ -758,3 +823,15 @@ def test_cone_membership_synthetic():
     assert cone_contains(kd(free, ((2,), (-2,))), (4,)) == (True, True)
     # mixed signs defeat the bound: a miss is honest but not conclusive
     assert cone_contains(kd(free, ((2,), (-2,))), (1,)) == (False, False)
+
+
+def test_cone_search_stops_at_its_bound(corpus):
+    # one vertex with one loop, K0 = Z generated by (1,): past _CONE_BOUND
+    # copies of a generator the search stops, and that miss is inconclusive,
+    # never a conclusive "no"; a negative class is a conclusive "no"
+    kd = full_k(corpus["g1"])
+    bound = ktheory._CONE_BOUND
+    assert kd.cone_generators == ((1,),) and bound == 64
+    assert cone_contains(kd, (bound,)) == (True, True)
+    assert cone_contains(kd, (bound + 1,)) == (False, False)
+    assert cone_contains(kd, (-1,)) == (False, True)

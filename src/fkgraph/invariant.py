@@ -3,15 +3,15 @@
 `assemble` packages the spectrum, the K-data of every locally closed point
 set, and the maps of one six-term sequence per (sub, mid) pair of pointsets,
 whose groups are read from that K-data, into one object, which builds the
-two K layers only when they are first read.  The search that compares two
-such objects lives in `search`, which only a process that compares imports:
-this module resolves its public names on first use (PEP 562).
+K-data when first read and a sequence when its pair is.  The search that
+compares two such objects lives in `search`, which only a process that
+compares imports: this module resolves its public names on first use (PEP 562).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .graphs import Graph
 from .ktheory import KData, SixTerm, k_data, pair_chains, six_term
@@ -44,9 +44,9 @@ class FilteredK:
     holds one `SixTerm` per (sub, mid) pair that an open chain
     U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
     `ktheory.pair_chains` order; its maps run between the kmap groups of the
-    pair's parts.  Without row-finiteness the K layer cannot be built from
-    the data at hand and both mappings are empty; k_complete says which case
-    we are in.  Read-only.
+    pair's parts, and each is built on its pair's first read.  Without
+    row-finiteness the K layer cannot be built from the data at hand and
+    both mappings are empty; k_complete says which case we are in.  Read-only.
     """
 
     def __init__(self, space: SpectrumSpace):
@@ -68,10 +68,28 @@ class FilteredK:
 
     @cached_property
     def sequences(self) -> Mapping[tuple[int, int], SixTerm]:
-        if not self.k_complete:
-            return {}
-        sp = self.space
-        return {key: six_term(sp.graph, sp, *chain) for key, chain in pair_chains(sp).items()}
+        return _Sequences(self.space, pair_chains(self.space) if self.k_complete else {})
+
+
+class _Sequences(Mapping):
+    """The sequence of each pair `chains` keys, built on its chain when first read."""
+
+    def __init__(self, sp: SpectrumSpace, chains: dict):
+        self._sp, self._chains, self._built = sp, chains, {}
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            self._built[key] = six_term(self._sp.graph, self._sp, *self._chains[key])
+        return self._built[key]
+
+    def __contains__(self, key):
+        return key in self._chains
+
+    def __iter__(self):
+        return iter(self._chains)
+
+    def __len__(self):
+        return len(self._chains)
 
 
 def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,

@@ -24,13 +24,13 @@ is checked for exactness, with each map killing its source relations, as it
 is built; a failing one raises.  A spot f then gm is decided from two Smith
 decompositions, of [gm | relations] for the kernel and of [f | relations]
 for the image.
-`FilteredK` builds one sequence per pair, on the chain `pair_chains` picks;
-`check` builds every chain.  Its well-definedness suite compares a
-presentation with the canonical one only where saturation enlarged the
-carrier; an equal carrier reads the same K-data.  K-data is memoised once
-per process by the graph and the carrier d alone, framed groups by the
-canonical and raw carriers, and each exactness spot by its two maps and the
-factors of the groups they land in.
+`FilteredK` builds one sequence per pair, on the chain `pair_chains` picks,
+when the pair is first read; `check` builds every chain.  Its well-definedness
+suite compares a presentation with the canonical one only where saturation
+enlarged the carrier; an equal carrier reads the same K-data.  K-data is
+memoised once per process by the graph and the carrier d alone, framed groups
+by the canonical and raw carriers, and each exactness spot by its two maps and
+the factors of the groups they land in.
 """
 
 from __future__ import annotations

@@ -62,17 +62,19 @@ def _images(sigma) -> list[int]:
     return image
 
 
-def _squares(a: FilteredK):
-    """a's commuting squares, six per (sub, mid) pair in `a.sequences` order.
+def _squares(a: FilteredK, within: int):
+    """a's commuting squares, six per pair whose mid lies in `within`, in `a.sequences` order.
 
     Each is (pair, edge, source pointset, source level, target pointset,
     target level, map of a), the ends as `ktheory.CYCLE` places them.  A
     homeomorphism sigma matches it with b's map `b.sequences[sigma(pair)][edge]`
     into b's group at sigma(target).
     """
-    for key, seq in a.sequences.items():
+    for key in a.sequences:
+        if key[1] & ~within:
+            continue
         parts = pair_pointsets(key)
-        for edge, m_a in enumerate(seq):
+        for edge, m_a in enumerate(a.sequences[key]):
             (src, s_lv), (tgt, t_lv) = CYCLE[edge], CYCLE[(edge + 1) % 6]
             yield key, edge, parts[src], s_lv, parts[tgt], t_lv, m_a
 
@@ -105,6 +107,7 @@ class _Search:
     is assigned first constrains `group_isos` on the columns of a's map, as the
     image of the unit does at slot `within`; any other is checked once its
     source is assigned.  A run re-binds only b's side, read off `_images`.
+    Each side's sequences are built as runs read them, a unit's pair only when unital.
     K0 candidates are vetted with no per-run state: cone memberships are
     memoised per compare by the values `cone_contains` reads, inverses by
     value.  Every candidate a stream yields, in any run, counts against `_NODE_CAP`.
@@ -117,7 +120,6 @@ class _Search:
         self.unital, self.budget = unital, budget
         self.nodes = 0
         self.slots = list(a.kmap)
-        self._squares = list(_squares(a))
         self._filed: dict[int, tuple] = {}
         self._cones: dict[tuple, tuple[bool, bool]] = {}
         self._refuted: dict[tuple[int, tuple[int, ...]], bool] = {}
@@ -127,9 +129,7 @@ class _Search:
         index = {y: k for k, y in enumerate(self.slots)}
         into = [([], []) for _ in self.slots]
         out_of = [[] for _ in self.slots]
-        for key, edge, src, s_lv, tgt, t_lv, m_a in self._squares:
-            if key[1] & ~within:
-                continue
+        for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(self.a, within):
             si, ti = index[src], index[tgt]
             if (si, s_lv) < (ti, t_lv):
                 into[ti][t_lv].append((si, s_lv, key, edge, m_a))
@@ -208,7 +208,7 @@ class _Search:
         self.kd = [(ka, b.kmap[image[y]]) for y, ka in a.kmap.items()]
         self.b_maps = {(sub, mid): b.sequences[image[sub], image[mid]]
                        for sub, mid in a.sequences if not mid & ~within}
-        self.units = _unit(a, within), _unit(b, image[within])
+        self.units = (_unit(a, within), _unit(b, image[within])) if self.unital else None
         self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
         self.inconclusive, self.proof = False, True
         return list(zip(*self.alpha)) if self._extend(0) else None
@@ -375,7 +375,7 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
             checks += 1
             if kb.k0.reduce(m0.apply(ka.unit_class)) != kb.unit_class:
                 fails.append("unit class is not preserved")
-    for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a):
+    for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a, a.space.full):
         checks += 1
         m_b = b.sequences[image[key[0]], image[key[1]]][edge]
         kb = b.kmap[image[tgt]]

@@ -53,24 +53,33 @@ def test_search_names_are_one_object_wherever_read():
             module.no_such_name
 
 
-def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain,
-                                               monkeypatch):
+def _count_builds(monkeypatch) -> Counter:
+    """Count each `six_term` build by its space's id and (sub, mid) pair."""
     calls = Counter()
     build = invariant.six_term
 
     def counting(g, sp, u1, u2, u3):
-        calls[sequence_key(u1, u2, u3)] += 1
+        calls[id(sp), sequence_key(u1, u2, u3)] += 1
         return build(g, sp, u1, u2, u3)
-
     monkeypatch.setattr(invariant, "six_term", counting)
+    return calls
+
+
+def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain,
+                                               monkeypatch):
+    calls = _count_builds(monkeypatch)
     for name, g in dict(row_finite_corpus, free_antichain=free_antichain).items():
         calls.clear()
         fk = assemble(g)
         chains = list(open_triples(fk.space))
         keys = list(dict.fromkeys(sequence_key(*c) for c in chains))
-        assert list(fk.sequences) == keys, name
-        assert list(calls) == keys, name
-        assert set(calls.values()) == {1}, name
+        assert list(fk.sequences) == keys and len(fk.sequences) == len(keys), name
+        # iterating and membership build nothing; reading every value builds
+        # each pair once, in `pair_chains` order, and reading again builds none
+        assert not calls and all(key in fk.sequences for key in keys), name
+        first = dict(fk.sequences.items())
+        assert all(fk.sequences[key] is st for key, st in first.items()), name
+        assert [key for _, key in calls] == keys and set(calls.values()) == {1}, name
     assert (len(calls), len(chains)) == (81, 256)
 
 
@@ -78,14 +87,7 @@ def test_compare_builds_sequences_only_when_needed(corpus, graph_dir, capsys, mo
     # the K layers are built when first read: a verdict the spectra or the
     # pointwise K-groups decide builds no six-term sequence, and a
     # self-compare builds one per (sub, mid) pair
-    calls = Counter()
-    build = invariant.six_term
-
-    def counting(g, sp, u1, u2, u3):
-        calls[sequence_key(u1, u2, u3)] += 1
-        return build(g, sp, u1, u2, u3)
-
-    monkeypatch.setattr(invariant, "six_term", counting)
+    calls = _count_builds(monkeypatch)
     for a, b, kind in (("mixed5", "g1", "no_homeomorphism"), ("g1", "o2", "pointwise"),
                        ("g4", "g4", "family")):
         calls.clear()
@@ -96,7 +98,89 @@ def test_compare_builds_sequences_only_when_needed(corpus, graph_dir, capsys, mo
         if a != b:
             assert not calls, (a, b)
     sp = assemble(corpus["g4"]).space
-    assert calls == dict.fromkeys({sequence_key(*c) for c in open_triples(sp)}, 1)
+    assert Counter(key for _, key in calls.elements()) == dict.fromkeys(
+        {sequence_key(*c) for c in open_triples(sp)}, 1)
+
+
+def test_a_pair_is_built_on_its_first_read_only(corpus, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    fk = assemble(corpus["mixed5"])
+    key = list(fk.sequences)[-1]
+    assert key in fk.sequences and not calls
+    st = fk.sequences[key]
+    assert fk.sequences[key] is st and calls == {(id(fk.space), key): 1}
+
+
+def test_component_refutation_builds_only_the_pairs_it_reads(monkeypatch):
+    # the (Z/2)^k swap is refuted on its components (one point each), so each
+    # side builds the pairs inside a point, (0, 0) among them, and the unit's
+    # pair (full \ p, full) per point: 10 of 27 pairs at k = 3 (the shape of
+    # the benchmark's swap-3-z2 op), 22 of 2,187 at k = 7
+    calls = _count_builds(monkeypatch)
+    for k, built in ((3, 10), (7, 22)):
+        calls.clear()
+        a, b = _swap(k, 2)
+        assert compare(a, b).outcome == DISTINGUISHED
+        for fk in (a, b):
+            full, points = fk.space.full, [1 << p for p in range(k)]
+            want = {(0, 0), *((0, p) for p in points), *((p, p) for p in points),
+                    *((full & ~p, full) for p in points)}
+            got = {key: n for (sp, key), n in calls.items() if sp == id(fk.space)}
+            assert got == dict.fromkeys(want, 1) and len(want) == built, k
+            assert len(fk.sequences) == 3 ** k
+
+
+def test_only_a_unital_compare_reads_the_unit(fks, monkeypatch):
+    # the unit's image, and so its pair (full \ X, full), is read only under
+    # the unit condition
+    read, real = [], search._unit
+    monkeypatch.setattr(search, "_unit", lambda fk, x: read.append(x) or real(fk, x))
+    cases = [(fk, fk) for fk in fks.values() if fk.k_complete] + [_swap(3, 2)]
+    for a, b in cases:
+        compare(a, b, unital=False)
+    assert not read
+    for a, b in cases:
+        compare(a, b)
+    assert read
+
+
+def test_compatible_compare_and_replay_build_every_pair_once(row_finite_corpus, monkeypatch):
+    # a COMPATIBLE compare reads every pair of both sides, and its replay
+    # reads them again from what the compare built
+    calls = _count_builds(monkeypatch)
+    cases = [(assemble(g), assemble(g)) for g in row_finite_corpus.values()]
+    cases += [_swap(3, 3), (_sinks([0, 0, 1]), _sinks([1, 0, 0]))]
+    for a, b in cases:
+        calls.clear()
+        v = compare(a, b)
+        assert v.outcome == COMPATIBLE and verify_compatible_witness(a, b, v.witness).passed
+        want = {(id(fk.space), key): 1 for fk in (a, b) for key in fk.sequences}
+        assert calls == want
+
+
+def _forced(g):
+    fk = assemble(g)
+    dict(fk.sequences.items())
+    return fk
+
+
+def test_built_on_demand_compares_as_fully_built(corpus):
+    # compare on fresh invariants, which build the pairs as the search reads
+    # them, against compare after every pair is built: the same verdict and
+    # witness on the corpus pairwise and on census 1's first 120 graphs
+    census = list(itertools.islice(_census(3, 300, vertices=4), 120))
+    graphs = [*corpus.values(), *(fk.space.graph for fk in census)]
+    n = len(corpus)
+    cases = list(itertools.product(range(n), repeat=2))
+    cases += [(n + i, n + j) for i, a in enumerate(census) for j in range(i, len(census))
+              if a.space.npoints == census[j].space.npoints]
+    assert len(cases) == 256 + 3904
+    forced = [_forced(g) for g in graphs]
+    for i, j in cases:
+        for unital in (True, False):
+            fresh = compare(assemble(graphs[i]), assemble(graphs[j]), unital=unital)
+            full = compare(forced[i], forced[j], unital=unital)
+            assert json.dumps(fresh) == json.dumps(full), (i, j, unital)
 
 
 def test_sequences_run_between_kmap_groups(row_finite_corpus, free_antichain, deep7):
@@ -417,11 +501,11 @@ def test_sink_pairs_match_the_permutation_oracle(n):
         assert apart or verify_compatible_witness(a, b, v.witness).passed
 
 
-def _census(seed: int, count: int):
-    """`count` seeded random graphs on 1 to 5 vertices, multiplicities 0 to 3."""
+def _census(seed: int, count: int, vertices: int = 5):
+    """`count` seeded random graphs on 1 to `vertices` vertices, multiplicities 0 to 3."""
     rng = random.Random(seed)
     for _ in range(count):
-        vs = [f"v{k}" for k in range(rng.randint(1, 5))]
+        vs = [f"v{k}" for k in range(rng.randint(1, vertices))]
         yield assemble(graph_from_edges(vs, [(v, w, m) for v in vs for w in vs
                                              for m in [rng.choice((0, 0, 0, 1, 1, 2, 3))] if m]))
 
@@ -493,10 +577,10 @@ def test_search_checks_backward_squares(monkeypatch):
 
 def test_search_files_each_square_once(fks, monkeypatch):
     # one search per compare, built at the first homeomorphism that passes
-    # the pointwise check: it files a's squares once per pointset it runs
-    # on, a component with those of the pairs whose mid lies inside it and
-    # the whole space with six squares per pair, and every later run only
-    # re-binds b's side
+    # the pointwise check: it walks and files a's squares once per pointset
+    # it runs on, a component with those of the pairs whose mid lies inside
+    # it and the whole space with six squares per pair, and every later run
+    # only re-binds b's side
     pairs = [(fk, fk) for fk in fks.values() if fk.k_complete]
     pairs += [(_linked_blocks("a1"), _linked_blocks("a0")),
               (_sinks([0, 0, 0]), _sinks([0, 0, 1])),
@@ -521,9 +605,9 @@ def test_search_files_each_square_once(fks, monkeypatch):
         runs.append((sigma, within))
         return real_run(self, sigma, within)
 
-    def squares(a):
-        walks.append(a)
-        return real_squares(a)
+    def squares(a, within):
+        walks.append((a, within))
+        return real_squares(a, within)
     monkeypatch.setattr(search._Search, "__init__", init)
     monkeypatch.setattr(search._Search, "_file", file)
     monkeypatch.setattr(search._Search, "run", run)
@@ -533,7 +617,7 @@ def test_search_files_each_square_once(fks, monkeypatch):
         for unital in (False, True):
             builds.clear(), walks.clear(), filed.clear(), runs.clear()
             compare(a, b, unital=unital)
-            assert builds == [a] and walks == [a], unital
+            assert builds == [a] and walks == [(a, w) for w, _, _ in filed], unital
             assert all(count == want for _, count, want in filed), filed
             assert len({w for w, _, _ in filed}) == len(filed), filed
             assert ({w for w, _, _ in filed}
@@ -635,7 +719,8 @@ def test_each_slot_isomorphism_inverted_once_per_compare(monkeypatch):
     # within a run after each backtrack: every distinct (group, matrix) pair
     # is inverted once, and each repeat is a lookup
     a, b = _swap(3, 2)
-    a.sequences, b.sequences   # the K layers invert their own maps when built
+    for fk in (a, b):   # the K layers invert their own maps when built
+        dict(fk.sequences.items())
     asked, real = [], search.group_iso_inverse
 
     def spy(G, A):
@@ -811,9 +896,9 @@ def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     walks, calls = [], Counter()
     squares = search._squares
 
-    def counting(a):
-        walks.append(a)
-        for square in squares(a):
+    def counting(a, within):
+        walks.append((a, within))
+        for square in squares(a, within):
             calls[square[0]] += 1
             yield square
 
@@ -821,7 +906,7 @@ def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     for name, fk in complete.items():
         walks.clear(), calls.clear()
         assert verify_compatible_witness(fk, fk, witnesses[name]).passed, name
-        assert walks == [fk] and calls == dict.fromkeys(fk.sequences, 6), name
+        assert walks == [(fk, fk.space.full)] and calls == dict.fromkeys(fk.sequences, 6), name
     # more chains than pairs, so a replay walking chains fails above
     mixed5 = complete["mixed5"]
     assert len(list(open_triples(mixed5.space))) > len(mixed5.sequences)

@@ -286,28 +286,3 @@ def return_path_count(g: Graph, base: int) -> int:
 def satisfies_condition_K(g: Graph) -> bool:
     """No vertex has exactly one return path."""
     return all(return_path_count(g, i) != 1 for i in range(g.n))
-
-
-# ------------------------------------------------------------ subquotients
-
-
-def subquotient_graph(g: Graph, d: int, v_ideal: int) -> Graph:
-    """Restriction of g to the vertex set d, where d = H \\ v_ideal for some
-    hereditary saturated H containing the hereditary saturated v_ideal."""
-    if not g.row_finite:
-        raise ValueError("subquotients require a row-finite graph")
-    if d & v_ideal:
-        raise ValueError("d and v_ideal must be disjoint")
-    if not is_hereditary(g, v_ideal) or not is_saturated(g, v_ideal):
-        raise ValueError("v_ideal must be hereditary and saturated")
-    hu = d | v_ideal
-    if not is_hereditary(g, hu) or not is_saturated(g, hu):
-        raise ValueError("d | v_ideal must be hereditary and saturated")
-    return restriction(g, d)
-
-
-def restriction(g: Graph, d: int) -> Graph:
-    """g restricted to the vertex set d, whatever d is."""
-    keep = list(iter_bits(d))
-    return Graph(tuple(g.vertices[i] for i in keep),
-                 tuple(tuple(g.mult[i][j] for j in keep) for i in keep))

@@ -512,8 +512,10 @@ def _torsion_lex(tf: tuple[int, ...], rules) -> Iterator[tuple[tuple[int, ...], 
 
 
 def _free_lex(kf: int, budget: int, rules) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """GL(kf, Z) matrices with |entries| <= budget whose rows fit `rules`, lexicographic."""
-    vals = range(-budget, budget + 1)
+    """GL(kf, Z) matrices with |entries| <= budget whose rows fit `rules`, lexicographic.
+
+    GL(1, Z) is {-1, 1}, so a rank-1 block costs the same at any budget."""
+    vals = (-1, 1) if kf == 1 else range(-budget, budget + 1)
     for F in product(*([r for r in product(vals, repeat=kf) if _fits(r, rules[i])]
                        for i in range(kf))):
         if abs(IntMatrix(kf, kf, F).det()) == 1:

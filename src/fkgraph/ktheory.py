@@ -1,10 +1,10 @@
 """K-groups of gauge subquotients and the six-term maps between them.
 
-For a subquotient carried by a vertex set D the presenting matrix B has rows
-indexed by all vertices of the restricted graph and columns by its regular
-vertices, B[w][v] = mult(v -> w) - delta_{vw}.  K0 is the cokernel with the
-vertex classes as distinguished cone generators, the reduced columns of its
-projection, and K1 the integer kernel.
+For a subquotient carried by a vertex set D the presenting matrix B is read
+off the graph's multiplicities, rows the vertices of D and columns its
+regular vertices, B[w][v] = mult(v -> w) - delta_{vw}.  K0 is the cokernel
+with the vertex classes as distinguished cone generators, the reduced columns
+of its projection, and K1 the integer kernel.
 
 A six-term sequence belongs to a (sub, mid) pair of locally closed pointsets,
 an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
@@ -22,8 +22,8 @@ counts the carrier's (regular) vertices below it; a carrier's regular
 vertices are g's, since H_u is hereditary and H_v saturated.  Each sequence
 is checked for exactness, with each map killing its source relations, as it
 is built; a failing one raises.  A spot f then gm is decided from two Smith
-decompositions, of [gm | relations] for the kernel and of [f | relations]
-for the image.
+decompositions: [gm | relations] gives the kernel, and each kernel vector
+must be solvable on [f | relations].
 `FilteredK` builds one sequence per pair, on the chain `pair_chains` picks,
 when the pair is first read; `check` builds every chain.  Its well-definedness
 suite compares a presentation with the canonical one only where saturation
@@ -38,11 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ExactnessError, InternalInvariantError
-from .graphs import Graph, iter_bits, restriction, subquotient_graph
+from .graphs import Graph, is_hereditary, is_saturated, iter_bits
 from .intlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -60,8 +59,8 @@ from .spectrum import LocallyClosedSet, SpectrumSpace, canonical_presentation, p
 class KData(NamedTuple):
     """Ordered K-theory of one subquotient.
 
-    cone_generators[i] is the K0 class of the i-th vertex of the restricted
-    graph; unit_class is their sum.  Coordinates follow the invariant factors
+    cone_generators[i] is the K0 class of the i-th vertex of the carrier;
+    unit_class is their sum.  Coordinates follow the invariant factors
     of each group.
     """
 
@@ -78,24 +77,29 @@ class KData(NamedTuple):
 
 @cache
 def _carrier(g: Graph, d: int) -> KData:
-    """K-data of g restricted to the carrier d, the algebra of each subquotient
-    it carries (whatever h_v presents it); memoised by value, unchecked."""
-    gq = restriction(g, d)
-    regs = list(iter_bits(gq.regular))
-    b = IntMatrix.from_rows([[gq.mult[v][w] - (v == w) for v in regs] for w in range(gq.n)],
+    """K-data of the subquotient carried by d, whatever h_v presents it, read off
+    g.mult: rows the vertices of d, columns g's regular vertices in d (H_v is
+    saturated, so each keeps an edge inside d); memoised by value, unchecked."""
+    verts, regs = list(iter_bits(d)), list(iter_bits(d & g.regular))
+    b = IntMatrix.from_rows([[g.mult[v][w] - (v == w) for v in regs] for w in verts],
                             cols=len(regs))
     k0 = cokernel(b)
-    gens = tuple(map(k0.reduce, zip(*k0.project.entries))) or ((),) * gq.n
+    gens = tuple(map(k0.reduce, zip(*k0.project.entries))) or ((),) * len(verts)
     unit = k0.reduce([sum(c) for c in zip(*gens)]) if gens else (0,) * k0.ncoords
-    return KData(gq.vertices, b, k0, gens, unit, kernel_group(b))
+    return KData(tuple(g.vertices[v] for v in verts), b, k0, gens, unit, kernel_group(b))
 
 
 @cache
 def _presented(g: Graph, d: int, h_v: int) -> None:
-    """Raises unless (d, h_v) presents a subquotient, as `subquotient_graph` checks it."""
+    """Raises unless (d, h_v) presents a subquotient: h_v and d | h_v are
+    hereditary and saturated, and d misses h_v."""
     if not g.row_finite:
         raise ValueError("K-data requires a row-finite graph")
-    subquotient_graph(g, d, h_v)
+    if d & h_v:
+        raise ValueError("d and v_ideal must be disjoint")
+    for h, what in ((h_v, "v_ideal"), (d | h_v, "d | v_ideal")):
+        if not is_hereditary(g, h) or not is_saturated(g, h):
+            raise ValueError(f"{what} must be hereditary and saturated")
 
 
 def k_data(g: Graph, y: LocallyClosedSet) -> KData:
@@ -232,9 +236,8 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     gm [f | relations of mid] into tgt checks both that gm is well defined
     (it kills the relations of its source) and that gm after f is zero.
     ker gm lies in im f iff each kernel vector v, the trailing Q columns of
-    [gm | relations of tgt] cut to mid's coordinates, has row i of P v
-    divisible by the i-th Smith factor of [f | relations of mid] = P^-1 S Q^-1
-    (zero past the diagonal).
+    [gm | relations of tgt] cut to mid's coordinates, is solved by the Smith
+    decomposition of [f | relations of mid].
     """
     mid, tgt = _standard_group(mid_factors), _standard_group(tgt_factors)
     img = f.hstack(mid.relation_columns)
@@ -250,11 +253,7 @@ def _spot_failure(f: IntMatrix, gm: IntMatrix, mid_factors: tuple[int, ...],
     if not basis:
         return None
     dec = smith_decomposition(img)
-    diag = dec.diagonal + (0,) * (img.rows - len(dec.diagonal))
-    for row, d in zip(dec.P.entries, diag):
-        if any(y % d if d else y for y in (sum(map(mul, row, v)) for v in basis)):
-            return 2
-    return None
+    return 2 if any(dec.solve(v) is None for v in basis) else None
 
 
 @cache

@@ -17,6 +17,9 @@ as their references.  `w_set`, `hull`, `carrier_indices` and `positions`
 are the point scans, the intersection of opens and the per-carrier index
 dicts that the spectrum's points-above masks and the popcount positions of
 `ktheory` replaced, kept as their references.
+`subquotient_graph` is the restricted graph, checked from the definitions,
+that `ktheory._carrier` reads off g instead, and `subquotient_k_data` the
+K-data read off it.  `census_one_graphs` draws the graphs of census 1.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -29,9 +32,9 @@ import random
 from itertools import combinations
 
 from fkgraph.errors import InternalInvariantError
-from fkgraph.graphs import INF, Graph, iter_bits, mult_add, subquotient_graph
-from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, kernel_group,
-                               smith_decomposition, xgcd)
+from fkgraph.graphs import INF, Graph, graph_from_edges, iter_bits, mult_add
+from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, cokernel,
+                               kernel_group, smith_decomposition, xgcd)
 from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
 from fkgraph.ktheory import CYCLE, KData
 from fkgraph.lattice import DEFAULT_VERTEX_CAP
@@ -249,6 +252,37 @@ def sorted_admissible_pairs(g: Graph) -> list[tuple[int, int]]:
     return sorted(masks, key=lambda p: (p[0].bit_count(), p[0], p[1].bit_count(), p[1]))
 
 
+# ------------------------------------------------------------ subquotients
+# The subquotient as a graph of its own, which `ktheory._carrier` reads off
+# the multiplicities of g instead.
+
+
+def subquotient_graph(g: Graph, d: int, h_v: int) -> Graph:
+    """g restricted to the vertex set d, after checking that (d, h_v) presents
+    a subquotient of a row-finite g: h_v and d | h_v hereditary and saturated,
+    d and h_v disjoint."""
+    keep = list(iter_bits(d))
+    h, hu = set(iter_bits(h_v)), set(iter_bits(d | h_v))
+    if not g.row_finite or d & h_v or not all(
+            oracle_hereditary(g, x) and oracle_saturated(g, x) for x in (h, hu)):
+        raise ValueError("not a subquotient presentation")
+    return Graph(tuple(g.vertices[i] for i in keep),
+                 tuple(tuple(g.mult[i][j] for j in keep) for i in keep))
+
+
+def subquotient_k_data(g: Graph, d: int, h_v: int) -> KData:
+    """K-data of the subquotient graph: rows its vertices, columns its
+    regular vertices, K0 the cokernel with the vertex classes, K1 the kernel."""
+    gq = subquotient_graph(g, d, h_v)
+    regs = [v for v in range(gq.n) if oracle_regular(gq, v)]
+    b = IntMatrix.from_rows([[gq.mult[v][w] - (v == w) for v in regs] for w in range(gq.n)],
+                            cols=len(regs))
+    k0 = cokernel(b)
+    gens = tuple(k0.reduce(k0.project.col(v)) for v in range(gq.n))
+    unit = k0.reduce([sum(c[i] for c in gens) for i in range(k0.ncoords)])
+    return KData(gq.vertices, b, k0, gens, unit, kernel_group(b))
+
+
 # ------------------------------------------------- spectrum and carrier scans
 # The scans that `SpectrumSpace.above` and `ktheory._positions` replaced.
 
@@ -272,8 +306,8 @@ def carrier_indices(g: Graph, d: int, h_v: int) -> tuple[dict[int, int], dict[in
     indexes, from the regular vertices of the subquotient graph."""
     gq = subquotient_graph(g, d, h_v)
     verts = list(iter_bits(d))
-    return ({v: i for i, v in enumerate(verts)},
-            {verts[p]: j for j, p in enumerate(iter_bits(gq.regular))})
+    regs = [p for p in range(gq.n) if oracle_regular(gq, p)]
+    return ({v: i for i, v in enumerate(verts)}, {verts[p]: j for j, p in enumerate(regs)})
 
 
 def positions(index: dict[int, int], items) -> list[int]:
@@ -450,6 +484,22 @@ def lattice_contains(A: IntMatrix, B: IntMatrix) -> bool:
         return True
     dec = smith_decomposition(A)
     return all(dec.solve(B.col(j)) is not None for j in range(B.cols))
+
+
+# ------------------------------------------------------------ census
+
+
+def census_one_graphs() -> list[Graph]:
+    """The 300 graphs of census 1: each has 1 to 4 vertices v0.., then one
+    multiplicity from (0, 0, 0, 1, 1, 2, 3) per ordered pair (v, w), in row
+    order, all drawn from random.Random(3)."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(300):
+        vs = [f"v{k}" for k in range(rng.randint(1, 4))]
+        out.append(graph_from_edges(vs, [(v, w, m) for v in vs for w in vs
+                                         for m in [rng.choice((0, 0, 0, 1, 1, 2, 3))] if m]))
+    return out
 
 
 # ------------------------------------------------------------ command line

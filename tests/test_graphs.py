@@ -1,5 +1,6 @@
 """Graph model: parsing, reachability, hereditary/saturated machinery,
-condition (K), subquotients.  Derived expectations come from tests/oracles.py."""
+condition (K), and the subquotient graphs of tests/oracles.py that the K layer
+is checked against.  Derived expectations come from tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from fkgraph.graphs import (
     parse_graph_json,
     return_path_count,
     satisfies_condition_K,
-    subquotient_graph,
 )
 from fkgraph.lattice import enumerate_admissible_pairs
 
@@ -37,6 +37,7 @@ from oracles import (
     oracle_hereditary,
     oracle_return_verdict,
     oracle_saturated,
+    subquotient_graph,
 )
 
 

@@ -333,6 +333,12 @@ def test_group_isos_Z():
     assert len(isos) == 2  # GL(1, Z)
 
 
+def test_group_isos_Z_costs_the_same_at_any_budget():
+    # a rank-1 free block is +-1 whatever the budget: no scan of its range
+    G = cokernel(IntMatrix.from_rows([[0]]))
+    assert [m.entries for m in group_isos(G, G, budget=10**12)] == [((1,),), ((-1,),)]
+
+
 def test_group_isos_mixed():
     # Z/2 + Z: torsion aut {1}, X in {0, 1}, free part {±1}
     M = IntMatrix.from_rows([[2, 0], [0, 0]])

@@ -10,7 +10,7 @@ import pytest
 
 from fkgraph import cli, ktheory
 from fkgraph.errors import InternalInvariantError
-from fkgraph.graphs import Graph, graph_from_edges, iter_bits, subquotient_graph
+from fkgraph.graphs import Graph, graph_from_edges, iter_bits
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
@@ -40,7 +40,8 @@ from fkgraph.spectrum import (
 )
 
 from oracles import (carrier_indices, cycle_groups, image_lattice, kernel_lattice,
-                     lattice_contains, maps_equal, names_mask, pair_index, reduce_map)
+                     lattice_contains, maps_equal, names_mask, pair_index, reduce_map,
+                     census_one_graphs, subquotient_graph, subquotient_k_data)
 
 
 def spectrum_of(g):
@@ -160,9 +161,9 @@ def test_k_data_rejects_bad_input(corpus, row_finite_corpus):
     v1 = names_mask(g, ["v1"])
     with pytest.raises(ValueError):
         k_data(g, LocallyClosedSet(0b1, 0b1, 0, v1, 0))  # {v1} not hereditary
-    # K-data is memoised per carrier, and a presentation (d, h_v) that
-    # `subquotient_graph` refuses is refused by k_data even once a valid
-    # presentation has memoised d
+    # K-data is memoised per carrier, and a presentation (d, h_v) that the
+    # oracle's `subquotient_graph` refuses is refused by k_data even once a
+    # valid presentation has memoised d
     refused = 0
     for g in row_finite_corpus.values():
         for y in locally_closed_sets(spectrum_of(g)):
@@ -191,6 +192,27 @@ def test_cached_k_data_matches_fresh_build(row_finite_corpus):
             kd = k_data(g, y)
             assert kd == ktheory._carrier.__wrapped__(g, y.d), (name, u, v)
             assert k_data(g, y) is kd, (name, u, v)
+
+
+def test_carrier_matches_the_subquotient_graph(row_finite_corpus, deep7):
+    # every (U, V) presentation of the corpus and of census 1's seeded graphs:
+    # the K-data read off g equals the K-data of the restricted graph, whose
+    # regular vertices are g's regular vertices in d
+    graphs = dict(row_finite_corpus, deep7=deep7)
+    graphs.update((f"census{k}", g) for k, g in enumerate(census_one_graphs()))
+    checked = 0
+    for name, g in graphs.items():
+        sp = spectrum_of(g)
+        for u, v in itertools.product(sp.opens, repeat=2):
+            if v & ~u:
+                continue
+            y = presentation(sp, u, v)
+            gq = subquotient_graph(g, y.d, y.h_v)
+            verts = list(iter_bits(y.d))
+            assert [verts[p] for p in iter_bits(gq.regular)] == list(iter_bits(y.d & g.regular))
+            assert k_data(g, y) == subquotient_k_data(g, y.d, y.h_v), (name, u, v)
+            checked += 1
+    assert checked > 1600, checked
 
 
 def test_cone_generators_are_projected_vertex_classes(row_finite_corpus, free_antichain,

@@ -1,4 +1,5 @@
-"""Byte-stable JSON: the sha256 of stdout for a fixed set of CLI invocations.
+"""Byte-stable JSON: the sha256 of stdout for a fixed set of CLI invocations,
+and of every verdict of census 1.
 
 A digest moves when any byte of an output moves, witness order included.
 When a change to the outputs is intended, print the new table with
@@ -13,11 +14,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
+from collections import Counter
 
 from fkgraph.cli import main
+from fkgraph.invariant import COMPATIBLE, DISTINGUISHED, assemble, compare
+from oracles import census_one_graphs
 
 GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 CORPUS = sorted(p.stem for p in GRAPHS.glob("*.graph"))
@@ -351,6 +356,30 @@ def test_output_digests(tmp_path):
     assert got.keys() == DIGESTS.keys()
     changed = sorted(name for name in got if got[name] != DIGESTS[name])
     assert not changed, changed
+
+
+# census 1: every pair i <= j of `census_one_graphs` with equal point counts,
+# unital first, at the default budget; one sha256 over the JSON of each
+# [i, j, unital, outcome, witness] in that order.  No verdict is UNKNOWN.
+CENSUS_ONE_TALLY = {"pointwise": 35325, "no_homeomorphism": 3324, "no_family": 755,
+                    COMPATIBLE: 3494}
+CENSUS_ONE_DIGEST = "093833d7174bd6e19e0beb89dde91f0c2c78d59a9c41694154897daa8c0688f4"
+
+
+def test_census_one():
+    fks = [assemble(g) for g in census_one_graphs()]
+    tally, sha = Counter(), hashlib.sha256()
+    for i, a in enumerate(fks):
+        for j in range(i, len(fks)):
+            if a.space.npoints != fks[j].space.npoints:
+                continue
+            for unital in (True, False):
+                v = compare(a, fks[j], unital)
+                tally[v.witness["kind"] if v.outcome == DISTINGUISHED else v.outcome] += 1
+                sha.update(json.dumps([i, j, unital, v.outcome, v.witness],
+                                      sort_keys=True).encode())
+    assert tally == CENSUS_ONE_TALLY and tally.total() == 42898
+    assert sha.hexdigest() == CENSUS_ONE_DIGEST
 
 
 if __name__ == "__main__":

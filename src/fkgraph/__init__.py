@@ -1,10 +1,12 @@
 """Exact ideal-lattice, spectrum, and filtered K-theory computations for
 finite directed multigraphs."""
 
+from importlib import import_module
+
 from .errors import CapExceeded, ExactnessError, FkGraphError, ParseError
 from .graphs import INF, Graph, graph_from_edges, parse_graph, parse_graph_auto
 from .invariant import COMPATIBLE, DISTINGUISHED, SEARCH_NAMES, UNKNOWN, FilteredK, assemble
-from .ktheory import KData, SixTerm, cone_contains, k_data, six_term
+from .ktheory import KData, cone_contains, k_data
 from .lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
 from .spectrum import LocallyClosedSet, SpectrumSpace, locally_closed_sets, s_primes
 
@@ -42,9 +44,15 @@ __all__ = [
 ]
 
 
+# exported names whose module loads on first use, as in `invariant`: the
+# search, and the six-term layer, which `k` never loads
+LAZY_NAMES = {**dict.fromkeys(SEARCH_NAMES, "search"),
+              "SixTerm": "sixterm", "six_term": "sixterm"}
+
+
 def __getattr__(name: str):
-    # the search names load with `search`, on first use, as in `invariant`
-    if name not in SEARCH_NAMES:
+    # kept here once loaded, where rebinding module globals sees it
+    if name not in LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import invariant
-    return getattr(invariant, name)
+    module = import_module(f".{LAZY_NAMES[name]}", __name__)
+    return globals().setdefault(name, getattr(module, name))

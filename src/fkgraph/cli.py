@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from .errors import CapExceeded, ParseError
 from .graphs import Graph, iter_bits, parse_graph_auto
 from .invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP, assemble
-from .ktheory import k_data, verify_exactness, verify_well_definedness
+from .ktheory import k_data
 from .lattice import DEFAULT_VERTEX_CAP, enumerate_admissible_pairs
 from .spectrum import (
     capped_spectrum,
@@ -229,6 +229,7 @@ def _run_compare(cfg) -> int:
 # -- check ------------------------------------------------------------------
 
 def _run_check(cfg) -> int:
+    from .sixterm import verify_exactness, verify_well_definedness   # k never loads these
     g = _load(cfg.graph)
     sp = capped_spectrum(g, cfg.point_cap, cfg.vertex_cap)
     suites = [

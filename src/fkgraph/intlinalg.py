@@ -2,8 +2,8 @@
 
 Smith normal form with tracked unimodular transforms, cokernels and kernels
 as finitely generated abelian groups in canonical presentation, maps into
-such groups, and a bounded enumeration of group isomorphisms.  Everything
-runs on Python's arbitrary-precision integers; no floating point is used.
+such groups, and inverses of group isomorphisms.  Everything runs on
+Python's arbitrary-precision integers; no floating point is used.
 
 Smith decompositions, kernels and group isomorphism inverses are memoised
 by value (`IntMatrix` is an immutable tuple record): each distinct matrix is
@@ -13,17 +13,28 @@ shape.  The elimination's swaps and row and column subtractions touch only
 the rows and columns they change.  `IntMatrix.from_rows` checks the shape of
 rows that come in; matrices computed here are built to shape.  `map_into` is
 the one place a map into a group is formed: it selects, multiplies and
-reduces each row mod the target's factor in one pass.  Group isomorphisms
-are generated lazily, row by row, under linear constraints A v = c.
+reduces each row mod the target's factor in one pass.  The bounded
+enumeration of group isomorphisms is `search.group_isos`, which only a
+process that compares loads; until the per-layer tracer imports its own
+targets, its name resolves here on first read (PEP 562) and is kept in this
+module's globals, where the tracer's rebinding sees it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+SEARCH_NAMES = ("group_isos",)
+
+
+def __getattr__(name: str):
+    # a search name loads `search` and is kept here, where rebinding module globals sees it
+    if name not in SEARCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import search
+    return globals().setdefault(name, getattr(search, name))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -426,137 +437,6 @@ def kernel_group(M: IntMatrix) -> FgAbGroup:
     _sign_normalize(basis, proj, range(len(idx)))
     return FgAbGroup((0,) * len(idx), IntMatrix(len(idx), M.cols, tuple(map(tuple, proj))),
                      IntMatrix(M.cols, len(idx), tuple(zip(*basis)) or ((),) * M.cols))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _fits(row: tuple[int, ...], rules) -> bool:
-    """Whether a matrix row meets its rules (v, c, m): row . v == c mod m, exactly if m == 0."""
-    for v, c, m in rules:
-        d = sum(map(mul, row, v)) - c
-        if d % m if m else d:
-            return False
-    return True
-
-
-def _identity_first(rules, lex: Iterator[tuple]) -> Iterator[tuple]:
-    """The identity when its rows fit `rules`, then `lex` without it."""
-    ident = IntMatrix.identity(len(rules)).entries
-    if all(map(_fits, ident, rules)):
-        yield ident
-    for m in lex:
-        if m != ident:
-            yield m
-
-
-def _torsion_lex(tf: tuple[int, ...], rules) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Automorphism matrices of Z/tf[0] + ... whose rows fit `rules`, lexicographic.
-
-    Built row by row, not filtered from the box of candidates.  Entry
-    (i, j) must be a multiple of tf[i] / gcd(tf[i], tf[j]) for the column map
-    from a generator of order tf[j] to be well defined, so mod a prime p it
-    vanishes whenever tf[i] has the larger p-exponent: the matrix is
-    block-triangular mod p, one diagonal block per p-exponent, and it is
-    bijective iff every block is invertible mod p (Hillar-Rhea,
-    arXiv:math/0605185).  A row is dropped as soon as it misses a rule or its
-    residues on its block lie in the span of the earlier rows of that block.
-    """
-    k = len(tf)
-    primes = sorted({p for d in tf for p in _prime_factors(d)})
-    ppart = {p: [gcd(d, p ** d.bit_length()) for d in tf] for p in primes}
-    spans: dict[tuple[int, int], set] = {}   # (p, p-part) -> span mod p so far
-    cands = []   # per row: (row, [(block key, residues on the block)])
-    for i in range(k):
-        blocks = []
-        for p in primes:
-            if ppart[p][i] > 1:
-                cols = [j for j in range(k) if ppart[p][j] == ppart[p][i]]
-                blocks.append(((p, ppart[p][i]), cols))
-                spans[p, ppart[p][i]] = {(0,) * len(cols)}
-        cells = [range(0, tf[i], tf[i] // gcd(tf[i], tf[j])) for j in range(k)]
-        cands.append([(row, [(key, tuple(row[j] % key[0] for j in cols)) for key, cols in blocks])
-                      for row in product(*cells) if _fits(row, rules[i])])
-    rows: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        for row, residues in cands[i]:
-            if any(r in spans[key] for key, r in residues):
-                continue
-            rows.append(row)
-            if i + 1 < k:
-                saved = [(key, spans[key]) for key, _ in residues]
-                for key, r in residues:
-                    p = key[0]
-                    spans[key] = {tuple((a + c * b) % p for a, b in zip(v, r))
-                                  for v in spans[key] for c in range(p)}
-                yield from extend(i + 1)
-                spans.update(saved)
-            else:
-                yield tuple(rows)
-            rows.pop()
-
-    if k:   # the trivial group has only the identity, which comes first anyway
-        yield from extend(0)
-
-
-def _free_lex(kf: int, budget: int, rules) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """GL(kf, Z) matrices with |entries| <= budget whose rows fit `rules`, lexicographic.
-
-    GL(1, Z) is {-1, 1}, so a rank-1 block costs the same at any budget."""
-    vals = (-1, 1) if kf == 1 else range(-budget, budget + 1)
-    for F in product(*([r for r in product(vals, repeat=kf) if _fits(r, rules[i])]
-                       for i in range(kf))):
-        if abs(IntMatrix(kf, kf, F).det()) == 1:
-            yield F
-
-
-def group_isos(G: FgAbGroup, H: FgAbGroup, budget: int = 2,
-               constraints: Iterable[tuple[Sequence[int], Sequence[int]]] = ()) -> Iterator[IntMatrix]:
-    """Isomorphisms A: G -> H on canonical coordinates with A v = c in H for
-    every constraint (v, c), generated lazily; no group is held whole.
-
-    The free block F (entries bounded by `budget`) varies slowest, then the
-    torsion automorphism T, then the free-to-torsion block X, each identity
-    first, then lexicographic, and each built row by row.  Row i of A meets
-    (v, c) iff its own entries do, so a row is dropped once it fails a
-    constraint it decides (a row of T: when no X row can repair it).  The
-    output is the unconstrained stream filtered, in the same order.  Every
-    yield is invertible over the factors.  The enumeration is exhaustive when
-    the free rank is <= 1.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if G.invariant_factors != H.invariant_factors:
-        return
-    tf = G.torsion_factors
-    kt, kf = len(tf), G.rank
-    cons = [(tuple(v[:kt]), tuple(v[kt:]), tuple(c)) for v, c in constraints]
-    # a torsion row of T can still be repaired by its X row up to gcd(tf[i], vf)
-    t_rules = [[(vt, c[i], m) for vt, vf, c in cons if (m := gcd(tf[i], *vf)) != 1]
-               for i in range(kt)]
-    f_rules = [[(vf, c[kt + i], 0) for vt, vf, c in cons] for i in range(kf)]
-    for F in _identity_first(f_rules, _free_lex(kf, budget, f_rules)):
-        for T in _identity_first(t_rules, _torsion_lex(tf, t_rules)):
-            xs = [[()]] * kt   # with no free part, T's rules were exact
-            if kf:
-                xs = [[x for x in product(range(d), repeat=kf) if _fits(x, rules)]
-                      for i, d in enumerate(tf) for rules in
-                      [[(vf, c[i] - sum(map(mul, T[i], vt)), d) for vt, vf, c in cons]]]
-            for X in product(*xs):
-                yield IntMatrix(kt + kf, kt + kf, tuple(T[i] + X[i] for i in range(kt))
-                                + tuple((0,) * kt + F[i] for i in range(kf)))
 
 
 @cache

@@ -3,20 +3,25 @@
 `assemble` packages the spectrum, the K-data of every locally closed point
 set, and the maps of one six-term sequence per (sub, mid) pair of pointsets,
 whose groups are read from that K-data, into one object, which builds the
-K-data when first read and a sequence when its pair is.  The search that
-compares two such objects lives in `search`, which only a process that
-compares imports: this module resolves its public names on first use (PEP 562).
+K-data when first read and a sequence when its pair is; `sixterm`, which
+builds the sequences, loads at the first such read.  The search that compares
+two such objects lives in `search`, which only a process that compares
+imports: this module resolves its public names on first use (PEP 562).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
-from .ktheory import KData, SixTerm, k_data, pair_chains, six_term
+from .ktheory import KData, k_data, pair_chains
 from .lattice import DEFAULT_VERTEX_CAP
 from .spectrum import SpectrumSpace, capped_spectrum, locally_closed_sets
+
+if TYPE_CHECKING:
+    from .sixterm import SixTerm
 
 DISTINGUISHED = "DISTINGUISHED"
 COMPATIBLE = "COMPATIBLE"
@@ -79,6 +84,7 @@ class _Sequences(Mapping):
 
     def __getitem__(self, key):
         if key not in self._built:
+            from .sixterm import six_term   # only a process that reads a sequence loads it
             self._built[key] = six_term(self._sp.graph, self._sp, *self._chains[key])
         return self._built[key]
 

@@ -19,7 +19,8 @@ dicts that the spectrum's points-above masks and the popcount positions of
 `ktheory` replaced, kept as their references.
 `subquotient_graph` is the restricted graph, checked from the definitions,
 that `ktheory._carrier` reads off g instead, and `subquotient_k_data` the
-K-data read off it.  `census_one_graphs` draws the graphs of census 1.
+K-data read off it.  `census_one_graphs` and `census_two_graphs` draw the
+graphs of census 1 and of the rank-2 census.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -35,7 +36,7 @@ from fkgraph.errors import InternalInvariantError
 from fkgraph.graphs import INF, Graph, graph_from_edges, iter_bits, mult_add
 from fkgraph.intlinalg import (FgAbGroup, IntMatrix, SmithDecomposition, cokernel,
                                kernel_group, smith_decomposition, xgcd)
-from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP
+from fkgraph.invariant import DEFAULT_BUDGET, DEFAULT_POINT_CAP, assemble
 from fkgraph.ktheory import CYCLE, KData
 from fkgraph.lattice import DEFAULT_VERTEX_CAP
 
@@ -499,6 +500,26 @@ def census_one_graphs() -> list[Graph]:
         vs = [f"v{k}" for k in range(rng.randint(1, 4))]
         out.append(graph_from_edges(vs, [(v, w, m) for v in vs for w in vs
                                          for m in [rng.choice((0, 0, 0, 1, 1, 2, 3))] if m]))
+    return out
+
+
+def census_two_graphs() -> list[Graph]:
+    """The 150 graphs of the rank-2 census: each has 3 to 5 vertices v0..,
+    the last 2 to n - 1 of them sinks, then one multiplicity from
+    (0, 0, 1, 1, 2, 3) per ordered pair (v, w) with v a non-sink, in row
+    order, all drawn from random.Random(11).  A graph is kept when its K
+    layer is complete and some slot's K0 has rank at least 2."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 150:
+        n = rng.randint(3, 5)
+        s = rng.randint(2, n - 1)
+        vs = [f"v{k}" for k in range(n)]
+        g = graph_from_edges(vs, [(v, w, m) for v in vs[:n - s] for w in vs
+                                  for m in [rng.choice((0, 0, 1, 1, 2, 3))] if m])
+        fk = assemble(g)
+        if fk.k_complete and any(kd.k0.rank >= 2 for kd in fk.kmap.values()):
+            out.append(g)
     return out
 
 

@@ -11,8 +11,9 @@ import time
 from fkgraph.graphs import satisfies_condition_K
 from fkgraph.intlinalg import IntMatrix, smith_decomposition
 from fkgraph.invariant import assemble, compare, verify_compatible_witness
-from fkgraph.ktheory import k_data, six_term, verify_exactness, verify_well_definedness
+from fkgraph.ktheory import k_data
 from fkgraph.lattice import enumerate_admissible_pairs
+from fkgraph.sixterm import six_term, verify_exactness, verify_well_definedness
 from fkgraph.spectrum import (
     locally_closed_sets,
     s_primes,

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import fkgraph
-from fkgraph import cli, invariant, ktheory
+from fkgraph import cli, invariant
 from fkgraph.cli import main
 from fkgraph.errors import ParseError
 from fkgraph.invariant import DEFAULT_BUDGET
@@ -269,12 +269,14 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
 
 
 def test_k_builds_no_sequence(capsys, monkeypatch, row_finite_corpus):
-    # `k` prints K-data only, so it never assembles or builds a six-term map
+    # `k` prints K-data only, so it never assembles or even imports the
+    # six-term layer: here any import of `sixterm` raises ImportError
     def refuse(*args, **kwargs):
         raise AssertionError("k built a six-term sequence")
-    for mod, name in ((cli, "assemble"), (invariant, "assemble"),
-                      (invariant, "six_term"), (ktheory, "six_term")):
+    for mod, name in ((cli, "assemble"), (invariant, "assemble")):
         monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setitem(sys.modules, "fkgraph.sixterm", None)
+    monkeypatch.delattr(fkgraph, "sixterm", raising=False)
     builds = []
     real_k_data = cli.k_data
 

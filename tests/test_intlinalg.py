@@ -15,19 +15,19 @@ from math import gcd
 
 import pytest
 
-from fkgraph import intlinalg
+from fkgraph import intlinalg, search
 from fkgraph.intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
     group_iso_inverse,
-    group_isos,
     kernel_group,
     map_into,
     smith_decomposition,
     solve_exact,
     xgcd,
 )
+from fkgraph.search import group_isos
 from oracles import lattice_contains, maps_equal, reduce_map, smith_reference
 
 
@@ -391,12 +391,12 @@ def test_torsion_automorphisms_memoised_per_factor_tuple(monkeypatch):
     assert isos[0] == IntMatrix.identity(2).entries and len(isos) == 6
     assert list(group_isos(G, G)) == list(group_isos(G, G))
     rows = []
-    real = intlinalg._fits
+    real = search._fits
 
     def counting(row, rules):
         rows.append(row)
         return real(row, rules)
-    monkeypatch.setattr(intlinalg, "_fits", counting)
+    monkeypatch.setattr(search, "_fits", counting)
     G8 = _group((2,) * 8)
     assert next(group_isos(G8, G8)) == IntMatrix.identity(8)
     assert 0 < len(rows) <= 8

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import fkgraph
-from fkgraph import cli, invariant, ktheory, search
+from fkgraph import cli, invariant, ktheory, search, sixterm
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import graph_from_edges
 from fkgraph.invariant import (
@@ -19,7 +19,8 @@ from fkgraph.invariant import (
     poset_isomorphisms,
     verify_compatible_witness,
 )
-from fkgraph.ktheory import exactness_failures, open_triples, pair_pointsets, sequence_key
+from fkgraph.ktheory import open_triples, pair_pointsets, sequence_key
+from fkgraph.sixterm import exactness_failures
 from fkgraph.spectrum import canonical_presentation, locally_closed_sets
 from oracles import cycle_groups, relabel_reorder
 
@@ -56,12 +57,12 @@ def test_search_names_are_one_object_wherever_read():
 def _count_builds(monkeypatch) -> Counter:
     """Count each `six_term` build by its space's id and (sub, mid) pair."""
     calls = Counter()
-    build = invariant.six_term
+    build = sixterm.six_term
 
     def counting(g, sp, u1, u2, u3):
         calls[id(sp), sequence_key(u1, u2, u3)] += 1
         return build(g, sp, u1, u2, u3)
-    monkeypatch.setattr(invariant, "six_term", counting)
+    monkeypatch.setattr(sixterm, "six_term", counting)
     return calls
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fkgraph import cli, ktheory
+from fkgraph import cli, ktheory, sixterm
 from fkgraph.errors import InternalInvariantError
 from fkgraph.graphs import Graph, graph_from_edges, iter_bits
 from fkgraph.intlinalg import (
@@ -18,19 +18,21 @@ from fkgraph.intlinalg import (
 )
 from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
-    SixTerm,
     cone_contains,
-    exactness_failures,
     k_data,
     open_triples,
     pair_chains,
     pair_pointsets,
     sequence_key,
+)
+from fkgraph.lattice import enumerate_admissible_pairs
+from fkgraph.sixterm import (
+    SixTerm,
+    exactness_failures,
     six_term,
     verify_exactness,
     verify_well_definedness,
 )
-from fkgraph.lattice import enumerate_admissible_pairs
 from fkgraph.spectrum import (
     LocallyClosedSet,
     canonical_presentation,
@@ -375,7 +377,7 @@ def test_well_definedness_reports_each_failure_at_its_presentation(corpus, monke
                   for y in [presentation(sp, u, v)]
                   if y.d != canonical_presentation(sp, y.pointset).d]
     assert len(rest) == 1 and rest[0].d != alt.d
-    real_p, real_k, real_t = ktheory.presentation, ktheory.k_data, ktheory._transition
+    real_p, real_k, real_t = sixterm.presentation, sixterm.k_data, sixterm._transition
 
     def shrunk(sp_, u, v):
         y = real_p(sp_, u, v)
@@ -385,7 +387,7 @@ def test_well_definedness_reports_each_failure_at_its_presentation(corpus, monke
         kd = real_k(g_, y)
         if (y.u, y.v) != (alt.u, alt.v):
             return kd
-        return kd._replace(k1=ktheory._standard_group(kd.k1.invariant_factors + (0,)))
+        return kd._replace(k1=sixterm._standard_group(kd.k1.invariant_factors + (0,)))
 
     def refusing(g_, canon_d, raw_d):
         if raw_d == alt.d:
@@ -398,7 +400,7 @@ def test_well_definedness_reports_each_failure_at_its_presentation(corpus, monke
             ("k_data", drifting, f"K-groups drift under presentation {at}"),
             ("_transition", refusing, f"no canonical K-isomorphism for presentation {at}")]:
         with monkeypatch.context() as m:
-            m.setattr(ktheory, name, fake)
+            m.setattr(sixterm, name, fake)
             rep = verify_well_definedness(g, sp)
         assert rep.checks == clean.checks and rep.failures == (failure,), name
 
@@ -558,7 +560,7 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
             raw = presentation(sp, u, v)
             canon = canonical_presentation(sp, raw.pointset)
             raw_k = k_data(g, raw)
-            got = ktheory._transition(g, canon.d, raw.d)
+            got = sixterm._transition(g, canon.d, raw.d)
             n0, inv0, n1, inv1 = _reference_transition(g, canon, k_data(g, canon), raw, raw_k)
             want = tuple(FgAbGroup(k.invariant_factors, reduce_map(k, inv @ k.project),
                                    k.lift @ n)
@@ -574,8 +576,8 @@ def test_selected_maps_match_indicator_products(row_finite_corpus, free_antichai
 
 def test_carrier_escape_raises_instead_of_a_zero_column():
     with pytest.raises(InternalInvariantError):
-        ktheory._positions(0b100101, 0b1100)
-    assert ktheory._positions(0b100101, 0b100001) == [0, 2]
+        sixterm._positions(0b100101, 0b1100)
+    assert sixterm._positions(0b100101, 0b100001) == [0, 2]
 
 
 def _group(factors):
@@ -736,8 +738,8 @@ def test_spot_memo_keys_on_target_factors():
 
 def test_standard_groups_are_built_once_per_factors():
     for factors in [(), (0,), (2, 0), (2, 4, 0, 0)]:
-        G = ktheory._standard_group(factors)
-        assert ktheory._standard_group(tuple(list(factors))) is G
+        G = sixterm._standard_group(factors)
+        assert sixterm._standard_group(tuple(list(factors))) is G
         ident = IntMatrix.identity(len(factors))
         assert G == FgAbGroup(factors, ident, ident)
 
@@ -746,12 +748,12 @@ def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):
     # the memo is by value: a spot is decided at most once per distinct
     # spot, and not at all for an equal graph built separately
     calls = []
-    real = ktheory._spot_failure.__wrapped__
+    real = sixterm._spot_failure.__wrapped__
 
     def deciding(*spot):
         calls.append(spot)
         return real(*spot)
-    monkeypatch.setattr(ktheory, "_spot_failure", cache(deciding))
+    monkeypatch.setattr(sixterm, "_spot_failure", cache(deciding))
     g = Graph(deep7.vertices, deep7.mult)
     sp = spectrum_of(g)
     assert verify_exactness(g, sp).passed
@@ -778,7 +780,7 @@ def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch)
         iota0 = six_term(g, sp, *chain).iota0
         if earlier != chain and iota0.rows and iota0.cols:
             break
-    real = ktheory.six_term
+    real = sixterm.six_term
 
     def perturbed(g_, sp_, *c):
         st = real(g_, sp_, *c)
@@ -788,7 +790,7 @@ def test_exactness_suite_flags_chains_that_disagree(free_antichain, monkeypatch)
         rows[0][0] += 1
         return st._replace(iota0=IntMatrix.from_rows(rows, cols=st.iota0.cols))
 
-    monkeypatch.setattr(ktheory, "six_term", perturbed)
+    monkeypatch.setattr(sixterm, "six_term", perturbed)
     rep = verify_exactness(g, sp)
     (u1, u2, u3), (v1, v2, v3) = chain, earlier
     assert rep.failures == (
@@ -808,7 +810,7 @@ def test_failing_sequence_raises_for_every_chain(free_antichain, monkeypatch):
         calls.append(st)
         return ["forced failure", "second failure"]
 
-    monkeypatch.setattr(ktheory, "exactness_failures", failing)
+    monkeypatch.setattr(sixterm, "exactness_failures", failing)
     chains = list(open_triples(sp))
     rep = verify_exactness(g, sp)
     assert rep.checks == 6 * len(chains)

@@ -1,5 +1,5 @@
 """Byte-stable JSON: the sha256 of stdout for a fixed set of CLI invocations,
-and of every verdict of census 1.
+of every verdict of census 1, and of a slice of the rank-2 census.
 
 A digest moves when any byte of an output moves, witness order included.
 When a change to the outputs is intended, print the new table with
@@ -21,8 +21,8 @@ import tempfile
 from collections import Counter
 
 from fkgraph.cli import main
-from fkgraph.invariant import COMPATIBLE, DISTINGUISHED, assemble, compare
-from oracles import census_one_graphs
+from fkgraph.invariant import COMPATIBLE, DISTINGUISHED, UNKNOWN, assemble, compare
+from oracles import census_one_graphs, census_two_graphs
 
 GRAPHS = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 CORPUS = sorted(p.stem for p in GRAPHS.glob("*.graph"))
@@ -380,6 +380,32 @@ def test_census_one():
                                       sort_keys=True).encode())
     assert tally == CENSUS_ONE_TALLY and tally.total() == 42898
     assert sha.hexdigest() == CENSUS_ONE_DIGEST
+
+
+# the rank-2 census (7,454 compares, 42 UNKNOWN, about 25 s in all) sliced to
+# its graphs 40 to 99: every pair i < j among them with equal point counts,
+# both unit modes, hashed as census 1 is.  Its free groups of rank 2 and 3
+# reach the budget-bounded GL(r, Z) enumeration that census 1 barely does.
+CENSUS_TWO_SLICE = range(40, 100)
+CENSUS_TWO_TALLY = {"no_homeomorphism": 896, "pointwise": 494, "no_family": 8,
+                    COMPATIBLE: 40, UNKNOWN: 10}
+CENSUS_TWO_DIGEST = "a9c666515e3331133af398f3662b5ed51af400325998ec93bf8863bffd0d542e"
+
+
+def test_census_two_slice():
+    fks = [assemble(g) for g in census_two_graphs()]
+    tally, sha = Counter(), hashlib.sha256()
+    for i in CENSUS_TWO_SLICE:
+        for j in range(i + 1, CENSUS_TWO_SLICE.stop):
+            if fks[i].space.npoints != fks[j].space.npoints:
+                continue
+            for unital in (True, False):
+                v = compare(fks[i], fks[j], unital)
+                tally[v.witness["kind"] if v.outcome == DISTINGUISHED else v.outcome] += 1
+                sha.update(json.dumps([i, j, unital, v.outcome, v.witness],
+                                      sort_keys=True).encode())
+    assert tally == CENSUS_TWO_TALLY and tally.total() == 1448
+    assert sha.hexdigest() == CENSUS_TWO_DIGEST
 
 
 if __name__ == "__main__":

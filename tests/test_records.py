@@ -23,10 +23,10 @@ from fkgraph.graphs import Graph, graph_from_edges
 from fkgraph.intlinalg import IntMatrix, cokernel, smith_decomposition
 from fkgraph.invariant import FilteredK
 from fkgraph import ktheory
-from fkgraph.ktheory import (k_data, open_triples, six_term,
-                             verify_well_definedness)
+from fkgraph.ktheory import k_data, open_triples
 from fkgraph.lattice import enumerate_admissible_pairs
 from fkgraph.report import Report
+from fkgraph.sixterm import six_term, verify_well_definedness
 from fkgraph.spectrum import canonical_presentation, presentation, s_primes
 
 SRC = pathlib.Path(fkgraph.__file__).resolve().parent

@@ -8,8 +8,9 @@ import oracles
 from fkgraph import spectrum
 from fkgraph.errors import CapExceeded
 from fkgraph.graphs import INF, Graph, graph_from_edges
-from fkgraph.ktheory import _positions, open_triples
+from fkgraph.ktheory import open_triples
 from fkgraph.lattice import AdmissiblePair, IdealLattice, enumerate_admissible_pairs
+from fkgraph.sixterm import _positions
 from fkgraph.spectrum import (
     LocallyClosedSet,
     SpectrumSpace,

@@ -16,9 +16,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .graphs import Graph
-from .ktheory import KData, k_data, pair_chains
+from .ktheory import KData, k_data
 from .lattice import DEFAULT_VERTEX_CAP
-from .spectrum import SpectrumSpace, capped_spectrum, locally_closed_sets
+from .spectrum import SpectrumSpace, canonical_presentation, capped_spectrum, locally_closed_sets
 
 if TYPE_CHECKING:
     from .sixterm import SixTerm
@@ -45,17 +45,17 @@ class FilteredK:
     """Everything `compare` looks at, each layer built when first read.
 
     kmap keys are exactly the locally closed pointsets of the space, in
-    `locally_closed_sets` order; they are the slots of a family.  sequences
-    holds one `SixTerm` per (sub, mid) pair that an open chain
-    U1 <= U2 <= U3 presents as (U2 \\ U1, U3 \\ U1), keyed by that pair in
-    `ktheory.pair_chains` order; its maps run between the kmap groups of the
-    pair's parts, and each is built on its pair's first read.  Without
-    row-finiteness the K layer cannot be built from the data at hand and
-    both mappings are empty; k_complete says which case we are in.  Read-only.
+    `locally_closed_sets` order; they are the slots of a family.
+    `sequence((sub, mid))` is the `SixTerm` of a pair, sub = mid & U for an
+    open U, built on its first read and kept: on the hull chain
+    (V, V | sub, U) of mid's canonical presentation U \\ V, so its maps run
+    between the kmap groups of the pair's parts.  Without row-finiteness the
+    K layer cannot be built from the data at hand: kmap is empty and no
+    sequence builds; k_complete says which case we are in.  Read-only.
     """
 
     def __init__(self, space: SpectrumSpace):
-        self.__dict__["space"] = space
+        self.__dict__.update(space=space, _built={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to FilteredK.{name}")
@@ -71,31 +71,13 @@ class FilteredK:
         return {y.pointset: k_data(self.space.graph, y)
                 for y in locally_closed_sets(self.space)}
 
-    @cached_property
-    def sequences(self) -> Mapping[tuple[int, int], SixTerm]:
-        return _Sequences(self.space, pair_chains(self.space) if self.k_complete else {})
-
-
-class _Sequences(Mapping):
-    """The sequence of each pair `chains` keys, built on its chain when first read."""
-
-    def __init__(self, sp: SpectrumSpace, chains: dict):
-        self._sp, self._chains, self._built = sp, chains, {}
-
-    def __getitem__(self, key):
+    def sequence(self, key: tuple[int, int]) -> SixTerm:
         if key not in self._built:
             from .sixterm import six_term   # only a process that reads a sequence loads it
-            self._built[key] = six_term(self._sp.graph, self._sp, *self._chains[key])
+            sub, mid = key
+            y = canonical_presentation(self.space, mid)
+            self._built[key] = six_term(self.space.graph, self.space, y.v, y.v | sub, y.u)
         return self._built[key]
-
-    def __contains__(self, key):
-        return key in self._chains
-
-    def __iter__(self):
-        return iter(self._chains)
-
-    def __len__(self):
-        return len(self._chains)
 
 
 def assemble(g: Graph, point_cap: int = DEFAULT_POINT_CAP,

@@ -9,15 +9,14 @@ process by the graph and the carrier d alone, and each (d, h_v) is checked
 once.
 
 A six-term sequence belongs to a (sub, mid) pair of locally closed pointsets,
-an ideal inside a subquotient; any chain of opens U1 <= U2 <= U3 with
-(U2 \\ U1, U3 \\ U1) equal to the pair presents it, and `sequence_key` names
-that pair.  `CYCLE` states the order of a sequence's six groups over the
-pair's parts; no other module knows that order.  The sequences themselves,
-their exactness and the well-definedness suite are in `sixterm`, which only
-`check` and `compare` load.  The three of its names the per-layer tracer
-looks up here resolve on first read (PEP 562) and are kept in this module's
-globals, where its rebinding sees them, until the tracer imports its own
-targets.
+an ideal inside a subquotient: sub = mid & U for an open U.  `CYCLE` states
+the order of a sequence's six groups over the pair's parts; no other module
+knows that order.  The sequences themselves, the chains of opens that
+present them, their exactness and the well-definedness suite are in
+`sixterm`, which only `check` and `compare` load.  The three of its names the
+per-layer tracer looks up here resolve on first read (PEP 562) and are kept
+in this module's globals, where its rebinding sees them, until the tracer
+imports its own targets.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 from .graphs import Graph, is_hereditary, is_saturated, iter_bits
 from .intlinalg import FgAbGroup, IntMatrix, cokernel, kernel_group, solve_exact
-from .spectrum import LocallyClosedSet, SpectrumSpace
+from .spectrum import LocallyClosedSet
 
 SIXTERM_NAMES = ("exactness_failures", "six_term", "verify_well_definedness")
 
@@ -94,17 +93,6 @@ def k_data(g: Graph, y: LocallyClosedSet) -> KData:
     return _carrier(g, y.d)
 
 
-def open_triples(sp: SpectrumSpace):
-    for u1, u2, u3 in itertools.combinations_with_replacement(sp.opens, 3):
-        if not (u1 & ~u2) and not (u2 & ~u3):
-            yield u1, u2, u3
-
-
-def sequence_key(u1: int, u2: int, u3: int) -> tuple[int, int]:
-    """The (sub, mid) pointsets U2 \\ U1, U3 \\ U1 that fix a chain's sequence."""
-    return u2 & ~u1, u3 & ~u1
-
-
 # the positions of a `SixTerm`'s groups, as (part, level) over `pair_pointsets`
 CYCLE = tuple((part, level) for level in (0, 1) for part in range(3))
 
@@ -113,14 +101,6 @@ def pair_pointsets(key: tuple[int, int]) -> tuple[int, int, int]:
     """The parts sub, mid and quot = mid \\ sub of a (sub, mid) pair."""
     sub, mid = key
     return sub, mid, mid & ~sub
-
-
-def pair_chains(sp: SpectrumSpace) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """The first open chain presenting each (sub, mid) pair, in `open_triples` order."""
-    first = {}
-    for chain in open_triples(sp):
-        first.setdefault(sequence_key(*chain), chain)
-    return first
 
 
 _CONE_BOUND = 64

@@ -70,20 +70,23 @@ def _images(sigma) -> list[int]:
 
 
 def _squares(a: FilteredK, within: int):
-    """a's commuting squares, six per pair whose mid lies in `within`, in `a.sequences` order.
+    """a's commuting squares, six per (sub, mid) pair whose mid lies in `within`.
 
-    Each is (pair, edge, source pointset, source level, target pointset,
-    target level, map of a), the ends as `ktheory.CYCLE` places them.  A
-    homeomorphism sigma matches it with b's map `b.sequences[sigma(pair)][edge]`
-    into b's group at sigma(target).
+    The pairs are (mid & U, mid) for each slot mid inside `within`, in kmap
+    order, and each open U, in `opens` order, each pair once.  Each square is
+    (pair, edge, source pointset, source level, target pointset, target level,
+    map of a), the ends as `ktheory.CYCLE` places them.  A homeomorphism sigma
+    matches it with b's map `b.sequence(sigma(pair))[edge]` into b's group at
+    sigma(target).
     """
-    for key in a.sequences:
-        if key[1] & ~within:
+    for mid in a.kmap:
+        if mid & ~within:
             continue
-        parts = pair_pointsets(key)
-        for edge, m_a in enumerate(a.sequences[key]):
-            (src, s_lv), (tgt, t_lv) = CYCLE[edge], CYCLE[(edge + 1) % 6]
-            yield key, edge, parts[src], s_lv, parts[tgt], t_lv, m_a
+        for key in dict.fromkeys((mid & u, mid) for u in a.space.opens):
+            parts = pair_pointsets(key)
+            for edge, m_a in enumerate(a.sequence(key)):
+                (src, s_lv), (tgt, t_lv) = CYCLE[edge], CYCLE[(edge + 1) % 6]
+                yield key, edge, parts[src], s_lv, parts[tgt], t_lv, m_a
 
 
 def _components(space: SpectrumSpace) -> list[int]:
@@ -98,7 +101,7 @@ def _components(space: SpectrumSpace) -> list[int]:
 def _unit(fk: FilteredK, x: int) -> tuple[int, ...]:
     """The unit class's image under pi0 of (full \\ x, full), the identity if x is full."""
     full = fk.space.full
-    return fk.kmap[x].k0.reduce(fk.sequences[full & ~x, full].pi0.apply(fk.kmap[full].unit_class))
+    return fk.kmap[x].k0.reduce(fk.sequence((full & ~x, full)).pi0.apply(fk.kmap[full].unit_class))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -244,8 +247,9 @@ class _Search:
     pairs whose mid lies in `within`, filed once per pointset: one whose source
     is assigned first constrains `group_isos` on the columns of a's map, as the
     image of the unit does at slot `within`; any other is checked once its
-    source is assigned.  A run re-binds only b's side, read off `_images`.
-    Each side's sequences are built as runs read them, a unit's pair only when unital.
+    source is assigned.  A run re-binds only b's side, read off `_images`:
+    b's maps of the pairs filed there.  Each side's sequences are built as
+    runs read them, a unit's pair only when unital.
     K0 candidates are vetted with no per-run state: cone memberships are
     memoised per compare by the values `cone_contains` reads, inverses by
     value.  Every candidate a stream yields, in any run, counts against `_NODE_CAP`.
@@ -263,17 +267,20 @@ class _Search:
         self._refuted: dict[tuple[int, tuple[int, ...]], bool] = {}
 
     def _file(self, within: int):
-        """The slots inside `within`, and per slot the squares it constrains and checks."""
+        """The slots inside `within`, the pairs filed, and per slot the squares it
+        constrains and checks."""
         index = {y: k for k, y in enumerate(self.slots)}
+        pairs = {}
         into = [([], []) for _ in self.slots]
         out_of = [[] for _ in self.slots]
         for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(self.a, within):
+            pairs[key] = None
             si, ti = index[src], index[tgt]
             if (si, s_lv) < (ti, t_lv):
                 into[ti][t_lv].append((si, s_lv, key, edge, m_a))
             else:
                 out_of[si].append((s_lv, ti, t_lv, key, edge, m_a))
-        return [k for k, y in enumerate(self.slots) if not y & ~within], into, out_of
+        return [k for k, y in enumerate(self.slots) if not y & ~within], list(pairs), into, out_of
 
     @cached_property
     def components(self) -> list[int]:
@@ -341,11 +348,10 @@ class _Search:
         self.within = within = a.space.full if within is None else within
         if within not in self._filed:
             self._filed[within] = self._file(within)
-        self.order, self.into, self.out_of = self._filed[within]
+        self.order, pairs, self.into, self.out_of = self._filed[within]
         image = _images(sigma)
         self.kd = [(ka, b.kmap[image[y]]) for y, ka in a.kmap.items()]
-        self.b_maps = {(sub, mid): b.sequences[image[sub], image[mid]]
-                       for sub, mid in a.sequences if not mid & ~within}
+        self.b_maps = {(sub, mid): b.sequence((image[sub], image[mid])) for sub, mid in pairs}
         self.units = (_unit(a, within), _unit(b, image[within])) if self.unital else None
         self.alpha = ([None] * len(self.slots), [None] * len(self.slots))
         self.inconclusive, self.proof = False, True
@@ -515,7 +521,7 @@ def verify_compatible_witness(a: FilteredK, b: FilteredK, witness: dict) -> Repo
                 fails.append("unit class is not preserved")
     for key, edge, src, s_lv, tgt, t_lv, m_a in _squares(a, a.space.full):
         checks += 1
-        m_b = b.sequences[image[key[0]], image[key[1]]][edge]
+        m_b = b.sequence((image[key[0]], image[key[1]]))[edge]
         kb = b.kmap[image[tgt]]
         grp = kb.k1 if t_lv else kb.k0
         if map_into(grp, alpha[tgt][t_lv], m_a) != map_into(grp, m_b, alpha[src][s_lv]):

@@ -2,28 +2,29 @@
 independence of subquotient data from its presentation; only `check` and
 `compare` load this module.
 
-A `SixTerm` holds the six maps of the sequence of a (sub, mid) pair
-(`ktheory.sequence_key`) alone, between the K-data of the pair's parts in
-the `ktheory.CYCLE` order.  Every presentation's K-groups are framed in the
-one coordinate frame of its pointset, the canonical presentation's.  On a
-chain the matrix over D = H3 \\ H1 is block triangular; the connecting map
-feeds the off-diagonal block into the ideal's cokernel, and the exponential
-direction vanishes because vertex classes lift.  Each map is built by
-`intlinalg.map_into` on framed groups, in which the inclusion of one
-carrier's vertices (or regular columns) into another's is an index
-selection: a vertex's row (column) counts the carrier's (regular) vertices
-below it; a carrier's regular vertices are g's, since H_u is hereditary and
-H_v saturated.  Each sequence is checked for exactness, with each map killing
-its source relations, as it is built; a failing one raises.  A spot f then gm
-is decided from two Smith decompositions: [gm | relations] gives the kernel,
-and each kernel vector must be solvable on [f | relations].
-`FilteredK` builds one sequence per pair, on the chain `ktheory.pair_chains`
-picks, when the pair is first read; `check` builds every chain.  Its
-well-definedness suite compares a presentation with the canonical one only
-where saturation enlarged the carrier; an equal carrier reads the same
-K-data.  Framed groups are memoised once per process by the canonical and raw
-carriers, and each exactness spot by its two maps and the factors of the
-groups they land in.
+A `SixTerm` holds the six maps of the sequence of a (sub, mid) pair alone,
+between the K-data of the pair's parts in the `ktheory.CYCLE` order.  Any
+chain of opens U1 <= U2 <= U3 with (U2 \\ U1, U3 \\ U1) equal to the pair
+presents it, and `sequence_key` names that pair.  Every presentation's
+K-groups are framed in the one coordinate frame of its pointset, the
+canonical presentation's.  On a chain the matrix over D = H3 \\ H1 is block
+triangular; the connecting map feeds the off-diagonal block into the ideal's
+cokernel, and the exponential direction vanishes because vertex classes
+lift.  Each map is built by `intlinalg.map_into` on framed groups, in which
+the inclusion of one carrier's vertices (or regular columns) into another's
+is an index selection: a vertex's row (column) counts the carrier's
+(regular) vertices below it; a carrier's regular vertices are g's, since H_u
+is hereditary and H_v saturated.  Each sequence is checked for exactness,
+with each map killing its source relations, as it is built; a failing one
+raises.  A spot f then gm is decided from two Smith decompositions:
+[gm | relations] gives the kernel, and each kernel vector must be solvable
+on [f | relations].  `FilteredK` builds one sequence per pair, on the pair's
+hull chain, when the pair is first read; only `check` walks every chain
+(`open_triples`).  The well-definedness suite compares a presentation with
+the canonical one only where saturation enlarged the carrier; an equal
+carrier reads the same K-data.  Framed groups are memoised once per process
+by the canonical and raw carriers, and each exactness spot by its two maps
+and the factors of the groups they land in.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple, Sequence
 from .errors import ExactnessError, InternalInvariantError
 from .graphs import Graph, iter_bits
 from .intlinalg import FgAbGroup, IntMatrix, group_iso_inverse, map_into, smith_decomposition
-from .ktheory import CYCLE, _carrier, k_data, open_triples, sequence_key
+from .ktheory import CYCLE, _carrier, k_data
 from .report import Report
 from .spectrum import SpectrumSpace, canonical_presentation, presentation
 
@@ -193,6 +194,18 @@ def _standard_group(factors: tuple[int, ...]) -> FgAbGroup:
     """The group with these factors on its own coordinates, built once per factors."""
     ident = IntMatrix.identity(len(factors))
     return FgAbGroup(factors, ident, ident)
+
+
+def open_triples(sp: SpectrumSpace):
+    for u1, u2, u3 in itertools.combinations_with_replacement(sp.opens, 3):
+        if not (u1 & ~u2) and not (u2 & ~u3):
+            yield u1, u2, u3
+
+
+def sequence_key(u1: int, u2: int, u3: int) -> tuple[int, int]:
+    """The (sub, mid) pointsets U2 \\ U1, U3 \\ U1 that fix a chain's sequence."""
+    return u2 & ~u1, u3 & ~u1
+
 
 def verify_exactness(g: Graph, sp: SpectrumSpace) -> Report:
     """Build every open chain's sequence; chains with one (sub, mid) pair must agree."""

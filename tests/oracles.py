@@ -18,9 +18,14 @@ are the point scans, the intersection of opens and the per-carrier index
 dicts that the spectrum's points-above masks and the popcount positions of
 `ktheory` replaced, kept as their references.
 `subquotient_graph` is the restricted graph, checked from the definitions,
-that `ktheory._carrier` reads off g instead, and `subquotient_k_data` the
-K-data read off it.  `census_one_graphs` and `census_two_graphs` draw the
-graphs of census 1 and of the rank-2 census.
+that `ktheory._carrier` reads off g instead, `subquotient_rows` its
+presenting matrix, and `subquotient_k_data` the K-data read off it.
+`divisor_factors` gives the invariant factors of a matrix's cokernel and
+kernel from determinantal divisors, with no `intlinalg`.  `first_chains` is
+the first-chain table of (sub, mid) pairs that compare once read its
+sequences through, and `every_sequence` reads every pair's sequence.
+`census_one_graphs` and `census_two_graphs` draw the graphs of census 1 and
+of the rank-2 census, which `census.py` runs against its records.
 `build_parser` is the argparse parser that `fk-graph` read its arguments
 with before `cli.COMMANDS`, kept unchanged as the reference that
 `cli.parse_args` is tested against.
@@ -30,7 +35,8 @@ from __future__ import annotations
 
 import argparse
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 from fkgraph.errors import InternalInvariantError
 from fkgraph.graphs import INF, Graph, graph_from_edges, iter_bits, mult_add
@@ -271,13 +277,19 @@ def subquotient_graph(g: Graph, d: int, h_v: int) -> Graph:
                  tuple(tuple(g.mult[i][j] for j in keep) for i in keep))
 
 
-def subquotient_k_data(g: Graph, d: int, h_v: int) -> KData:
-    """K-data of the subquotient graph: rows its vertices, columns its
-    regular vertices, K0 the cokernel with the vertex classes, K1 the kernel."""
-    gq = subquotient_graph(g, d, h_v)
+def subquotient_rows(gq: Graph) -> tuple[list[list[int]], int]:
+    """The presenting matrix of a subquotient graph, rows its vertices and
+    columns its regular vertices, B[w][v] = mult(v -> w) - delta_{vw}, as
+    rows, with its number of columns."""
     regs = [v for v in range(gq.n) if oracle_regular(gq, v)]
-    b = IntMatrix.from_rows([[gq.mult[v][w] - (v == w) for v in regs] for w in range(gq.n)],
-                            cols=len(regs))
+    return [[gq.mult[v][w] - (v == w) for v in regs] for w in range(gq.n)], len(regs)
+
+
+def subquotient_k_data(g: Graph, d: int, h_v: int) -> KData:
+    """K-data of the subquotient graph: K0 the cokernel of its presenting
+    matrix with the vertex classes, K1 the kernel."""
+    gq = subquotient_graph(g, d, h_v)
+    b = IntMatrix.from_rows(*subquotient_rows(gq))
     k0 = cokernel(b)
     gens = tuple(k0.reduce(k0.project.col(v)) for v in range(gq.n))
     unit = k0.reduce([sum(c[i] for c in gens) for i in range(k0.ncoords)])
@@ -319,7 +331,71 @@ def positions(index: dict[int, int], items) -> list[int]:
         raise InternalInvariantError("a carrier escapes the carrier it must lie in") from None
 
 
+# ------------------------------------------------- determinantal divisors
+# Invariant factors read off gcds of minors, with no Smith decomposition.
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def divisor_factors(rows: list[list[int]], ncols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Invariant factors of the cokernel and of the kernel of an m x n integer
+    matrix, as `FgAbGroup` lists them (1s dropped, free summands as 0).
+
+    d_k, the gcd of the k x k minors, is the product of the first k invariant
+    factors s_1 | s_2 | ..., and the rank r is the largest k with d_k != 0:
+    the cokernel has s_k = d_k / d_(k-1) for k <= r and m - r free summands,
+    and the kernel is free of rank n - r."""
+    m, divisors = len(rows), [1]
+    for k in range(1, min(m, ncols) + 1):
+        d = 0
+        for rs, cs in product(combinations(range(m), k), combinations(range(ncols), k)):
+            d = gcd(d, _det([[rows[r][c] for c in cs] for r in rs]))
+            if d == 1:
+                break
+        if d == 0:   # every larger minor expands into these
+            break
+        divisors.append(d)
+    r = len(divisors) - 1
+    steps = (divisors[k] // divisors[k - 1] for k in range(1, r + 1))
+    return tuple(s for s in steps if s != 1) + (0,) * (m - r), (0,) * (ncols - r)
+
+
 # ------------------------------------------------------------ sequences
+
+
+def first_chains(sp) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The first chain of opens U1 <= U2 <= U3 presenting each (sub, mid) pair
+    (U2 \\ U1, U3 \\ U1), in `combinations_with_replacement` order over
+    `sp.opens`: the chain table through which compare once read each pair's
+    sequence, kept as the reference for the pairs and for the hull chains
+    `FilteredK.sequence` builds on."""
+    first = {}
+    for u1, u2, u3 in combinations_with_replacement(sp.opens, 3):
+        if not (u1 & ~u2 or u2 & ~u3):
+            first.setdefault((u2 & ~u1, u3 & ~u1), (u1, u2, u3))
+    return first
+
+
+def every_sequence(fk) -> dict:
+    """Each pair's `FilteredK.sequence`, read in `first_chains` order; none
+    without a K layer."""
+    return {key: fk.sequence(key) for key in first_chains(fk.space) if fk.k_complete}
+
 
 
 def cycle_groups(sub: KData, mid: KData, quot: KData) -> list[FgAbGroup]:

@@ -19,10 +19,10 @@ from fkgraph.invariant import (
     poset_isomorphisms,
     verify_compatible_witness,
 )
-from fkgraph.ktheory import open_triples, pair_pointsets, sequence_key
-from fkgraph.sixterm import exactness_failures
+from fkgraph.ktheory import pair_pointsets
+from fkgraph.sixterm import exactness_failures, open_triples, sequence_key, six_term
 from fkgraph.spectrum import canonical_presentation, locally_closed_sets
-from oracles import cycle_groups, relabel_reorder
+from oracles import census_one_graphs, cycle_groups, every_sequence, first_chains, relabel_reorder
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,12 @@ def test_assemble_shape(fks):
         lcs = [lc.pointset for lc in locally_closed_sets(fk.space)]
         assert list(fk.kmap) == lcs or not fk.k_complete
         if fk.k_complete:
-            assert set(fk.sequences) == {sequence_key(*c) for c in open_triples(fk.space)}
+            pairs = {square[0] for square in search._squares(fk, fk.space.full)}
+            assert pairs == set(first_chains(fk.space)), name
         else:
-            assert fk.kmap == {} and fk.sequences == {}
+            assert fk.kmap == {}, name
+            with pytest.raises(ValueError, match="row-finite"):
+                fk.sequence((0, fk.space.full))
 
 
 def test_search_names_are_one_object_wherever_read():
@@ -73,13 +76,12 @@ def test_assemble_builds_one_sequence_per_pair(row_finite_corpus, free_antichain
         calls.clear()
         fk = assemble(g)
         chains = list(open_triples(fk.space))
-        keys = list(dict.fromkeys(sequence_key(*c) for c in chains))
-        assert list(fk.sequences) == keys and len(fk.sequences) == len(keys), name
-        # iterating and membership build nothing; reading every value builds
-        # each pair once, in `pair_chains` order, and reading again builds none
-        assert not calls and all(key in fk.sequences for key in keys), name
-        first = dict(fk.sequences.items())
-        assert all(fk.sequences[key] is st for key, st in first.items()), name
+        keys = list(first_chains(fk.space))
+        # assembling builds nothing; reading every pair builds each once, in
+        # the order read, and reading again builds none
+        assert not calls, name
+        first = every_sequence(fk)
+        assert all(fk.sequence(key) is st for key, st in first.items()), name
         assert [key for _, key in calls] == keys and set(calls.values()) == {1}, name
     assert (len(calls), len(chains)) == (81, 256)
 
@@ -99,17 +101,16 @@ def test_compare_builds_sequences_only_when_needed(corpus, graph_dir, capsys, mo
         if a != b:
             assert not calls, (a, b)
     sp = assemble(corpus["g4"]).space
-    assert Counter(key for _, key in calls.elements()) == dict.fromkeys(
-        {sequence_key(*c) for c in open_triples(sp)}, 1)
+    assert Counter(key for _, key in calls.elements()) == dict.fromkeys(first_chains(sp), 1)
 
 
 def test_a_pair_is_built_on_its_first_read_only(corpus, monkeypatch):
     calls = _count_builds(monkeypatch)
     fk = assemble(corpus["mixed5"])
-    key = list(fk.sequences)[-1]
-    assert key in fk.sequences and not calls
-    st = fk.sequences[key]
-    assert fk.sequences[key] is st and calls == {(id(fk.space), key): 1}
+    key = list(first_chains(fk.space))[-1]
+    assert not calls
+    st = fk.sequence(key)
+    assert fk.sequence(key) is st and calls == {(id(fk.space), key): 1}
 
 
 def test_component_refutation_builds_only_the_pairs_it_reads(monkeypatch):
@@ -128,7 +129,7 @@ def test_component_refutation_builds_only_the_pairs_it_reads(monkeypatch):
                     *((full & ~p, full) for p in points)}
             got = {key: n for (sp, key), n in calls.items() if sp == id(fk.space)}
             assert got == dict.fromkeys(want, 1) and len(want) == built, k
-            assert len(fk.sequences) == 3 ** k
+            assert len(first_chains(fk.space)) == 3 ** k
 
 
 def test_only_a_unital_compare_reads_the_unit(fks, monkeypatch):
@@ -155,13 +156,13 @@ def test_compatible_compare_and_replay_build_every_pair_once(row_finite_corpus, 
         calls.clear()
         v = compare(a, b)
         assert v.outcome == COMPATIBLE and verify_compatible_witness(a, b, v.witness).passed
-        want = {(id(fk.space), key): 1 for fk in (a, b) for key in fk.sequences}
+        want = {(id(fk.space), key): 1 for fk in (a, b) for key in first_chains(fk.space)}
         assert calls == want
 
 
 def _forced(g):
     fk = assemble(g)
-    dict(fk.sequences.items())
+    every_sequence(fk)
     return fk
 
 
@@ -194,12 +195,31 @@ def test_sequences_run_between_kmap_groups(row_finite_corpus, free_antichain, de
         for y, kd in fk.kmap.items():
             cy = canonical_presentation(fk.space, y)
             assert kd == ktheory._carrier.__wrapped__(g, cy.d), (name, y)
-        for key, st in fk.sequences.items():
+        for key, st in every_sequence(fk).items():
             groups = cycle_groups(*(fk.kmap[y] for y in pair_pointsets(key)))
             for k, m in enumerate(st):
                 tgt, src = groups[(k + 1) % 6], groups[k]
                 assert (m.rows, m.cols) == (tgt.ncoords, src.ncoords), (name, key, k)
             assert exactness_failures(st, groups) == [], (name, key)
+
+
+def test_hull_chains_give_the_first_chains_sequences(row_finite_corpus, free_antichain, deep7):
+    # each pair is listed from the slots and built on its own hull chain:
+    # the pairs the search files over the whole space are exactly those of
+    # the first-chain table, and each pair's sequence equals its first
+    # chain's; the unit's pair at the whole space is the identity
+    graphs = dict(row_finite_corpus, free_antichain=free_antichain, deep7=deep7)
+    graphs.update((f"census1/{i}", g) for i, g in enumerate(census_one_graphs()[:100]))
+    for name, g in graphs.items():
+        fk = assemble(g)
+        sp, full = fk.space, fk.space.full
+        chains = first_chains(sp)
+        filed = search._Search(fk, fk, True, DEFAULT_BUDGET)._file(full)[1]
+        assert len(filed) == len(set(filed)) and set(filed) == set(chains), name
+        for key, chain in chains.items():
+            assert fk.sequence(key) == six_term(g, sp, *chain), (name, key)
+        if name in row_finite_corpus:
+            assert search._unit(fk, full) == fk.kmap[full].unit_class, name
 
 
 def test_assemble_caps(corpus):
@@ -596,11 +616,12 @@ def test_search_files_each_square_once(fks, monkeypatch):
         real_init(self, a, *args)
 
     def file(self, within):
-        order, into, out_of = real_file(self, within)
+        order, keys, into, out_of = real_file(self, within)
         count = sum(len(sq) for lists in into for sq in lists) + sum(map(len, out_of))
-        inside = sum(not mid & ~within for _, mid in self.a.sequences)
-        filed.append((within, count, 6 * inside))
-        return order, into, out_of
+        inside = [key for key in first_chains(self.a.space) if not key[1] & ~within]
+        assert sorted(keys) == sorted(inside), within
+        filed.append((within, count, 6 * len(inside)))
+        return order, keys, into, out_of
 
     def run(self, sigma, within=None):
         runs.append((sigma, within))
@@ -721,7 +742,7 @@ def test_each_slot_isomorphism_inverted_once_per_compare(monkeypatch):
     # is inverted once, and each repeat is a lookup
     a, b = _swap(3, 2)
     for fk in (a, b):   # the K layers invert their own maps when built
-        dict(fk.sequences.items())
+        every_sequence(fk)
     asked, real = [], search.group_iso_inverse
 
     def spy(G, A):
@@ -907,7 +928,8 @@ def test_witness_replay_checks_each_pair_once(fks, monkeypatch):
     for name, fk in complete.items():
         walks.clear(), calls.clear()
         assert verify_compatible_witness(fk, fk, witnesses[name]).passed, name
-        assert walks == [(fk, fk.space.full)] and calls == dict.fromkeys(fk.sequences, 6), name
+        assert walks == [(fk, fk.space.full)], name
+        assert calls == dict.fromkeys(first_chains(fk.space), 6), name
     # more chains than pairs, so a replay walking chains fails above
     mixed5 = complete["mixed5"]
-    assert len(list(open_triples(mixed5.space))) > len(mixed5.sequences)
+    assert len(list(open_triples(mixed5.space))) > len(first_chains(mixed5.space))

@@ -20,15 +20,14 @@ from fkgraph.invariant import assemble
 from fkgraph.ktheory import (
     cone_contains,
     k_data,
-    open_triples,
-    pair_chains,
     pair_pointsets,
-    sequence_key,
 )
 from fkgraph.lattice import enumerate_admissible_pairs
 from fkgraph.sixterm import (
     SixTerm,
     exactness_failures,
+    open_triples,
+    sequence_key,
     six_term,
     verify_exactness,
     verify_well_definedness,
@@ -41,9 +40,10 @@ from fkgraph.spectrum import (
     s_primes,
 )
 
-from oracles import (carrier_indices, cycle_groups, image_lattice, kernel_lattice,
-                     lattice_contains, maps_equal, names_mask, pair_index, reduce_map,
-                     census_one_graphs, subquotient_graph, subquotient_k_data)
+from oracles import (carrier_indices, cycle_groups, divisor_factors, every_sequence,
+                     first_chains, image_lattice, kernel_lattice, lattice_contains,
+                     maps_equal, names_mask, pair_index, reduce_map, census_one_graphs,
+                     subquotient_graph, subquotient_k_data, subquotient_rows)
 
 
 def spectrum_of(g):
@@ -217,6 +217,32 @@ def test_carrier_matches_the_subquotient_graph(row_finite_corpus, deep7):
     assert checked > 1600, checked
 
 
+def test_kmap_factors_match_determinantal_divisors(row_finite_corpus, deep7):
+    # an oracle sharing no arithmetic with intlinalg: each slot's K0 and K1
+    # factors from gcds of the minors of its subquotient graph's matrix
+    graphs = dict(row_finite_corpus, deep7=deep7)
+    graphs.update((f"census{k}", g) for k, g in enumerate(census_one_graphs()))
+    torsion = 0
+    for name, g in graphs.items():
+        fk = assemble(g)
+        for y, kd in fk.kmap.items():
+            cy = canonical_presentation(fk.space, y)
+            want = divisor_factors(*subquotient_rows(subquotient_graph(g, cy.d, cy.h_v)))
+            assert kd.factor_summary() == want, (name, y)
+            torsion += any(want[0])
+    assert torsion > 100, torsion
+
+
+def test_divisor_factors_by_hand():
+    # diag(2, 4) and its mix with unimodular moves; a rank-1 map Z^2 -> Z^2;
+    # the empty matrix on two rows
+    assert divisor_factors([[2, 0], [0, 4]], 2) == ((2, 4), ())
+    assert divisor_factors([[2, 4], [2, 8]], 2) == ((2, 4), ())
+    assert divisor_factors([[6, 4], [9, 6]], 2) == ((0,), (0,))
+    assert divisor_factors([[6, 0], [0, 10]], 2) == ((2, 30), ())
+    assert divisor_factors([[], []], 0) == ((0, 0), ())
+
+
 def test_cone_generators_are_projected_vertex_classes(row_finite_corpus, free_antichain,
                                                        deep7):
     # reference: the class of vertex v is project @ e_v, reduced, on every
@@ -242,11 +268,11 @@ def test_assemble_builds_each_carrier_once(row_finite_corpus):
     # the cache, and equal graphs built again are answered from it
     ktheory._carrier.cache_clear()
     for g in row_finite_corpus.values():
-        assert dict(assemble(Graph(g.vertices, g.mult)).sequences.items())
+        assert every_sequence(assemble(Graph(g.vertices, g.mult)))
     info = ktheory._carrier.cache_info()
     assert info.misses == info.currsize > 0
     for g in row_finite_corpus.values():
-        assert dict(assemble(Graph(g.vertices, g.mult)).sequences.items())
+        assert every_sequence(assemble(Graph(g.vertices, g.mult)))
     assert ktheory._carrier.cache_info().misses == info.misses
 
 
@@ -266,7 +292,7 @@ def test_k_data_is_built_once_per_carrier():
             y = presentation(sp, u, v)
             assert k_data(g, y) == ktheory._carrier.__wrapped__(g, y.d)
             seen.add((y.d, y.h_v))
-    assert dict(assemble(g).sequences.items())
+    assert every_sequence(assemble(g))
     assert verify_well_definedness(g, sp).passed and verify_exactness(g, sp).passed
     info = ktheory._carrier.cache_info()
     assert info.misses == info.currsize == len({d for d, _ in seen}) < len(seen) // 4
@@ -709,7 +735,7 @@ def test_memoised_exactness_matches_six_spot_loop(row_finite_corpus, free_antich
     failing = 0
     for name, g in graphs.items():
         sp = spectrum_of(g)
-        for chain in pair_chains(sp).values():
+        for chain in first_chains(sp).values():
             st = six_term(g, sp, *chain)
             groups = cycle_groups(*canonical_parts(g, sp, chain))
             variants = [st] + [st._replace(**{n: _bumped(m)})
@@ -757,7 +783,7 @@ def test_each_exactness_spot_is_decided_once(deep7, monkeypatch):
     g = Graph(deep7.vertices, deep7.mult)
     sp = spectrum_of(g)
     assert verify_exactness(g, sp).passed
-    pairs = pair_chains(sp)
+    pairs = first_chains(sp)
     spots = set()
     for chain in pairs.values():
         groups = cycle_groups(*canonical_parts(g, sp, chain))

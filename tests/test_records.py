@@ -23,10 +23,10 @@ from fkgraph.graphs import Graph, graph_from_edges
 from fkgraph.intlinalg import IntMatrix, cokernel, smith_decomposition
 from fkgraph.invariant import FilteredK
 from fkgraph import ktheory
-from fkgraph.ktheory import k_data, open_triples
+from fkgraph.ktheory import k_data
 from fkgraph.lattice import enumerate_admissible_pairs
 from fkgraph.report import Report
-from fkgraph.sixterm import six_term, verify_well_definedness
+from fkgraph.sixterm import open_triples, six_term, verify_well_definedness
 from fkgraph.spectrum import canonical_presentation, presentation, s_primes
 
 SRC = pathlib.Path(fkgraph.__file__).resolve().parent
@@ -104,7 +104,7 @@ def test_record_fields_are_read_only():
     records = [(IntMatrix.identity(2), "rows"),
                (cokernel(IntMatrix.from_rows([[2]])), "invariant_factors"),
                (mid, "k0"), (st, "iota0"), (Report("r", 1), "failures"),
-               (g, "mult"), (sp, "points"), (FilteredK(sp), "sequences")]
+               (g, "mult"), (sp, "points"), (FilteredK(sp), "sequence")]
     for obj, name in records:
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))

@@ -102,7 +102,7 @@ def test_tracer_runs_end_to_end(tmp_path):
     # perfbench/tracer.py as the benchmark runs it, one fresh process per op:
     # each layer count it reads through the lazy names is where it looks
     g = parse_graph_auto(GRAPH.read_text(encoding="utf-8"))
-    chains = len(list(ktheory.open_triples(spectrum.s_primes(
+    chains = len(list(sixterm.open_triples(spectrum.s_primes(
         spectrum.enumerate_admissible_pairs(g)))))
     src = pathlib.Path(intlinalg.__file__).resolve().parent.parent
     metrics = {}
@@ -211,8 +211,8 @@ def test_exactness_suite_calls_rebindable_globals(monkeypatch):
     g = graph_from_edges(["v", "w"], [("v", "v", 2), ("v", "w", 1), ("w", "w", 3)])
     sp = spectrum.s_primes(spectrum.enumerate_admissible_pairs(g))
     assert sixterm.verify_exactness(g, sp).passed
-    chains = list(ktheory.open_triples(sp))
-    pairs = {ktheory.sequence_key(*chain) for chain in chains}
+    chains = list(sixterm.open_triples(sp))
+    pairs = {sixterm.sequence_key(*chain) for chain in chains}
     assert len(pairs) < len(chains)
     assert seen.count("six_term") == len(chains)
     assert seen.count("exactness_failures") == len(chains)
